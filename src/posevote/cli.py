@@ -9,12 +9,12 @@ same arguments.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .ply import load_model, save_ply
 from .refine import IcpParams, multi_hypothesis_refine
 from .synth import (NoiseSpec, Scene, default_registry, ground_truth_fields,
                     make_primitive_model, perturb, random_quat, random_scene,
-                    render_full)
+                    render_full, scene_seed)
 from .tensorio import load_tensor, save_tensor
 from .voting import VotingParams, detect
 
@@ -98,17 +98,12 @@ def _noise_from_args(args) -> NoiseSpec:
                          rotation_sigma_deg=25.0)
     else:
         raise SystemExit(f"unknown noise preset: {preset}")
-    return NoiseSpec(
-        direction_sigma=(args.noise_dir if args.noise_dir is not None
-                         else spec.direction_sigma),
-        depth_sigma=(args.noise_depth if args.noise_depth is not None
-                     else spec.depth_sigma),
-        label_flip_rate=(args.noise_flip if args.noise_flip is not None
-                         else spec.label_flip_rate),
-        rotation_sigma_deg=(args.noise_rot if args.noise_rot is not None
-                            else spec.rotation_sigma_deg),
-        rng_seed=args.seed,
-    )
+    overrides = {"direction_sigma": args.noise_dir,
+                 "depth_sigma": args.noise_depth,
+                 "label_flip_rate": args.noise_flip,
+                 "rotation_sigma_deg": args.noise_rot}
+    return replace(spec, rng_seed=args.seed,
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _voting_from_args(args) -> VotingParams:
@@ -172,16 +167,12 @@ def cmd_synth(args) -> int:
         if args.scene:
             scene = _load_scene_json(args.scene)
         else:
-            scene = random_scene(args.seed * 100003 + i, models,
+            scene = random_scene(scene_seed(args.seed, i), models,
                                  width=args.width, height=args.height)
         raster = render_full(scene, models)
         labels = LabelMap(labels=raster.label)
         fld, truths = ground_truth_fields(scene, models, raster)
-        spec = NoiseSpec(direction_sigma=noise.direction_sigma,
-                         depth_sigma=noise.depth_sigma,
-                         label_flip_rate=noise.label_flip_rate,
-                         rotation_sigma_deg=noise.rotation_sigma_deg,
-                         rng_seed=noise.rng_seed * 100003 + i)
+        spec = replace(noise, rng_seed=scene_seed(noise.rng_seed, i))
         fld, labels = perturb(fld, labels, spec)
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
         save_tensor(prefix + "_labels.pft", labels.labels)

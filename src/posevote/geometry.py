@@ -10,6 +10,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import cdist
+
+_BRUTE_FORCE_LIMIT = 2000
 
 
 class GeometryError(ValueError):
@@ -204,6 +208,24 @@ class Pose:
 
 
 # ---------------------------------------------------------------------------
+# point sets
+
+
+def nearest_neighbors(query: np.ndarray, targets: np.ndarray):
+    """(distances, indices) of the closest target to each query point.
+
+    Up to _BRUTE_FORCE_LIMIT targets one dense distance matrix is searched
+    (ties -> lowest index) and the distances are read back from it; above
+    that a k-d tree answers the query.
+    """
+    if targets.shape[0] <= _BRUTE_FORCE_LIMIT:
+        d = cdist(query, targets)
+        idx = np.argmin(d, axis=1)
+        return d[np.arange(idx.size), idx], idx
+    return cKDTree(targets).query(query, k=1)
+
+
+# ---------------------------------------------------------------------------
 # object models
 
 
@@ -218,10 +240,8 @@ def model_diameter(points) -> float:
         raise GeometryError("diameter needs at least 2 points")
     if pts.shape[0] > 400:
         try:
-            from scipy.spatial import ConvexHull
-
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
+        except QhullError:
             pass  # degenerate (coplanar etc.) -> fall through to brute force
     best = 0.0
     # chunked O(m^2) scan keeps memory bounded for large hulls

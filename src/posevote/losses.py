@@ -21,13 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
-from .geometry import (ObjectModel, normalize_quat, quat_to_rotation,
-                       rotation_angle_between)
-
-_BRUTE_FORCE_LIMIT = 2000
+from .geometry import (ObjectModel, nearest_neighbors, normalize_quat,
+                       quat_to_rotation, rotation_angle_between)
 
 
 class LossKind(enum.Enum):
@@ -55,14 +51,6 @@ def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
     return np.stack([dw, dx, dy, dz])
 
 
-def _nearest_indices(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Index of the closest target for each query point; ties -> lowest index."""
-    if targets.shape[0] <= _BRUTE_FORCE_LIMIT:
-        return np.argmin(cdist(query, targets), axis=1)
-    _, idx = cKDTree(targets).query(query, k=1)
-    return idx
-
-
 def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grad - np.dot(grad, q) * q
 
@@ -77,7 +65,7 @@ def _loss_impl(q_est, q_gt, model: ObjectModel, matched: bool) -> LossResult:
     est = pts @ quat_to_rotation(qe).T
     gt = pts @ quat_to_rotation(qg).T
     if not matched:
-        gt = gt[_nearest_indices(est, gt)]
+        gt = gt[nearest_neighbors(est, gt)[1]]
     diff = est - gt
     value = float(np.sum(diff * diff)) / (2.0 * m)
     jac = _rotation_jacobian(qe)

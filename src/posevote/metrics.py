@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
-from .geometry import CameraIntrinsics, GeometryError, ObjectModel, Pose, project_many
-
-_BRUTE_FORCE_LIMIT = 2000
+from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
+                       nearest_neighbors, project_many)
 
 
 def add(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
@@ -35,10 +32,7 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
         raise ValueError("empty model")
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
-    if gt.shape[0] <= _BRUTE_FORCE_LIMIT:
-        dmin = np.min(cdist(est, gt), axis=1)
-    else:
-        dmin, _ = cKDTree(gt).query(est, k=1)
+    dmin, _ = nearest_neighbors(est, gt)
     return float(np.mean(dmin))
 
 

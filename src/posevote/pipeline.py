@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .fields import DepthMap, LabelMap
-from .geometry import CameraIntrinsics, ObjectModel, Pose, rotation_angle_between
+from .geometry import ObjectModel, Pose, rotation_angle_between
 from .metrics import accuracy_curve, add, add_s, auc, is_correct, reprojection_error
-from .refine import IcpParams, multi_hypothesis_refine
+from .refine import IcpError, IcpParams, multi_hypothesis_refine
 from .synth import (NoiseSpec, ground_truth_fields, perturb, perturbed_pose,
-                    random_scene, render_full)
+                    random_scene, render_full, scene_seed)
 from .voting import VotingParams, detect
 
 _MATCH_RADIUS_PX = 25.0
@@ -99,19 +99,14 @@ def _match_detections(truths, detections):
 def evaluate_scene(scene_index: int, cfg: PipelineConfig,
                    models: dict[int, ObjectModel]) -> list[InstanceRecord]:
     """Run the full pipeline on one seeded random scene."""
-    scene_seed = cfg.seed * 100003 + scene_index
-    scene = random_scene(scene_seed, models, width=cfg.width, height=cfg.height)
+    scene = random_scene(scene_seed(cfg.seed, scene_index), models,
+                         width=cfg.width, height=cfg.height)
     raster = render_full(scene, models)
     labels = LabelMap(labels=raster.label)
     observed = DepthMap(depth=raster.depth.astype(np.float32))
     fld, truths = ground_truth_fields(scene, models, raster)
-    noise = cfg.noise
-    if not noise.is_zero:
-        noise = NoiseSpec(direction_sigma=noise.direction_sigma,
-                          depth_sigma=noise.depth_sigma,
-                          label_flip_rate=noise.label_flip_rate,
-                          rotation_sigma_deg=noise.rotation_sigma_deg,
-                          rng_seed=noise.rng_seed * 100003 + scene_index)
+    noise = replace(cfg.noise,
+                    rng_seed=scene_seed(cfg.noise.rng_seed, scene_index))
     fld, det_labels = perturb(fld, labels, noise)
     detections = detect(det_labels, fld, scene.intrinsics, cfg.voting)
     matched = _match_detections(truths, detections)
@@ -142,7 +137,7 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
                     est = multi_hypothesis_refine(
                         observed, det_labels, t.class_id, models[t.class_id],
                         est, scene.intrinsics, cfg.icp).pose
-                except Exception:
+                except IcpError:
                     pass  # fall back to the voted pose
             model = models[t.class_id]
             rec.add = add(est, t.pose, model)

@@ -21,7 +21,7 @@ import numpy as np
 from .fields import DepthMap, LabelMap
 from .geometry import (CameraIntrinsics, ObjectModel, Pose,
                        quat_from_axis_angle, quat_multiply)
-from .synth import Scene, render_full
+from .synth import RangeImage, Scene, render_full
 
 _MIN_MASK_PIXELS = 50
 _MAX_HALVINGS = 8
@@ -65,11 +65,14 @@ class RefineResult:
 
 def _observed_points(observed: DepthMap, mask: np.ndarray,
                      intrinsics: CameraIntrinsics):
+    """Masked observed pixels, their rays ((x-px)/fx, (y-py)/fy, 1) and the
+    camera-frame points rays * depth."""
     ys, xs = np.nonzero(mask & (observed.depth > 0))
     z = observed.depth[ys, xs].astype(float)
-    pts = np.stack([(xs - intrinsics.px) / intrinsics.fx * z,
-                    (ys - intrinsics.py) / intrinsics.fy * z, z], axis=1)
-    return xs, ys, pts
+    rays = np.stack([(xs - intrinsics.px) / intrinsics.fx,
+                     (ys - intrinsics.py) / intrinsics.fy,
+                     np.ones(xs.size)], axis=1)
+    return xs, ys, rays, rays * z[:, None]
 
 
 def _render_model(model: ObjectModel, pose: Pose, intrinsics: CameraIntrinsics,
@@ -79,7 +82,7 @@ def _render_model(model: ObjectModel, pose: Pose, intrinsics: CameraIntrinsics,
     return render_full(scene, {model.class_id: model})
 
 
-def _associate(raster, xs, ys, obs_pts, reject: float):
+def _associate(raster: RangeImage, xs, ys, rays, obs_pts, reject: float):
     """Point-plane residuals for masked pixels with rendered coverage.
 
     Returns inlier (points, normals, residuals), the inlier count, the mean
@@ -93,7 +96,7 @@ def _associate(raster, xs, ys, obs_pts, reject: float):
     hit = raster.depth[ys, xs] > 0
     if not hit.any():
         return None
-    p = raster.points[ys[hit], xs[hit]]
+    p = rays[hit] * raster.depth[ys[hit], xs[hit]][:, None]
     n = raster.normals[ys[hit], xs[hit]]
     o = obs_pts[hit]
     r = np.sum(n * (o - p), axis=1)
@@ -129,7 +132,7 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     if init.translation[2] <= 0:
         raise IcpError("initial pose is behind the camera")
     mask = labels.labels == class_id
-    xs, ys, obs_pts = _observed_points(observed, mask, intrinsics)
+    xs, ys, rays, obs_pts = _observed_points(observed, mask, intrinsics)
     n_masked = xs.size
     if n_masked < _MIN_MASK_PIXELS:
         raise IcpError(f"insufficient support: {n_masked} masked depth pixels "
@@ -142,7 +145,7 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         if pose.translation[2] <= 0:
             return None  # candidate stepped behind the camera
         raster = _render_model(model, pose, intrinsics, w, h)
-        return _associate(raster, xs, ys, obs_pts, reject)
+        return _associate(raster, xs, ys, rays, obs_pts, reject)
 
     current = init
     state = evaluate(current)

@@ -3,18 +3,17 @@ center fields, primitive models, and controlled noise injection.
 
 The renderer stands in for a learned dense predictor and doubles as the
 ground-truth oracle for tests. Meshes are rasterized triangle by triangle
-with perspective-correct depth; point-only models are splatted with a
-depth-scaled radius. Everything is deterministic, and all randomness flows
-from explicit seeds.
+with perspective-correct depth; models without faces cannot be rendered.
+Everything is deterministic, and all randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, cKDTree
+from scipy.spatial import ConvexHull
 
 from .fields import CenterField, DepthMap, LabelMap, directions_to_center
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, project,
@@ -57,11 +56,20 @@ class NoiseSpec:
 
 @dataclass
 class RangeImage:
-    """Rendered depth plus per-pixel camera-frame points and unit normals."""
+    """Z-buffer render: depth, class label, instance index and unit normal
+    per pixel. Camera-frame points follow from depth and the pixel rays."""
 
     depth: np.ndarray  # (h, w), 0 = empty
-    points: np.ndarray  # (h, w, 3)
-    normals: np.ndarray  # (h, w, 3)
+    label: np.ndarray  # (h, w) uint16, 0 = background
+    instance: np.ndarray  # (h, w) int32, -1 = background
+    normals: np.ndarray  # (h, w, 3), oriented toward the camera
+
+    @classmethod
+    def empty(cls, width: int, height: int) -> "RangeImage":
+        return cls(depth=np.zeros((height, width)),
+                   label=np.zeros((height, width), dtype=np.uint16),
+                   instance=np.full((height, width), -1, dtype=np.int32),
+                   normals=np.zeros((height, width, 3)))
 
     @property
     def height(self) -> int:
@@ -252,33 +260,7 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
 # rendering
 
 
-def _splat_spacing(model: ObjectModel) -> float:
-    pts = model.points
-    sample = pts if pts.shape[0] <= 2000 else pts[:: pts.shape[0] // 2000]
-    d, _ = cKDTree(pts).query(sample, k=2)
-    return float(np.mean(d[:, 1]))
-
-
-@dataclass
-class _Raster:
-    depth: np.ndarray
-    label: np.ndarray
-    instance: np.ndarray
-    points: np.ndarray
-    normals: np.ndarray
-
-
-def _new_raster(width: int, height: int) -> _Raster:
-    return _Raster(
-        depth=np.zeros((height, width)),
-        label=np.zeros((height, width), dtype=np.uint16),
-        instance=np.full((height, width), -1, dtype=np.int32),
-        points=np.zeros((height, width, 3)),
-        normals=np.zeros((height, width, 3)),
-    )
-
-
-def _raster_triangles(r: _Raster, verts_cam: np.ndarray, faces: np.ndarray,
+def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
                       intrinsics: CameraIntrinsics, class_id: int, inst: int):
     h, w = r.depth.shape
     fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
@@ -326,102 +308,20 @@ def _raster_triangles(r: _Raster, verts_cam: np.ndarray, faces: np.ndarray,
         r.depth[sub][win] = zw
         r.label[sub][win] = class_id
         r.instance[sub][win] = inst
-        pts = np.stack([(gx[win] - px) / fx * zw, (gy[win] - py) / fy * zw, zw],
-                       axis=1)
-        r.points[sub][win] = pts
         r.normals[sub][win] = n
 
 
-def _splat_points(r: _Raster, pts_cam: np.ndarray, normals_cam: np.ndarray,
-                  spacing: float, intrinsics: CameraIntrinsics,
-                  class_id: int, inst: int):
-    h, w = r.depth.shape
-    fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
-    order = np.argsort(-pts_cam[:, 2], kind="stable")  # far to near
-    for i in order:
-        x, y, z = pts_cam[i]
-        if z <= 1e-6:
-            continue
-        u = fx * x / z + px
-        v = fy * y / z + py
-        rad = max(1, math.ceil(fx * spacing / z * 0.75))
-        x0 = max(0, int(math.floor(u - rad)))
-        x1 = min(w - 1, int(math.ceil(u + rad)))
-        y0 = max(0, int(math.floor(v - rad)))
-        y1 = min(h - 1, int(math.ceil(v + rad)))
-        if x1 < x0 or y1 < y0:
-            continue
-        sub = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        cur = r.depth[sub]
-        win = (cur == 0) | (z < cur)
-        if not win.any():
-            continue
-        r.depth[sub][win] = z
-        r.label[sub][win] = class_id
-        r.instance[sub][win] = inst
-        r.points[sub][win] = pts_cam[i]
-        r.normals[sub][win] = normals_cam[i]
-
-
-def _point_normals(model: ObjectModel) -> np.ndarray:
-    """Model-frame point normals: stored ones, else local-plane fits."""
-    if model.normals is not None:
-        return model.normals
-    pts = model.points
-    k = min(9, pts.shape[0])
-    _, idx = cKDTree(pts).query(pts, k=k)
-    normals = np.zeros_like(pts)
-    centroid_all = pts.mean(axis=0)
-    for i in range(pts.shape[0]):
-        nb = pts[idx[i]]
-        nb = nb - nb.mean(axis=0)
-        _, _, vt = np.linalg.svd(nb, full_matrices=False)
-        n = vt[-1]
-        if np.dot(n, pts[i] - centroid_all) < 0:
-            n = -n  # outward
-        normals[i] = n
-    return normals
-
-
-_NORMAL_CACHE: dict[int, np.ndarray] = {}
-
-
-def _cached_point_normals(model: ObjectModel) -> np.ndarray:
-    key = id(model)
-    if key not in _NORMAL_CACHE:
-        _NORMAL_CACHE[key] = _point_normals(model)
-    return _NORMAL_CACHE[key]
-
-
-_SPACING_CACHE: dict[int, float] = {}
-
-
-def _cached_spacing(model: ObjectModel) -> float:
-    key = id(model)
-    if key not in _SPACING_CACHE:
-        _SPACING_CACHE[key] = _splat_spacing(model)
-    return _SPACING_CACHE[key]
-
-
-def _render_instance(r: _Raster, model: ObjectModel, pose: Pose,
+def _render_instance(r: RangeImage, model: ObjectModel, pose: Pose,
                      intrinsics: CameraIntrinsics, inst: int):
-    rot = pose.rotation_matrix()
-    pts_cam = model.points @ rot.T + pose.translation
-    if model.faces is not None and model.faces.size:
-        _raster_triangles(r, pts_cam, model.faces, intrinsics,
-                          model.class_id, inst)
-    else:
-        normals_cam = _cached_point_normals(model) @ rot.T
-        # orient toward the camera
-        flip = np.sum(normals_cam * pts_cam, axis=1) > 0
-        normals_cam[flip] = -normals_cam[flip]
-        _splat_points(r, pts_cam, normals_cam, _cached_spacing(model),
-                      intrinsics, model.class_id, inst)
+    if model.faces is None or not model.faces.size:
+        raise SynthError(f"model {model.name!r} has no faces to render")
+    pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
+    _raster_triangles(r, pts_cam, model.faces, intrinsics, model.class_id, inst)
 
 
-def render_full(scene: Scene, models: dict[int, ObjectModel]) -> _Raster:
-    """Z-buffer render returning depth/label/instance/point/normal buffers."""
-    r = _new_raster(scene.width, scene.height)
+def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
+    """Z-buffer render returning depth/label/instance/normal buffers."""
+    r = RangeImage.empty(scene.width, scene.height)
     for inst, (cid, pose) in enumerate(scene.instances):
         if cid not in models:
             raise SynthError(f"scene references unknown class id {cid}")
@@ -434,13 +334,11 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> _Raster:
 def render_scene(scene: Scene, models: dict[int, ObjectModel]):
     """Render to (DepthMap, LabelMap, RangeImage); nearest surface wins."""
     r = render_full(scene, models)
-    return (DepthMap(depth=r.depth.astype(np.float32)),
-            LabelMap(labels=r.label),
-            RangeImage(depth=r.depth, points=r.points, normals=r.normals))
+    return DepthMap(depth=r.depth.astype(np.float32)), LabelMap(labels=r.label), r
 
 
 def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
-                        raster: _Raster | None = None):
+                        raster: RangeImage | None = None):
     """Exact regression targets and per-instance ground truth for a scene.
 
     Each instance's visible pixels encode the unit direction toward its own
@@ -461,7 +359,7 @@ def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
             pl[ys, xs, 0] = dirs[:, 0]
             pl[ys, xs, 1] = dirs[:, 1]
             pl[ys, xs, 2] = tz
-        solo = _new_raster(scene.width, scene.height)
+        solo = RangeImage.empty(scene.width, scene.height)
         _render_instance(solo, models[cid], pose, scene.intrinsics, inst)
         solo_px = int(np.count_nonzero(solo.instance == inst))
         ci, cj = int(math.floor(center[0] + 0.5)), int(math.floor(center[1] + 0.5))
@@ -540,6 +438,11 @@ def default_registry() -> dict[int, ObjectModel]:
     }
     reg[5].name = "cube_large"
     return reg
+
+
+def scene_seed(seed: int, i: int) -> int:
+    """Seed of the i-th scene (or its noise) in a run seeded with `seed`."""
+    return seed * 100003 + i
 
 
 def random_scene(seed: int, models: dict[int, ObjectModel],

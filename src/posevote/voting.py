@@ -9,7 +9,7 @@ depth of a center is the mean of its inlier depth predictions, and the full
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class Detection:
     score: int
     inliers: np.ndarray  # (n, 2) integer (x, y), row-major order
     bbox: tuple  # (xmin, ymin, xmax, ymax)
-    depth_tz: float
     translation: np.ndarray  # (3,) meters
 
     def to_dict(self) -> dict:
@@ -67,7 +66,7 @@ class Detection:
             "score": int(self.score),
             "inlier_count": int(self.inliers.shape[0]),
             "bbox_px": [int(v) for v in self.bbox],
-            "depth_tz_m": float(self.depth_tz),
+            "depth_tz_m": float(self.translation[2]),
             "translation_m": [float(v) for v in self.translation],
         }
 
@@ -226,5 +225,5 @@ def detect(labels: LabelMap, fld: CenterField, intrinsics: CameraIntrinsics,
                     int(inliers[:, 0].max()), int(inliers[:, 1].max()))
             detections.append(Detection(
                 class_id=cid, center=center, score=score, inliers=inliers,
-                bbox=bbox, depth_tz=float(translation[2]), translation=translation))
+                bbox=bbox, translation=translation))
     return detections

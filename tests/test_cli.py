@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from posevote.cli import run
+from posevote.ply import load_ply, save_ply
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
 
@@ -132,7 +133,9 @@ def test_pipeline_cli_deterministic(tmp_path):
     assert o1.read_bytes() == o2.read_bytes()
 
 
-def test_refine_cli(tmp_path):
+def _refine_args(tmp_path, faces=True):
+    """refine arguments for the most visible instance of a synthesized scene,
+    initialized at its ground-truth pose; returns (args, instance)."""
     out_dir = tmp_path / "scenes"
     assert run(["synth", "--out-dir", str(out_dir), "--seed", "12"]) == 0
     prefix = str(out_dir / "scene_0000")
@@ -146,16 +149,32 @@ def test_refine_cli(tmp_path):
     scales = {1: 0.10, 2: 0.10, 3: 0.12, 4: 0.12, 5: 0.14}
     run(["make-model", "--kind", kind, "--out", str(model),
          "--scale", str(scales[inst["class_id"]]), "--points", "600"])
+    if not faces:
+        points, _, _ = load_ply(model)
+        save_ply(model, points)
     init = tmp_path / "init.json"
     _write_json(init, [_pose_entry(inst["class_id"], inst["quaternion_wxyz"],
                                    inst["translation_m"])])
+    args = ["refine", "--depth", prefix + "_depth.pft",
+            "--labels", prefix + "_labels.pft",
+            "--class-id", str(inst["class_id"]),
+            "--model", str(model), "--init", str(init),
+            "--intrinsics", str(k_path)]
+    return args, inst
+
+
+def test_refine_cli(tmp_path):
+    args, inst = _refine_args(tmp_path)
     out = tmp_path / "refined.json"
-    rc = run(["refine", "--depth", prefix + "_depth.pft",
-              "--labels", prefix + "_labels.pft",
-              "--class-id", str(inst["class_id"]),
-              "--model", str(model), "--init", str(init),
-              "--intrinsics", str(k_path), "--out", str(out)])
-    assert rc == 0
+    assert run(args + ["--out", str(out)]) == 0
     res = json.loads(out.read_text())
     # refining from ground truth must stay at ground truth
     assert np.allclose(res["translation_m"], inst["translation_m"], atol=1e-4)
+
+
+def test_refine_cli_rejects_points_only_model(tmp_path, capsys):
+    args, _ = _refine_args(tmp_path, faces=False)
+    out = tmp_path / "refined.json"
+    assert run(args + ["--out", str(out)]) == 1
+    assert "posevote: error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,9 +5,10 @@ import pytest
 
 from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                Pose, backproject_center, model_diameter,
-                               normalize_quat, project, project_many,
-                               quat_conjugate, quat_from_axis_angle,
-                               quat_multiply, quat_to_rotation, random_quat,
+                               nearest_neighbors, normalize_quat, project,
+                               project_many, quat_conjugate,
+                               quat_from_axis_angle, quat_multiply,
+                               quat_to_rotation, random_quat,
                                rotation_angle_between)
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=240.0)
@@ -168,7 +169,22 @@ def test_model_diameter_matches_brute_force():
     assert model_diameter(pts) == pytest.approx(math.sqrt(d2.max()), rel=1e-12)
 
 
+def test_model_diameter_coplanar_falls_back_to_brute_force():
+    # a flat point set makes Qhull fail; the brute-force scan still runs
+    rng = np.random.default_rng(12)
+    pts = np.zeros((500, 3))
+    pts[:, :2] = rng.standard_normal((500, 2))
+    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+    assert model_diameter(pts) == pytest.approx(math.sqrt(d2.max()), rel=1e-12)
+
+
 def test_object_model_diameter_cached():
     m = ObjectModel(class_id=1, name="t",
                     points=np.array([[0, 0, 0], [1.0, 0, 0]]))
     assert m.diameter == pytest.approx(1.0)
+
+
+def test_nearest_neighbors_ties_pick_lowest_index():
+    targets = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
+    dist, idx = nearest_neighbors(np.zeros((1, 3)), targets)
+    assert idx[0] == 0 and dist[0] == 1.0

@@ -51,13 +51,17 @@ def test_pure_translation_offset():
 
 def test_add_matches_oracle():
     rng = np.random.default_rng(2)
-    m = make_primitive_model("cube", scale=0.1, n_points=96)
-    for _ in range(50):
-        est, gt = _random_pose(rng), _random_pose(rng)
-        assert add(est, gt, m) == pytest.approx(
-            brute_add(est, gt, m.points), rel=1e-12)
-        assert add_s(est, gt, m) == pytest.approx(
-            brute_add_s(est, gt, m.points), rel=1e-12)
+    small = make_primitive_model("cube", scale=0.1, n_points=96)
+    # above the brute-force limit: add_s takes the k-d tree branch
+    large = ObjectModel(class_id=1, name="large",
+                        points=rng.standard_normal((2500, 3)) * 0.05)
+    for m, trials in ((small, 50), (large, 3)):
+        for _ in range(trials):
+            est, gt = _random_pose(rng), _random_pose(rng)
+            assert add(est, gt, m) == pytest.approx(
+                brute_add(est, gt, m.points), rel=1e-12)
+            assert add_s(est, gt, m) == pytest.approx(
+                brute_add_s(est, gt, m.points), rel=1e-12)
 
 
 def test_add_s_le_add():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from posevote.fields import LabelMap
-from posevote.geometry import (CameraIntrinsics, Pose, quat_to_rotation,
-                               random_quat)
+from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose,
+                               quat_to_rotation, random_quat)
 from posevote.losses import sloss
 from posevote.synth import (NoiseSpec, Scene, SynthError, default_registry,
                             ground_truth_fields, make_primitive_model,
@@ -98,6 +98,14 @@ def test_render_z_buffer_near_surface_wins():
     assert np.all(labels.labels[solo_front.depth > 0] == 1)
     assert np.all(depth.depth[solo_front.depth > 0]
                   == solo_front.depth[solo_front.depth > 0])
+
+
+def test_render_model_without_faces_rejected():
+    cube = default_registry()[1]
+    points_only = ObjectModel(class_id=1, name="cloud", points=cube.points)
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
+    with pytest.raises(SynthError, match="no faces"):
+        render_full(_lone_scene(1, pose), {1: points_only})
 
 
 def _ray_triangle_depth(model, pose, x, y):
