@@ -51,6 +51,8 @@ class DepthMap:
         self.depth = np.asarray(self.depth, dtype=np.float32)
         if self.depth.ndim != 2:
             raise FieldError("depth must be 2-D")
+        if not np.isfinite(self.depth).all():
+            raise FieldError("depths must be finite")
         if np.any(self.depth < 0):
             raise FieldError("depths must be non-negative")
 
@@ -91,13 +93,12 @@ class CenterField:
         return CenterField(self.width, self.height,
                            {k: v.copy() for k, v in self.planes.items()})
 
-    def to_tensor(self, n_classes: int | None = None) -> np.ndarray:
+    def to_tensor(self, n_classes: int) -> np.ndarray:
         """Pack as a dense (n_classes, 3, height, width) f32 tensor.
 
         Plane index = class_id - 1.
         """
-        n = n_classes or (max(self.planes) if self.planes else 1)
-        out = np.zeros((n, 3, self.height, self.width), dtype=np.float32)
+        out = np.zeros((n_classes, 3, self.height, self.width), dtype=np.float32)
         for cid, pl in self.planes.items():
             out[cid - 1] = np.moveaxis(pl, 2, 0)
         return out

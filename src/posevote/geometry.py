@@ -104,6 +104,8 @@ class CameraIntrinsics:
     py: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.px, self.py)):
+            raise GeometryError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError("focal lengths must be positive")
 
@@ -203,8 +205,11 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
-        return cls(np.array(d["quaternion_wxyz"], dtype=float),
-                   np.array(d["translation_m"], dtype=float))
+        q = np.array(d["quaternion_wxyz"], dtype=float)
+        t = np.array(d["translation_m"], dtype=float)
+        if not (np.isfinite(q).all() and np.isfinite(t).all()):
+            raise GeometryError("pose values must be finite")
+        return cls(q, t)
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +259,14 @@ def model_diameter(points) -> float:
 
 @dataclass
 class ObjectModel:
-    """A 3D point set (optionally with normals and triangle faces)."""
+    """A 3D point set, optionally with triangle faces; the diameter is
+    always computed from the points."""
 
     class_id: int
     name: str
     points: np.ndarray
-    normals: np.ndarray | None = None
     faces: np.ndarray | None = None
-    diameter: float = field(default=0.0)
+    diameter: float = field(init=False)
 
     def __post_init__(self):
         if self.class_id <= 0:
@@ -269,16 +274,14 @@ class ObjectModel:
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if self.points.shape[0] == 0:
             raise GeometryError("model has no points")
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=float).reshape(-1, 3)
-            if self.normals.shape[0] != self.points.shape[0]:
-                raise GeometryError("normals/points length mismatch")
+        if not np.isfinite(self.points).all():
+            raise GeometryError("model points must be finite")
         if self.faces is not None:
             self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-            if self.faces.size and self.faces.max() >= self.points.shape[0]:
+            if self.faces.size and (self.faces.min() < 0
+                                    or self.faces.max() >= self.points.shape[0]):
                 raise GeometryError("face index out of range")
-        if self.diameter <= 0.0:
-            self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0
+        self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0
 
     @property
     def num_points(self) -> int:

@@ -26,6 +26,9 @@ from .geometry import (ObjectModel, nearest_neighbors, normalize_quat,
                        quat_to_rotation, rotation_angle_between)
 
 
+_FD_STEP = 1e-5  # quaternion component step of the gradient check
+
+
 class LossKind(enum.Enum):
     PLOSS = "ploss"
     SLOSS = "sloss"
@@ -88,25 +91,22 @@ def _evaluate(kind: LossKind, q_est, q_gt, model) -> LossResult:
         else sloss(q_est, q_gt, model)
 
 
-def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel,
-                        h: float = 1e-5) -> float:
+def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> float:
     """Max relative error between the analytic gradient and central finite
-    differences with renormalization; relative to the largest finite-difference
-    component magnitude.
+    differences (step _FD_STEP) with renormalization; relative to the largest
+    finite-difference component magnitude.
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
     qe = normalize_quat(q_est)
     analytic = _evaluate(kind, qe, q_gt, model).gradient
     fd = np.zeros(4)
     for k in range(4):
         qp = qe.copy()
-        qp[k] += h
+        qp[k] += _FD_STEP
         qm = qe.copy()
-        qm[k] -= h
+        qm[k] -= _FD_STEP
         fp = _evaluate(kind, qp, q_gt, model).value
         fm = _evaluate(kind, qm, q_gt, model).value
-        fd[k] = (fp - fm) / (2.0 * h)
+        fd[k] = (fp - fm) / (2.0 * _FD_STEP)
     fd = _tangent_project(fd, qe)
     scale = max(float(np.max(np.abs(fd))), 1e-12)
     return float(np.max(np.abs(analytic - fd)) / scale)

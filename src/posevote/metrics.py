@@ -3,7 +3,7 @@
 ADD is the mean distance between corresponding model points under the two
 poses; ADD-S replaces correspondence with the closest point, so symmetric
 shapes are not penalized for symmetry-equivalent rotations. A pose is correct
-when its distance is below a fraction (default 10%) of the model diameter.
+when its distance is below 10% of the model diameter.
 AUC integrates the accuracy-threshold curve up to a maximum threshold
 (10 cm by default) and is reported as a percentage.
 """
@@ -16,6 +16,8 @@ import numpy as np
 
 from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
                        nearest_neighbors, project_many)
+
+_CORRECT_FRACTION = 0.1  # of the model diameter
 
 
 def add(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
@@ -49,11 +51,9 @@ def reprojection_error(pose_est: Pose, pose_gt: Pose, model: ObjectModel,
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
-def is_correct(distance: float, model: ObjectModel, fraction: float = 0.1) -> bool:
-    """Strictly below fraction * model diameter."""
-    if fraction <= 0:
-        raise ValueError("fraction must be positive")
-    return distance < fraction * model.diameter
+def is_correct(distance: float, model: ObjectModel) -> bool:
+    """Strictly below _CORRECT_FRACTION (10%) of the model diameter."""
+    return distance < _CORRECT_FRACTION * model.diameter
 
 
 @dataclass

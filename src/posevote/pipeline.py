@@ -187,6 +187,7 @@ def run_pipeline(cfg: PipelineConfig,
             "direction_sigma_rad": cfg.noise.direction_sigma,
             "depth_sigma_m": cfg.noise.depth_sigma,
             "label_flip_rate": cfg.noise.label_flip_rate,
+            "rotation_sigma_deg": cfg.noise.rotation_sigma_deg,
         },
         "refined": cfg.refine,
         "min_visibility": cfg.min_visibility,

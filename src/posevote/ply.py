@@ -34,6 +34,8 @@ def load_ply(path):
         if not line or line.startswith("comment"):
             continue
         tokens = line.split()
+        if len(tokens) < {"format": 2, "element": 3, "property": 3}.get(tokens[0], 1):
+            raise PlyError(f"malformed header line: {line}")
         if tokens[0] == "format":
             if tokens[1] != "ascii":
                 raise PlyError("only ASCII PLY is supported")
@@ -81,10 +83,9 @@ def load_ply(path):
         rows = []
         for j in range(n_vertices, n_vertices + n_faces):
             tokens = body[j].split()
-            count = int(tokens[0])
-            if count != 3:
-                raise PlyError("only triangle faces are supported")
-            rows.append([int(t) for t in tokens[1:4]])
+            if int(tokens[0]) != 3 or len(tokens) != 4:
+                raise PlyError(f"not a triangle face row: {body[j]}")
+            rows.append([int(t) for t in tokens[1:]])
         faces = np.array(rows, dtype=np.int64)
     return points, normals, faces
 
@@ -115,10 +116,12 @@ def save_ply(path, points, normals=None, faces=None):
 
 
 def load_model(path, class_id: int, name: str | None = None) -> ObjectModel:
+    """ObjectModel from a PLY file. Vertex normals, when present, must be
+    unit length; they are checked and then dropped, as nothing uses them."""
     points, normals, faces = load_ply(path)
     if normals is not None:
         norms = np.linalg.norm(normals, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise GeometryError("model normals must be unit length")
     return ObjectModel(class_id=class_id, name=name or str(path),
-                       points=points, normals=normals, faces=faces)
+                       points=points, faces=faces)

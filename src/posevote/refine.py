@@ -25,6 +25,9 @@ from .synth import RangeImage, Scene, render_full
 
 _MIN_MASK_PIXELS = 50
 _MAX_HALVINGS = 8
+_CONVERGENCE_TOL = 1e-5  # meters of pose change per iteration
+_PERTURB_ROT_SIGMA_DEG = 20.0  # hypothesis rotation offsets
+_PERTURB_TRANS_SIGMA_M = 0.02  # hypothesis translation offsets
 
 
 class IcpError(RuntimeError):
@@ -33,20 +36,16 @@ class IcpError(RuntimeError):
 
 @dataclass
 class IcpParams:
+    """ICP settings; the step schedule and hypothesis offsets are constants."""
+
     max_iterations: int = 100
     residual_reject_threshold: float = 0.02  # meters
-    step_size: float = 1.0
-    convergence_tol: float = 1e-5  # meters of pose change per iteration
     n_hypotheses: int = 8
-    perturb_rot_sigma: float = 20.0  # degrees
-    perturb_trans_sigma: float = 0.02  # meters
     rng_seed: int = 0
 
     def __post_init__(self):
         if (self.max_iterations <= 0 or self.residual_reject_threshold <= 0
-                or self.step_size <= 0 or self.convergence_tol <= 0
-                or self.n_hypotheses <= 0 or self.perturb_rot_sigma <= 0
-                or self.perturb_trans_sigma <= 0):
+                or self.n_hypotheses <= 0):
             raise ValueError("all ICP parameters must be positive")
 
 
@@ -56,7 +55,7 @@ class RefineResult:
     mean_residual: float  # mean |signed point-plane residual| over inliers
     inlier_fraction: float  # inliers / masked observed pixels
     iterations: int
-    objective_trace: list | None = None  # truncated energy per accepted step
+    objective_trace: list  # truncated energy at the start and per accepted step
 
     def alignment_score(self, residual_scale: float) -> float:
         """Coverage-minus-fit score used to pick among refined hypotheses."""
@@ -165,7 +164,7 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
             xi = np.linalg.solve(jtj + damp * np.eye(6), jtr)
         except np.linalg.LinAlgError:
             break
-        step = params.step_size
+        step = 1.0
         accepted = None
         for _ in range(_MAX_HALVINGS):
             cand = _apply_increment(current, step * xi[:3], step * xi[3:])
@@ -180,7 +179,7 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         trace.append(state[5])
         change = step * (float(np.linalg.norm(xi[3:]))
                          + float(np.linalg.norm(xi[:3])) * radius)
-        if change < params.convergence_tol:
+        if change < _CONVERGENCE_TOL:
             break
     if state[4] > init_state[4]:
         # never return a pose with a worse inlier residual than the input
@@ -191,16 +190,15 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
                         objective_trace=trace)
 
 
-def _random_perturbation(pose: Pose, rot_sigma_deg: float, trans_sigma: float,
-                         rng: np.random.Generator) -> Pose:
+def _random_perturbation(pose: Pose, rng: np.random.Generator) -> Pose:
     axis = rng.standard_normal(3)
     while np.linalg.norm(axis) < 1e-12:
         axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    angle = abs(rng.normal(0.0, math.radians(rot_sigma_deg)))
+    angle = abs(rng.normal(0.0, math.radians(_PERTURB_ROT_SIGMA_DEG)))
     direction = rng.standard_normal(3)
     direction /= np.linalg.norm(direction)
-    magnitude = abs(rng.normal(0.0, trans_sigma))
+    magnitude = abs(rng.normal(0.0, _PERTURB_TRANS_SIGMA_M))
     dq = quat_from_axis_angle(axis, angle)
     return Pose(quat_multiply(dq, pose.quaternion),
                 pose.translation + magnitude * direction)
@@ -218,8 +216,7 @@ def multi_hypothesis_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     rng = np.random.default_rng(params.rng_seed)
     hypotheses = [init]
     for _ in range(params.n_hypotheses - 1):
-        hypotheses.append(_random_perturbation(
-            init, params.perturb_rot_sigma, params.perturb_trans_sigma, rng))
+        hypotheses.append(_random_perturbation(init, rng))
     best = None
     last_error = None
     for hyp in hypotheses:

@@ -338,21 +338,21 @@ def render_scene(scene: Scene, models: dict[int, ObjectModel]):
 
 
 def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
-                        raster: RangeImage | None = None):
-    """Exact regression targets and per-instance ground truth for a scene.
+                        raster: RangeImage):
+    """Exact regression targets and per-instance ground truth for a scene
+    whose render_full output is `raster`.
 
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
     ground-truth Tz. Returns (CenterField, [InstanceTruth]).
     """
-    r = raster if raster is not None else render_full(scene, models)
     fld = CenterField(width=scene.width, height=scene.height)
     truths = []
-    h, w = r.depth.shape
+    h, w = raster.depth.shape
     for inst, (cid, pose) in enumerate(scene.instances):
         center = project(pose.translation, scene.intrinsics)
         tz = float(pose.translation[2])
-        ys, xs = np.nonzero(r.instance == inst)
+        ys, xs = np.nonzero(raster.instance == inst)
         if xs.size:
             dirs = directions_to_center(xs, ys, center)
             pl = fld.plane(cid)
@@ -365,7 +365,7 @@ def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
         ci, cj = int(math.floor(center[0] + 0.5)), int(math.floor(center[1] + 0.5))
         occ = True
         if 0 <= cj < h and 0 <= ci < w:
-            occ = r.instance[cj, ci] != inst
+            occ = raster.instance[cj, ci] != inst
         truths.append(InstanceTruth(
             index=inst, class_id=cid, pose=pose, center=center, tz=tz,
             visible_pixels=int(xs.size), solo_pixels=solo_px,
@@ -446,33 +446,24 @@ def scene_seed(seed: int, i: int) -> int:
 
 
 def random_scene(seed: int, models: dict[int, ObjectModel],
-                 intrinsics: CameraIntrinsics | None = None,
-                 width: int = 320, height: int = 240,
-                 n_objects: tuple[int, int] = (3, 5),
-                 tz_range: tuple[float, float] = (0.7, 1.4),
-                 cluster: float = 0.35, unique_classes: bool = True) -> Scene:
-    """Seeded random scene; objects cluster near the view center so
-    occlusions (including occluded centers) are common.
-
-    With unique_classes each class appears at most once, which keeps inlier
-    depth averages free of cross-instance contamination.
+                 width: int = 320, height: int = 240) -> Scene:
+    """Seeded random scene: 3 to 5 objects, each class at most once (which
+    keeps inlier depth averages free of cross-instance contamination), seen
+    by a camera with fx = fy = 400 px and its principal point at the image
+    center. Tz is uniform in [0.7, 1.4] m; projected centers are normal
+    around the image center (sigma 0.35 * min(width, height) / 2), clamped
+    to [0.15, 0.85] of each side, so occluded objects and centers are common.
     """
     rng = np.random.default_rng(seed)
-    intr = intrinsics or CameraIntrinsics(fx=400.0, fy=400.0,
-                                          px=width / 2.0, py=height / 2.0)
-    n = int(rng.integers(n_objects[0], n_objects[1] + 1))
+    intr = CameraIntrinsics(fx=400.0, fy=400.0, px=width / 2.0, py=height / 2.0)
     cids = list(models)
-    if unique_classes:
-        n = min(n, len(cids))
-        chosen = list(rng.choice(cids, size=n, replace=False))
-    else:
-        chosen = [cids[int(rng.integers(0, len(cids)))] for _ in range(n)]
+    n = min(int(rng.integers(3, 6)), len(cids))
+    chosen = list(rng.choice(cids, size=n, replace=False))
+    spread = 0.35 * min(width, height) / 2.0
     instances = []
     for cid in chosen:
         cid = int(cid)
-        tz = float(rng.uniform(*tz_range))
-        # keep the projected center well inside the image
-        spread = cluster * min(width, height) / 2.0
+        tz = float(rng.uniform(0.7, 1.4))
         cx = width / 2.0 + float(rng.normal(0.0, spread))
         cy = height / 2.0 + float(rng.normal(0.0, spread))
         cx = min(max(cx, 0.15 * width), 0.85 * width)

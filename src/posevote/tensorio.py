@@ -38,10 +38,13 @@ def load_tensor(path) -> np.ndarray:
         data = f.read()
     if data[:4] != MAGIC:
         raise TensorFormatError("bad magic; not a PFT1 tensor file")
-    code, ndim = struct.unpack_from("<II", data, 4)
-    if code not in _DTYPE_CODES:
-        raise TensorFormatError(f"unknown dtype code {code}")
-    dims = struct.unpack_from(f"<{ndim}I", data, 12)
+    try:
+        code, ndim = struct.unpack_from("<II", data, 4)
+        if code not in _DTYPE_CODES:
+            raise TensorFormatError(f"unknown dtype code {code}")
+        dims = struct.unpack_from(f"<{ndim}I", data, 12)
+    except struct.error as exc:
+        raise TensorFormatError("truncated header") from exc
     dt = _DTYPE_CODES[code]
     n = int(np.prod(dims)) if ndim else 1
     payload = data[12 + 4 * ndim :]

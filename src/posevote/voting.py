@@ -28,7 +28,6 @@ class VotingParams:
     score_threshold: int | None = None  # None -> max(10, 0.1 * class pixels)
     nms_radius: int = 20
     inlier_ray_distance: float = 3.0
-    max_ray_length: int | None = None  # None -> image diagonal
 
     def resolved_threshold(self, class_pixel_count: int) -> int:
         if self.score_threshold is not None:
@@ -212,7 +211,7 @@ def detect(labels: LabelMap, fld: CenterField, intrinsics: CameraIntrinsics,
     for cid in labels.class_ids():
         if not fld.has_class(cid):
             continue
-        grid = cast_votes(labels, fld, cid, max_ray_length=params.max_ray_length)
+        grid = cast_votes(labels, fld, cid)
         n_px = int(np.count_nonzero(labels.labels == cid))
         for center, score in find_centers(grid, params, class_pixel_count=n_px):
             inliers = collect_inliers(center, labels, fld, cid,

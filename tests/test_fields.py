@@ -99,3 +99,10 @@ def test_depth_map_validation():
         DepthMap(np.array([[-1.0, 0.0]]))
     dm = DepthMap(np.array([[0.0, 2.5]]))
     assert dm.depth.dtype == np.float32
+
+
+def test_depth_map_rejects_non_finite():
+    with pytest.raises(FieldError):
+        DepthMap(np.array([[np.nan, 1.0]]))
+    with pytest.raises(FieldError):
+        DepthMap(np.array([[np.inf, 1.0]]))

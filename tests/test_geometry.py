@@ -147,8 +147,23 @@ def test_pose_dict_round_trip():
     assert np.allclose(p.translation, p2.translation)
 
 
+def test_pose_from_dict_rejects_non_finite():
+    good = Pose.identity().to_dict()
+    with pytest.raises(GeometryError):
+        Pose.from_dict({**good, "quaternion_wxyz": [math.nan, 0.0, 0.0, 1.0]})
+    with pytest.raises(GeometryError):
+        Pose.from_dict({**good, "translation_m": [0.0, math.inf, 1.0]})
+
+
 def test_intrinsics_dict_round_trip():
     assert CameraIntrinsics.from_dict(K.to_dict()) == K
+
+
+def test_intrinsics_reject_non_finite():
+    with pytest.raises(GeometryError):
+        CameraIntrinsics(fx=math.inf, fy=500.0, px=math.nan, py=240.0)
+    with pytest.raises(GeometryError):
+        CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=math.nan)
 
 
 def test_model_diameter_cube_corners():
@@ -182,6 +197,24 @@ def test_object_model_diameter_cached():
     m = ObjectModel(class_id=1, name="t",
                     points=np.array([[0, 0, 0], [1.0, 0, 0]]))
     assert m.diameter == pytest.approx(1.0)
+    with pytest.raises(TypeError):  # always computed, never passed in
+        ObjectModel(class_id=1, name="t", points=m.points, diameter=5.0)
+
+
+def test_object_model_rejects_non_finite_points():
+    # one NaN among 300 points used to give diameter 0.0
+    pts = np.random.default_rng(13).standard_normal((300, 3))
+    pts[17, 1] = math.nan
+    with pytest.raises(GeometryError):
+        ObjectModel(class_id=1, name="t", points=pts)
+
+
+def test_object_model_rejects_out_of_range_faces():
+    pts = np.eye(3)
+    with pytest.raises(GeometryError):  # -1 used to wrap to the last vertex
+        ObjectModel(class_id=1, name="t", points=pts, faces=[[0, 1, -1]])
+    with pytest.raises(GeometryError):
+        ObjectModel(class_id=1, name="t", points=pts, faces=[[0, 1, 3]])
 
 
 def test_nearest_neighbors_ties_pick_lowest_index():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from posevote.pipeline import PipelineConfig, run_pipeline
@@ -46,3 +48,14 @@ def test_rotation_noise_degrades_then_icp_recovers():
                                         refine=True, jobs=2,
                                         icp=IcpParams(n_hypotheses=4)), MODELS)
     assert s2["auc_adds"] > s1["auc_adds"]
+
+
+def test_summary_records_rotation_noise():
+    noise = NoiseSpec(direction_sigma=0.05, depth_sigma=0.005,
+                      rotation_sigma_deg=25.0)
+    s1, _ = run_pipeline(PipelineConfig(scenes=1, noise=noise), MODELS)
+    s2, _ = run_pipeline(PipelineConfig(
+        scenes=1, noise=replace(noise, rotation_sigma_deg=0.0)), MODELS)
+    assert s1["noise"]["rotation_sigma_deg"] == 25.0
+    assert s2["noise"]["rotation_sigma_deg"] == 0.0
+    assert s1["noise"] != s2["noise"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posevote.geometry import GeometryError
 from posevote.ply import PlyError, load_model, load_ply, save_ply
 
 
@@ -58,3 +59,34 @@ def test_load_model(tmp_path):
     m = load_model(p, class_id=7)
     assert m.class_id == 7
     assert m.diameter == pytest.approx(0.05)
+
+
+def test_rejects_face_rows_missing_indices(tmp_path):
+    # three such rows used to load as faces [[0, 1, 1], [2, 2, 0]]
+    p = tmp_path / "m.ply"
+    p.write_text("ply\nformat ascii 1.0\n"
+                 "element vertex 3\nproperty float x\nproperty float y\n"
+                 "property float z\nelement face 3\n"
+                 "property list uchar int vertex_indices\nend_header\n"
+                 "0 0 0\n1 0 0\n0 1 0\n3 0 1\n3 1 2\n3 2 0\n")
+    with pytest.raises(PlyError):
+        load_ply(p)
+
+
+def test_rejects_bare_format_line(tmp_path):
+    p = tmp_path / "m.ply"
+    p.write_text("ply\nformat\nelement vertex 0\nend_header\n")
+    with pytest.raises(PlyError):
+        load_ply(p)
+
+
+def test_load_model_checks_then_drops_normals(tmp_path):
+    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
+    p = tmp_path / "m.ply"
+    save_ply(p, pts, normals=np.tile([0.0, 0.0, 1.0], (3, 1)), faces=[[0, 1, 2]])
+    m = load_model(p, class_id=2)
+    assert np.array_equal(m.faces, [[0, 1, 2]])
+    assert not hasattr(m, "normals")
+    save_ply(p, pts, normals=np.tile([0.0, 0.0, 2.0], (3, 1)))
+    with pytest.raises(GeometryError):
+        load_model(p, class_id=2)

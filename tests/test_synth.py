@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posevote.fields import LabelMap
-from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose,
+from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                                quat_to_rotation, random_quat)
 from posevote.losses import sloss
 from posevote.synth import (NoiseSpec, Scene, SynthError, default_registry,
@@ -263,3 +263,20 @@ def test_random_scene_unique_classes():
     for seed in range(20):
         cids = [c for c, _ in random_scene(seed, models).instances]
         assert len(cids) == len(set(cids))
+
+
+def test_random_scene_constants():
+    models = default_registry()
+    for seed in range(50):
+        w, h = (320, 240) if seed % 2 else (200, 150)
+        scene = random_scene(seed, models, width=w, height=h)
+        assert (scene.width, scene.height) == (w, h)
+        k = scene.intrinsics
+        assert (k.fx, k.fy, k.px, k.py) == (400.0, 400.0, w / 2, h / 2)
+        cids = [c for c, _ in scene.instances]
+        assert 3 <= len(set(cids)) == len(cids) <= 5
+        for _, pose in scene.instances:
+            assert 0.7 <= pose.translation[2] <= 1.4
+            cx, cy = project(pose.translation, k)
+            assert 0.15 * w - 1e-9 <= cx <= 0.85 * w + 1e-9
+            assert 0.15 * h - 1e-9 <= cy <= 0.85 * h + 1e-9

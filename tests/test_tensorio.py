@@ -49,3 +49,13 @@ def test_write_is_deterministic(tmp_path):
     save_tensor(p1, a)
     save_tensor(p2, a)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_rejects_truncated_header(tmp_path):
+    p = tmp_path / "a.pft"
+    save_tensor(p, np.zeros((2, 3, 4), dtype=np.float32))
+    data = p.read_bytes()
+    for cut in (6, 16):  # inside the dtype/ndim words, inside the dims
+        p.write_bytes(data[:cut])
+        with pytest.raises(TensorFormatError):
+            load_tensor(p)
