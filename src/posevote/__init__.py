@@ -21,9 +21,8 @@ from .synth import (NoiseSpec, RangeImage, Scene, SynthError, default_registry,
                     ground_truth_fields, make_primitive_model, perturb,
                     random_scene, render_scene)
 from .tensorio import load_tensor, save_tensor
-from .voting import (Detection, VoteGrid, VotingError, VotingParams,
-                     cast_votes, collect_inliers, detect, estimate_translation,
-                     find_centers)
+from .voting import (Detection, VoteGrid, VotingError, cast_votes,
+                     collect_inliers, detect, estimate_translation, find_centers)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

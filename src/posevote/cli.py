@@ -22,14 +22,15 @@ from . import pipeline as pipeline_mod
 from .fields import CenterField, DepthMap, LabelMap
 from .geometry import CameraIntrinsics, Pose, rotation_angle_between
 from .losses import LossKind, loss_gradient_check, optimize_rotation, ploss, sloss
-from .metrics import accuracy_curve, add, add_s, auc, is_correct, reprojection_error
+from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
+                      reprojection_error)
 from .ply import load_model, save_ply
 from .refine import IcpParams, multi_hypothesis_refine
 from .synth import (NoiseSpec, Scene, default_registry, ground_truth_fields,
                     make_primitive_model, perturb, random_quat, random_scene,
                     render_full, scene_seed)
 from .tensorio import load_tensor, save_tensor
-from .voting import VotingParams, detect
+from .voting import detect
 
 
 def _round9(obj):
@@ -89,58 +90,19 @@ def load_poses(path: str) -> list[tuple[int, Pose]]:
     return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in data]
 
 
+_NOISE_PRESETS = {
+    "none": {},
+    "moderate": {"direction_sigma": 0.05, "depth_sigma": 0.005,
+                 "rotation_sigma_deg": 25.0},
+}
+
+
 def _noise_from_args(args) -> NoiseSpec:
-    preset = getattr(args, "noise", "none")
-    if preset == "none":
-        spec = NoiseSpec()
-    elif preset == "moderate":
-        spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.005,
-                         rotation_sigma_deg=25.0)
-    else:
-        raise SystemExit(f"unknown noise preset: {preset}")
-    overrides = {"direction_sigma": args.noise_dir,
-                 "depth_sigma": args.noise_depth,
-                 "label_flip_rate": args.noise_flip,
-                 "rotation_sigma_deg": args.noise_rot}
-    return replace(spec, rng_seed=args.seed,
-                   **{k: v for k, v in overrides.items() if v is not None})
-
-
-def _voting_from_args(args) -> VotingParams:
-    return VotingParams(score_threshold=args.score_threshold,
-                        nms_radius=args.nms_radius,
-                        inlier_ray_distance=args.inlier_eps)
+    return NoiseSpec(rng_seed=args.seed, **_NOISE_PRESETS[args.noise])
 
 
 def _icp_from_args(args) -> IcpParams:
-    return IcpParams(max_iterations=args.icp_iters,
-                     residual_reject_threshold=args.icp_reject,
-                     n_hypotheses=args.hypotheses,
-                     rng_seed=args.seed)
-
-
-def _add_voting_flags(p):
-    p.add_argument("--score-threshold", type=int, default=None)
-    p.add_argument("--nms-radius", type=int, default=20)
-    p.add_argument("--inlier-eps", type=float, default=3.0)
-
-
-def _add_icp_flags(p):
-    p.add_argument("--icp-iters", type=int, default=100)
-    p.add_argument("--icp-reject", type=float, default=0.02)
-    p.add_argument("--hypotheses", type=int, default=1)
-
-
-def _add_noise_flags(p):
-    p.add_argument("--noise", choices=["none", "moderate"], default="none")
-    p.add_argument("--noise-dir", type=float, default=None,
-                   help="direction jitter sigma, radians")
-    p.add_argument("--noise-depth", type=float, default=None,
-                   help="depth noise sigma, meters")
-    p.add_argument("--noise-flip", type=float, default=None,
-                   help="label flip rate in [0,1)")
-    p.add_argument("--noise-rot", type=float, default=None,
-                   help="simulated rotation-regression error sigma, degrees")
+    return IcpParams(n_hypotheses=args.hypotheses, rng_seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +129,7 @@ def cmd_synth(args) -> int:
         if args.scene:
             scene = _load_scene_json(args.scene)
         else:
-            scene = random_scene(scene_seed(args.seed, i), models,
-                                 width=args.width, height=args.height)
+            scene = random_scene(scene_seed(args.seed, i), models)
         raster = render_full(scene, models)
         labels = LabelMap(labels=raster.label)
         fld, truths = ground_truth_fields(scene, models, raster)
@@ -205,7 +166,7 @@ def cmd_vote(args) -> int:
     labels = LabelMap(labels=load_tensor(args.labels))
     fld = CenterField.from_tensor(load_tensor(args.field))
     intr = load_intrinsics(args.intrinsics)
-    detections = detect(labels, fld, intr, _voting_from_args(args))
+    detections = detect(labels, fld, intr)
     out = {"seed": args.seed, "detections": [d.to_dict() for d in detections]}
     if args.out:
         write_json(args.out, out)
@@ -237,13 +198,12 @@ def cmd_loss(args) -> int:
 
 
 def cmd_histogram(args) -> int:
-    model = make_primitive_model(args.model_kind, scale=0.1,
-                                 n_points=args.model_points)
+    model = make_primitive_model(args.model_kind, scale=0.1, n_points=320)
     rng = np.random.default_rng(args.seed)
     q_gt = random_quat(rng)
     inits = [random_quat(rng) for _ in range(args.inits)]
     results = optimize_rotation(model, q_gt, LossKind(args.kind), inits,
-                                steps=args.steps, lr=args.lr)
+                                steps=args.steps)
     rows = [{"init": i, "angle_error_deg": ang}
             for i, (_, ang) in enumerate(results)]
     write_csv(args.out, rows)
@@ -269,12 +229,10 @@ def cmd_eval(args) -> int:
     summary = {
         "seed": args.seed,
         "frames": len(rows),
-        "auc_add": auc(accuracy_curve([r["add_m"] for r in rows],
-                                      args.max_threshold)),
-        "auc_adds": auc(accuracy_curve([r["add_s_m"] for r in rows],
-                                       args.max_threshold)),
+        "auc_add": auc(accuracy_curve([r["add_m"] for r in rows], AUC_CAP_M)),
+        "auc_adds": auc(accuracy_curve([r["add_s_m"] for r in rows], AUC_CAP_M)),
         "accuracy_10pct_diameter": float(np.mean([r["correct"] for r in rows])),
-        "max_threshold_m": args.max_threshold,
+        "max_threshold_m": AUC_CAP_M,
     }
     if args.out_csv:
         write_csv(args.out_csv, rows)
@@ -314,11 +272,6 @@ def cmd_pipeline(args) -> int:
         noise=_noise_from_args(args),
         refine=args.refine,
         icp=_icp_from_args(args),
-        voting=_voting_from_args(args),
-        width=args.width,
-        height=args.height,
-        min_visibility=args.min_visibility,
-        max_threshold=args.max_threshold,
         jobs=args.jobs,
     )
     summary, records = pipeline_mod.run_pipeline(cfg, default_registry())
@@ -351,9 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--random", type=int, default=1, metavar="N")
     s.add_argument("--scene", help="scene description JSON (instead of random)")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--width", type=int, default=320)
-    s.add_argument("--height", type=int, default=240)
-    _add_noise_flags(s)
+    s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
     s.set_defaults(func=cmd_synth)
 
     s = sub.add_parser("vote", help="run Hough voting on label/field tensors")
@@ -362,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--intrinsics", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
-    _add_voting_flags(s)
     s.set_defaults(func=cmd_vote)
 
     s = sub.add_parser("loss", help="evaluate a rotation loss and gradient")
@@ -377,10 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rotation-error histogram from loss descent")
     s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
     s.add_argument("--model-kind", default="bar_2fold")
-    s.add_argument("--model-points", type=int, default=320)
     s.add_argument("--inits", type=int, default=200)
     s.add_argument("--steps", type=int, default=500)
-    s.add_argument("--lr", type=float, default=0.03)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_histogram)
@@ -391,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--intrinsics")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--max-threshold", type=float, default=0.10)
     s.add_argument("--out")
     s.add_argument("--out-csv")
     s.set_defaults(func=cmd_eval)
@@ -405,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--intrinsics", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
-    _add_icp_flags(s)
+    s.add_argument("--hypotheses", type=int, default=1)
     s.set_defaults(func=cmd_refine)
 
     s = sub.add_parser("pipeline",
@@ -413,16 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenes", type=int, default=20)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--refine", action="store_true")
-    s.add_argument("--width", type=int, default=320)
-    s.add_argument("--height", type=int, default=240)
-    s.add_argument("--min-visibility", type=float, default=0.3)
-    s.add_argument("--max-threshold", type=float, default=0.10)
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out")
     s.add_argument("--csv")
-    _add_noise_flags(s)
-    _add_voting_flags(s)
-    _add_icp_flags(s)
+    s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
+    s.add_argument("--hypotheses", type=int, default=1)
     s.set_defaults(func=cmd_pipeline)
 
     s = sub.add_parser("make-model", help="write a primitive model PLY")

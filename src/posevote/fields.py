@@ -107,6 +107,8 @@ class CenterField:
     def from_tensor(cls, tensor: np.ndarray) -> "CenterField":
         if tensor.ndim != 4 or tensor.shape[1] != 3:
             raise FieldError("field tensor must have shape (classes, 3, h, w)")
+        if not np.isfinite(tensor).all():
+            raise FieldError("field tensor values must be finite")
         n, _, h, w = tensor.shape
         planes = {}
         for k in range(n):

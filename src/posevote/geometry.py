@@ -282,7 +282,3 @@ class ObjectModel:
                                     or self.faces.max() >= self.points.shape[0]):
                 raise GeometryError("face index out of range")
         self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0
-
-    @property
-    def num_points(self) -> int:
-        return self.points.shape[0]

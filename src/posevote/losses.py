@@ -59,8 +59,6 @@ def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _loss_impl(q_est, q_gt, model: ObjectModel, matched: bool) -> LossResult:
-    if model.num_points == 0:
-        raise ValueError("loss needs a non-empty model")
     qe = normalize_quat(q_est)
     qg = normalize_quat(q_gt)
     pts = model.points

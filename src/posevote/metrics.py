@@ -5,7 +5,8 @@ poses; ADD-S replaces correspondence with the closest point, so symmetric
 shapes are not penalized for symmetry-equivalent rotations. A pose is correct
 when its distance is below 10% of the model diameter.
 AUC integrates the accuracy-threshold curve up to a maximum threshold
-(10 cm by default) and is reported as a percentage.
+(AUC_CAP_M, 10 cm, in the pipeline and the CLI) and is reported as a
+percentage.
 """
 
 from __future__ import annotations
@@ -18,20 +19,17 @@ from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
                        nearest_neighbors, project_many)
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
+AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
 
 
 def add(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
     """Mean distance between corresponding transformed model points."""
-    if model.num_points == 0:
-        raise ValueError("empty model")
     d = pose_est.transform(model.points) - pose_gt.transform(model.points)
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 
 def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
     """Mean closest-point distance between the transformed model points."""
-    if model.num_points == 0:
-        raise ValueError("empty model")
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
     dmin, _ = nearest_neighbors(est, gt)
@@ -41,8 +39,6 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
 def reprojection_error(pose_est: Pose, pose_gt: Pose, model: ObjectModel,
                        intrinsics: CameraIntrinsics) -> float:
     """Mean pixel distance between corresponding projected model points."""
-    if model.num_points == 0:
-        raise ValueError("empty model")
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
     if np.any(est[:, 2] <= 0) or np.any(gt[:, 2] <= 0):

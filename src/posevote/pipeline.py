@@ -18,13 +18,15 @@ import numpy as np
 
 from .fields import DepthMap, LabelMap
 from .geometry import ObjectModel, Pose, rotation_angle_between
-from .metrics import accuracy_curve, add, add_s, auc, is_correct, reprojection_error
+from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
+                      reprojection_error)
 from .refine import IcpError, IcpParams, multi_hypothesis_refine
 from .synth import (NoiseSpec, ground_truth_fields, perturb, perturbed_pose,
                     random_scene, render_full, scene_seed)
-from .voting import VotingParams, detect
+from .voting import detect
 
 _MATCH_RADIUS_PX = 25.0
+_MIN_VISIBILITY = 0.3  # instances less visible than this are not scored
 
 
 @dataclass
@@ -34,12 +36,12 @@ class PipelineConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     refine: bool = False
     icp: IcpParams = field(default_factory=lambda: IcpParams(n_hypotheses=1))
-    voting: VotingParams = field(default_factory=VotingParams)
-    width: int = 320
-    height: int = 240
-    min_visibility: float = 0.3
-    max_threshold: float = 0.10  # meters, AUC cap
+    max_threshold: float = AUC_CAP_M
     jobs: int = 1
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
 
 
 @dataclass
@@ -99,8 +101,7 @@ def _match_detections(truths, detections):
 def evaluate_scene(scene_index: int, cfg: PipelineConfig,
                    models: dict[int, ObjectModel]) -> list[InstanceRecord]:
     """Run the full pipeline on one seeded random scene."""
-    scene = random_scene(scene_seed(cfg.seed, scene_index), models,
-                         width=cfg.width, height=cfg.height)
+    scene = random_scene(scene_seed(cfg.seed, scene_index), models)
     raster = render_full(scene, models)
     labels = LabelMap(labels=raster.label)
     observed = DepthMap(depth=raster.depth.astype(np.float32))
@@ -108,12 +109,12 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
     noise = replace(cfg.noise,
                     rng_seed=scene_seed(cfg.noise.rng_seed, scene_index))
     fld, det_labels = perturb(fld, labels, noise)
-    detections = detect(det_labels, fld, scene.intrinsics, cfg.voting)
+    detections = detect(det_labels, fld, scene.intrinsics)
     matched = _match_detections(truths, detections)
 
     records = []
     for t in truths:
-        if t.visibility < cfg.min_visibility:
+        if t.visibility < _MIN_VISIBILITY:
             continue
         rec = InstanceRecord(scene=scene_index, instance=t.index,
                              class_id=t.class_id, visibility=t.visibility,
@@ -154,12 +155,9 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
 def run_pipeline(cfg: PipelineConfig,
                  models: dict[int, ObjectModel]) -> tuple[dict, list[InstanceRecord]]:
     """Evaluate cfg.scenes seeded scenes; returns (summary, records)."""
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_scene = list(pool.map(
-                lambda i: evaluate_scene(i, cfg, models), range(cfg.scenes)))
-    else:
-        per_scene = [evaluate_scene(i, cfg, models) for i in range(cfg.scenes)]
+    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
+        per_scene = list(pool.map(
+            lambda i: evaluate_scene(i, cfg, models), range(cfg.scenes)))
     records = [r for scene in per_scene for r in scene]
     if not records:
         raise RuntimeError("pipeline produced no evaluable instances")
@@ -190,6 +188,6 @@ def run_pipeline(cfg: PipelineConfig,
             "rotation_sigma_deg": cfg.noise.rotation_sigma_deg,
         },
         "refined": cfg.refine,
-        "min_visibility": cfg.min_visibility,
+        "min_visibility": _MIN_VISIBILITY,
     }
     return summary, records

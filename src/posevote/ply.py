@@ -11,6 +11,14 @@ class PlyError(ValueError):
     pass
 
 
+def _numbers(tokens, kind, line: str) -> list:
+    """tokens converted by kind (int or float); PlyError if one does not parse."""
+    try:
+        return [kind(t) for t in tokens]
+    except ValueError:
+        raise PlyError(f"malformed number in line: {line}") from None
+
+
 def load_ply(path):
     """Parse an ASCII PLY file.
 
@@ -43,9 +51,9 @@ def load_ply(path):
         elif tokens[0] == "element":
             current_element = tokens[1]
             if tokens[1] == "vertex":
-                n_vertices = int(tokens[2])
+                n_vertices, = _numbers(tokens[2:3], int, line)
             elif tokens[1] == "face":
-                n_faces = int(tokens[2])
+                n_faces, = _numbers(tokens[2:3], int, line)
             else:
                 raise PlyError(f"unsupported element: {tokens[1]}")
         elif tokens[0] == "property":
@@ -72,20 +80,24 @@ def load_ply(path):
     if len(body) < n_vertices + n_faces:
         raise PlyError("truncated PLY body")
 
-    vdata = np.array(
-        [[float(v) for v in body[j].split()[:n_cols]] for j in range(n_vertices)]
-    ).reshape(n_vertices, n_cols)
+    rows = []
+    for line in body[:n_vertices]:
+        tokens = line.split()
+        if len(tokens) < n_cols:
+            raise PlyError(f"vertex row has fewer than {n_cols} values: {line}")
+        rows.append(_numbers(tokens[:n_cols], float, line))
+    vdata = np.array(rows, dtype=float).reshape(n_vertices, n_cols)
     points = vdata[:, :3]
     normals = vdata[:, 3:6] if has_normals else None
 
     faces = None
     if n_faces:
         rows = []
-        for j in range(n_vertices, n_vertices + n_faces):
-            tokens = body[j].split()
-            if int(tokens[0]) != 3 or len(tokens) != 4:
-                raise PlyError(f"not a triangle face row: {body[j]}")
-            rows.append([int(t) for t in tokens[1:]])
+        for line in body[n_vertices:n_vertices + n_faces]:
+            row = _numbers(line.split(), int, line)
+            if len(row) != 4 or row[0] != 3:
+                raise PlyError(f"not a triangle face row: {line}")
+            rows.append(row[1:])
         faces = np.array(rows, dtype=np.int64)
     return points, normals, faces
 

@@ -17,22 +17,12 @@ from .fields import CenterField, LabelMap
 from .geometry import CameraIntrinsics, backproject_center
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
+_NMS_RADIUS = 20  # px, Chebyshev distance between accepted centers
+_INLIER_RAY_DISTANCE = 3.0  # px, perpendicular distance from ray to center
 
 
 class VotingError(ValueError):
     pass
-
-
-@dataclass
-class VotingParams:
-    score_threshold: int | None = None  # None -> max(10, 0.1 * class pixels)
-    nms_radius: int = 20
-    inlier_ray_distance: float = 3.0
-
-    def resolved_threshold(self, class_pixel_count: int) -> int:
-        if self.score_threshold is not None:
-            return self.score_threshold
-        return max(10, int(0.1 * class_pixel_count))
 
 
 @dataclass
@@ -114,36 +104,38 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
     return VoteGrid(class_id=class_id, scores=grid)
 
 
-def find_centers(grid: VoteGrid, params: VotingParams,
+def find_centers(grid: VoteGrid,
                  class_pixel_count: int = 0) -> list[tuple[np.ndarray, int]]:
-    """Greedy NMS over accumulator cells above the score threshold.
+    """Greedy NMS over accumulator cells scoring above
+    max(10, 0.1 * class_pixel_count); an accepted center suppresses every
+    cell within _NMS_RADIUS (20 px, Chebyshev distance) of it.
 
     Returns [(center (x, y), score)] sorted by descending score, ties broken
     by lowest row-major index.
     """
-    thr = params.resolved_threshold(class_pixel_count)
-    ys, xs = np.nonzero(grid.scores > thr)
+    ys, xs = np.nonzero(grid.scores > max(10, int(0.1 * class_pixel_count)))
     if ys.size == 0:
         return []
     scores = grid.scores[ys, xs]
     order = np.lexsort((ys * grid.width + xs, -scores))
     accepted: list[tuple[np.ndarray, int]] = []
     acc_xy: list[tuple[int, int]] = []
-    r = params.nms_radius
     for idx in order:
         x, y, s = int(xs[idx]), int(ys[idx]), int(scores[idx])
-        if any(max(abs(x - ax), abs(y - ay)) <= r for ax, ay in acc_xy):
+        if any(max(abs(x - ax), abs(y - ay)) <= _NMS_RADIUS
+               for ax, ay in acc_xy):
             continue
         acc_xy.append((x, y))
         accepted.append((np.array([float(x), float(y)]), s))
     return accepted
 
 
-def collect_inliers(center, labels: LabelMap, fld: CenterField, class_id: int,
-                    eps: float = 3.0) -> np.ndarray:
-    """Class pixels whose ray passes within eps px of the center while
-    pointing toward it (positive dot product). Returns (n, 2) integer (x, y)
-    pairs in row-major pixel order.
+def collect_inliers(center, labels: LabelMap, fld: CenterField,
+                    class_id: int) -> np.ndarray:
+    """Class pixels whose ray passes within _INLIER_RAY_DISTANCE (3 px) of
+    the center while pointing toward it (positive dot product). Returns
+    (n, 2) integer (x, y) pairs in row-major pixel order, the order
+    np.nonzero gives them.
     """
     xs, ys, nx, ny = _class_rays(labels, fld, class_id)
     if xs.size == 0:
@@ -152,10 +144,8 @@ def collect_inliers(center, labels: LabelMap, fld: CenterField, class_id: int,
     vy = float(center[1]) - ys
     toward = vx * nx + vy * ny > 0
     perp = np.abs(vx * ny - vy * nx)
-    keep = toward & (perp <= eps)
-    out = np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
-    order = np.lexsort((out[:, 0], out[:, 1]))
-    return out[order]
+    keep = toward & (perp <= _INLIER_RAY_DISTANCE)
+    return np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
 
 
 def refine_center(center, inliers: np.ndarray, fld: CenterField,
@@ -198,24 +188,26 @@ def estimate_translation(center, inliers: np.ndarray, fld: CenterField,
         raise VotingError("no inlier support for translation estimate")
     pl = fld.plane(class_id)
     tz = float(np.mean(pl[inliers[:, 1], inliers[:, 0], 2].astype(float)))
-    if tz <= 0:
+    if not tz > 0:  # also catches a NaN mean
         raise VotingError("mean predicted depth is not positive")
     return backproject_center(np.asarray(center, dtype=float), tz, intrinsics)
 
 
-def detect(labels: LabelMap, fld: CenterField, intrinsics: CameraIntrinsics,
-           params: VotingParams | None = None) -> list[Detection]:
-    """Full voting pipeline: votes -> centers -> inliers -> translation/bbox."""
-    params = params or VotingParams()
+def detect(labels: LabelMap, fld: CenterField,
+           intrinsics: CameraIntrinsics) -> list[Detection]:
+    """Full voting pipeline: votes -> centers -> inliers -> translation/bbox.
+
+    The thresholds are fixed: find_centers' score cut and _NMS_RADIUS, and
+    collect_inliers' _INLIER_RAY_DISTANCE.
+    """
     detections: list[Detection] = []
     for cid in labels.class_ids():
         if not fld.has_class(cid):
             continue
         grid = cast_votes(labels, fld, cid)
         n_px = int(np.count_nonzero(labels.labels == cid))
-        for center, score in find_centers(grid, params, class_pixel_count=n_px):
-            inliers = collect_inliers(center, labels, fld, cid,
-                                      eps=params.inlier_ray_distance)
+        for center, score in find_centers(grid, class_pixel_count=n_px):
+            inliers = collect_inliers(center, labels, fld, cid)
             if inliers.shape[0] == 0:
                 continue
             center = refine_center(center, inliers, fld, cid)

@@ -1,12 +1,16 @@
 import csv
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from posevote.cli import run
+from posevote.cli import build_parser, run
 from posevote.ply import load_ply, save_ply
+from posevote.tensorio import save_tensor
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
 
@@ -25,6 +29,63 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as e:
         run(["vote", "--bogus"])
     assert e.value.code == 2
+
+
+# one valid command line per subcommand that lost flags, and one of the
+# flags it lost
+_REMOVED_FLAGS = [
+    (["synth", "--out-dir", "d"], ["--width", "160"]),
+    (["vote", "--labels", "l", "--field", "f", "--intrinsics", "k"],
+     ["--nms-radius", "10"]),
+    (["histogram", "--kind", "sloss", "--out", "h.csv"], ["--lr", "0.1"]),
+    (["eval", "--gt", "g", "--est", "e", "--model", "m"],
+     ["--max-threshold", "0.05"]),
+    (["refine", "--depth", "d", "--labels", "l", "--class-id", "1",
+      "--model", "m", "--init", "i", "--intrinsics", "k"],
+     ["--icp-iters", "5"]),
+    (["pipeline"], ["--min-visibility", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("base, flag", _REMOVED_FLAGS,
+                         ids=[b[0] for b, _ in _REMOVED_FLAGS])
+def test_removed_flag_exits_2(base, flag, capsys):
+    parser = build_parser()
+    parser.parse_args(base)
+    with pytest.raises(SystemExit) as e:
+        parser.parse_args(base + flag)
+    assert e.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(ln)[1:] for ln in lines if ln.startswith("posevote ")]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+def test_vote_rejects_non_finite_field(tmp_path, capsys):
+    labels = np.zeros((20, 30), dtype=np.uint16)
+    labels[5:15, 5:15] = 1
+    field = np.zeros((1, 3, 20, 30), dtype=np.float32)
+    field[0, 0, 5:15, 5:15] = 1.0
+    field[0, 2, 5:15, 5:15] = 1.0
+    field[0, 2, 10, 10] = np.nan
+    save_tensor(tmp_path / "l.pft", labels)
+    save_tensor(tmp_path / "f.pft", field)
+    _write_json(tmp_path / "k.json", K_JSON)
+    out = tmp_path / "dets.json"
+    rc = run(["vote", "--labels", str(tmp_path / "l.pft"),
+              "--field", str(tmp_path / "f.pft"),
+              "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)])
+    assert rc == 1
+    assert "posevote: error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_exits_1(tmp_path, capsys):

@@ -106,3 +106,11 @@ def test_depth_map_rejects_non_finite():
         DepthMap(np.array([[np.nan, 1.0]]))
     with pytest.raises(FieldError):
         DepthMap(np.array([[np.inf, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_center_field_from_tensor_rejects_non_finite(bad):
+    t = np.zeros((2, 3, 4, 5), dtype=np.float32)
+    t[1, 2, 3, 4] = bad
+    with pytest.raises(FieldError):
+        CenterField.from_tensor(t)

@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from posevote.pipeline import PipelineConfig, run_pipeline
 from posevote.refine import IcpParams
@@ -33,9 +34,14 @@ def test_jobs_parallel_matches_serial():
     assert s1 == s4
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError):
+        PipelineConfig(jobs=jobs)
+
+
 def test_min_visibility_filter():
-    _, records = run_pipeline(PipelineConfig(scenes=6, seed=3,
-                                             min_visibility=0.3), MODELS)
+    _, records = run_pipeline(PipelineConfig(scenes=6, seed=3), MODELS)
     assert all(r.visibility >= 0.3 for r in records)
 
 

@@ -90,3 +90,20 @@ def test_load_model_checks_then_drops_normals(tmp_path):
     save_ply(p, pts, normals=np.tile([0.0, 0.0, 2.0], (3, 1)))
     with pytest.raises(GeometryError):
         load_model(p, class_id=2)
+
+
+_XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {nv}\nproperty float x\n"
+               "property float y\nproperty float z\n{faces}end_header\n")
+_FACE_HEADER = "element face 1\nproperty list uchar int vertex_indices\n"
+
+
+@pytest.mark.parametrize("text", [
+    _XYZ_HEADER.format(nv=2, faces="") + "0 0\n1 0 0\n",
+    _XYZ_HEADER.format(nv="two", faces="") + "0 0 0\n1 0 0\n",
+    _XYZ_HEADER.format(nv=3, faces=_FACE_HEADER) + "0 0 0\n1 0 0\n0 1 0\n3 0 1 x\n",
+], ids=["short_vertex_row", "non_numeric_count", "non_numeric_face_index"])
+def test_malformed_numbers_raise_ply_error(tmp_path, text):
+    p = tmp_path / "m.ply"
+    p.write_text(text)
+    with pytest.raises(PlyError):
+        load_ply(p)

@@ -3,9 +3,8 @@ import pytest
 
 from posevote.fields import CenterField, LabelMap, directions_to_center
 from posevote.geometry import CameraIntrinsics
-from posevote.voting import (VotingError, VotingParams, cast_votes,
-                             collect_inliers, detect, estimate_translation,
-                             find_centers, refine_center)
+from posevote.voting import (VotingError, cast_votes, collect_inliers, detect,
+                             estimate_translation, find_centers, refine_center)
 
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 
@@ -70,7 +69,7 @@ def test_find_centers_empty_grid():
     labels, fld = _field_with_pixels(40, 40, 1, [(5, 5)], (20, 20))
     grid = cast_votes(labels, fld, 1)
     grid.scores[:] = 0
-    assert find_centers(grid, VotingParams()) == []
+    assert find_centers(grid) == []
 
 
 def test_find_centers_synthetic_object():
@@ -82,7 +81,7 @@ def test_find_centers_synthetic_object():
               if (x, y) != center}
     labels, fld = _field_with_pixels(160, 130, 1, sorted(pixels), center)
     grid = cast_votes(labels, fld, 1)
-    found = find_centers(grid, VotingParams(), class_pixel_count=len(pixels))
+    found = find_centers(grid, class_pixel_count=len(pixels))
     assert len(found) == 1
     c, score = found[0]
     assert abs(c[0] - center[0]) <= 1 and abs(c[1] - center[1]) <= 1
@@ -107,8 +106,7 @@ def test_two_objects_same_class():
         pl[ys, xs, 1] = d[:, 1]
         pl[ys, xs, 2] = 1.0
     grid = cast_votes(LabelMap(labels), fld, 1)
-    found = find_centers(grid, VotingParams(),
-                         class_pixel_count=int((labels == 1).sum()))
+    found = find_centers(grid, class_pixel_count=int((labels == 1).sum()))
     assert len(found) == 2
     got = sorted(tuple(np.round(c).astype(int)) for c, _ in found)
     assert abs(got[0][0] - c1[0]) <= 1 and abs(got[0][1] - c1[1]) <= 1
@@ -119,7 +117,7 @@ def test_collect_inliers_direction_sign():
     labels, fld = _field_with_pixels(60, 60, 1, [(10, 30), (50, 30)], (30, 30))
     # reverse the second pixel's direction so it points away from the center
     fld.plane(1)[30, 50, :2] *= -1
-    inl = collect_inliers(np.array([30.0, 30.0]), labels, fld, 1, eps=3.0)
+    inl = collect_inliers(np.array([30.0, 30.0]), labels, fld, 1)
     assert inl.tolist() == [[10, 30]]
 
 
@@ -131,8 +129,9 @@ def test_collect_inliers_noise_free_full_set():
                                      rng.integers(20, 55, 200))})
     labels, fld = _field_with_pixels(80, 70, 1, pixels, center)
     inl = collect_inliers(np.array(center, dtype=float), labels, fld, 1)
-    expect = sorted(p for p in pixels if p != center)
-    assert sorted(map(tuple, inl.tolist())) == expect
+    # every pixel but the center, in row-major (y, then x) order
+    expect = sorted((p for p in pixels if p != center), key=lambda p: (p[1], p[0]))
+    assert list(map(tuple, inl.tolist())) == expect
 
 
 def test_estimate_translation_principal_point():
@@ -151,6 +150,15 @@ def test_estimate_translation_depth_mean():
     inl = collect_inliers(np.array([160.0, 120.0]), labels, fld, 1)
     t = estimate_translation(np.array([160.0, 120.0]), inl, fld, 1, K)
     assert t[2] == pytest.approx(1.0)
+
+
+def test_nan_depth_raises_instead_of_nan_translation():
+    labels, fld = _field_with_pixels(320, 240, 1,
+                                     [(100, 120), (160, 40)], (160, 120))
+    fld.plane(1)[40, 160, 2] = np.nan
+    inl = collect_inliers(np.array([160.0, 120.0]), labels, fld, 1)
+    with pytest.raises(VotingError):
+        estimate_translation(np.array([160.0, 120.0]), inl, fld, 1, K)
 
 
 def test_estimate_translation_requires_support():
