@@ -119,13 +119,19 @@ def _load_scene_json(path) -> Scene:
                  width=int(desc["width"]), height=int(desc["height"]))
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def cmd_synth(args) -> int:
     models = default_registry()
     os.makedirs(args.out_dir, exist_ok=True)
     noise = _noise_from_args(args)
-    scene_ids = range(args.random if args.random else 1)
     index = []
-    for i in scene_ids:
+    for i in range(args.random):
         if args.scene:
             scene = _load_scene_json(args.scene)
         else:
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="render synthetic scenes to tensor files")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--random", type=int, default=1, metavar="N")
+    s.add_argument("--random", type=_positive_int, default=1, metavar="N")
     s.add_argument("--scene", help="scene description JSON (instead of random)")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")

@@ -56,6 +56,8 @@ def load_ply(path):
                 n_faces, = _numbers(tokens[2:3], int, line)
             else:
                 raise PlyError(f"unsupported element: {tokens[1]}")
+            if min(n_vertices, n_faces) < 0:
+                raise PlyError(f"negative element count: {line}")
         elif tokens[0] == "property":
             if current_element == "vertex":
                 vertex_props.append(tokens[-1])

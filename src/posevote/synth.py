@@ -2,15 +2,17 @@
 center fields, primitive models, and controlled noise injection.
 
 The renderer stands in for a learned dense predictor and doubles as the
-ground-truth oracle for tests. Meshes are rasterized triangle by triangle
-with perspective-correct depth; models without faces cannot be rendered.
+ground-truth oracle for tests. Each mesh is rasterized in one vectorized
+pass over all its triangles, with perspective-correct depth and a z-buffer
+in which the earlier triangle keeps a pixel on equal depth; models without
+faces cannot be rendered.
 Everything is deterministic, and all randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -63,6 +65,8 @@ class RangeImage:
     label: np.ndarray  # (h, w) uint16, 0 = background
     instance: np.ndarray  # (h, w) int32, -1 = background
     normals: np.ndarray  # (h, w, 3), oriented toward the camera
+    # per instance index, the pixels it covers when rendered alone
+    coverage: list[int] = field(default_factory=list)
 
     @classmethod
     def empty(cls, width: int, height: int) -> "RangeImage":
@@ -260,55 +264,118 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
 # rendering
 
 
+# Bounding-box pixels enumerated at once; a larger triangle is its own batch.
+# Bounds the per-batch arrays when a mesh comes close to the camera.
+_FRAGMENT_BUDGET = 1 << 18
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (n, 3) arrays. Batched matmul reduces each
+    row the way np.dot reduces one vector, so results match it bit for bit
+    (einsum and sum(axis=1) round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _spans(lo: np.ndarray, size: np.ndarray):
+    """Concatenated ranges lo[i] .. lo[i] + size[i] - 1, with the index i of
+    the range each entry belongs to."""
+    owner = np.repeat(np.arange(size.size), size)
+    return np.arange(owner.size) - np.repeat(np.cumsum(size) - size - lo, size), owner
+
+
 def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
-                      intrinsics: CameraIntrinsics, class_id: int, inst: int):
+                      intrinsics: CameraIntrinsics, class_id: int, inst: int) -> int:
+    """Z-buffer the triangles `faces` of `verts_cam` (camera frame) into `r`
+    and return the number of distinct pixels they cover.
+
+    All triangles go through one vectorized pass, in batches of at most
+    _FRAGMENT_BUDGET bounding-box pixels. A pixel takes the fragment with the
+    smallest perspective-correct depth; among equal depths the earlier
+    triangle, and an instance rendered earlier, keeps it. Triangles with a
+    vertex at z <= 1e-6, no bounding-box pixel in the frame, or zero
+    projected or 3D area are skipped. A non-finite vertex raises SynthError.
+    """
+    if not np.isfinite(verts_cam).all():
+        raise SynthError("non-finite vertex in the camera frame")
     h, w = r.depth.shape
     fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
     z = verts_cam[:, 2]
-    u = fx * verts_cam[:, 0] / z + px
-    v = fy * verts_cam[:, 1] / z + py
-    inv_z = 1.0 / z
-    for tri in faces:
-        if np.any(z[tri] <= 1e-6):
-            continue
-        ua, ub, uc = u[tri]
-        va, vb, vc = v[tri]
-        x0 = max(0, int(math.floor(min(ua, ub, uc))))
-        x1 = min(w - 1, int(math.ceil(max(ua, ub, uc))))
-        y0 = max(0, int(math.floor(min(va, vb, vc))))
-        y1 = min(h - 1, int(math.ceil(max(va, vb, vc))))
-        if x1 < x0 or y1 < y0:
-            continue
-        denom = (ub - ua) * (vc - va) - (uc - ua) * (vb - va)
-        if abs(denom) < 1e-12:
-            continue
-        gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-        b1 = ((gx - ua) * (vc - va) - (uc - ua) * (gy - va)) / denom
-        b2 = ((ub - ua) * (gy - va) - (gx - ua) * (vb - va)) / denom
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = fx * verts_cam[:, 0] / z + px
+        v = fy * verts_cam[:, 1] / z + py
+        inv_z = 1.0 / z
+    faces = faces[~np.any(z[faces] <= 1e-6, axis=1)]
+    tu, tv = u[faces], v[faces]
+    x0 = np.maximum(0.0, np.floor(tu.min(axis=1)))
+    x1 = np.minimum(w - 1.0, np.ceil(tu.max(axis=1)))
+    y0 = np.maximum(0.0, np.floor(tv.min(axis=1)))
+    y1 = np.minimum(h - 1.0, np.ceil(tv.max(axis=1)))
+    ua, ub, uc = tu.T
+    va, vb, vc = tv.T
+    denom = (ub - ua) * (vc - va) - (uc - ua) * (vb - va)
+    p0, p1, p2 = (verts_cam[faces[:, k]] for k in range(3))
+    n = np.cross(p1 - p0, p2 - p0)
+    nn = np.sqrt(_rowdot(n, n))
+    keep = (x1 >= x0) & (y1 >= y0) & ~(np.abs(denom) < 1e-12) & ~(nn < 1e-15)
+    n = n[keep] / nn[keep][:, None]
+    facing = _rowdot(n, (p0[keep] + p1[keep] + p2[keep]) / 3.0) > 0
+    n[facing] = -n[facing]  # orient toward the camera
+    ua, ub, uc, va, vb, vc, denom = (a[keep] for a in (ua, ub, uc, va, vb, vc, denom))
+    iz0, iz1, iz2 = inv_z[faces[keep]].T
+    x0, y0 = x0[keep].astype(np.int64), y0[keep].astype(np.int64)
+    bw = x1[keep].astype(np.int64) - x0 + 1
+    bh = y1[keep].astype(np.int64) - y0 + 1
+    # The barycentric numerators split into a column term and a row term per
+    # triangle, each computed once with the same operations as per pixel.
+    col_x, col_t = _spans(x0, bw)
+    row_y, row_t = _spans(y0, bh)
+    dx, dy = col_x - ua[col_t], row_y - va[row_t]
+    a1, a2 = dx * (vc - va)[col_t], dx * (vb - va)[col_t]
+    c1, c2 = (uc - ua)[row_t] * dy, (ub - ua)[row_t] * dy
+    col_start = np.cumsum(bw) - bw
+    row_start = np.cumsum(bh) - bh
+    ends = np.cumsum(bw * bh)
+    covered = np.zeros((h, w), dtype=bool)
+    start = 0
+    while start < bw.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, base + _FRAGMENT_BUDGET, side="right")))
+        # every bounding-box pixel of the batch: by triangle, row, column
+        rows = np.arange(row_start[start], row_start[stop - 1] + bh[stop - 1])
+        col, fr = _spans(col_start[row_t[rows]], bw[row_t[rows]])
+        fr += rows[0]
+        t = row_t[fr]
+        d = denom[t]
+        b1 = (a1[col] - c1[fr]) / d
+        b2 = (c2[fr] - a2[col]) / d
         b0 = 1.0 - b1 - b2
-        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
-        if not inside.any():
-            continue
-        izs = b0 * inv_z[tri[0]] + b1 * inv_z[tri[1]] + b2 * inv_z[tri[2]]
-        zs = 1.0 / izs
-        cur = r.depth[y0 : y1 + 1, x0 : x1 + 1]
-        win = inside & ((cur == 0) | (zs < cur))
-        if not win.any():
-            continue
-        p0, p1, p2 = verts_cam[tri]
-        n = np.cross(p1 - p0, p2 - p0)
-        nn = np.linalg.norm(n)
-        if nn < 1e-15:
-            continue
-        n = n / nn
-        if np.dot(n, (p0 + p1 + p2) / 3.0) > 0:
-            n = -n  # orient toward the camera
-        zw = zs[win]
-        sub = (slice(y0, y1 + 1), slice(x0, x1 + 1))
-        r.depth[sub][win] = zw
-        r.label[sub][win] = class_id
-        r.instance[sub][win] = inst
-        r.normals[sub][win] = n
+        inside = np.flatnonzero((b0 >= 0) & (b1 >= 0) & (b2 >= 0))
+        t, gx, gy = t[inside], col_x[col[inside]], row_y[fr[inside]]
+        zs = 1.0 / (b0[inside] * iz0[t] + b1[inside] * iz1[t] + b2[inside] * iz2[t])
+        # per pixel of the batch's bounding box the nearest fragment, the
+        # earliest one among equals
+        wx0, wy0 = x0[start:stop].min(), y0[start:stop].min()
+        ww = (x0 + bw)[start:stop].max() - wx0
+        wh = (y0 + bh)[start:stop].max() - wy0
+        pix = (gy - wy0) * ww + (gx - wx0)
+        zmin = np.full(ww * wh, np.inf)
+        np.minimum.at(zmin, pix, zs)
+        cand = np.flatnonzero(zs == zmin[pix])
+        first = np.full(ww * wh, zs.size)
+        np.minimum.at(first, pix[cand], cand)
+        f = first[first < zs.size]
+        gx, gy, zw, t = gx[f], gy[f], zs[f], t[f]
+        covered[gy, gx] = True
+        cur = r.depth[gy, gx]
+        win = (cur == 0) | (zw < cur)
+        gx, gy = gx[win], gy[win]
+        r.depth[gy, gx] = zw[win]
+        r.label[gy, gx] = class_id
+        r.instance[gy, gx] = inst
+        r.normals[gy, gx] = n[t[win]]
+        start = stop
+    return int(np.count_nonzero(covered))
 
 
 def _render_instance(r: RangeImage, model: ObjectModel, pose: Pose,
@@ -316,7 +383,8 @@ def _render_instance(r: RangeImage, model: ObjectModel, pose: Pose,
     if model.faces is None or not model.faces.size:
         raise SynthError(f"model {model.name!r} has no faces to render")
     pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
-    _raster_triangles(r, pts_cam, model.faces, intrinsics, model.class_id, inst)
+    return _raster_triangles(r, pts_cam, model.faces, intrinsics,
+                             model.class_id, inst)
 
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
@@ -327,7 +395,8 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
             raise SynthError(f"scene references unknown class id {cid}")
         if pose.translation[2] <= 0:
             raise SynthError("instance depth Tz must be positive")
-        _render_instance(r, models[cid], pose, scene.intrinsics, inst)
+        r.coverage.append(
+            _render_instance(r, models[cid], pose, scene.intrinsics, inst))
     return r
 
 
@@ -340,7 +409,8 @@ def render_scene(scene: Scene, models: dict[int, ObjectModel]):
 def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
                         raster: RangeImage):
     """Exact regression targets and per-instance ground truth for a scene
-    whose render_full output is `raster`.
+    whose render_full output is `raster`. Each instance's solo pixel count
+    is the coverage the rasterizer recorded in `raster`.
 
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
@@ -359,16 +429,13 @@ def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
             pl[ys, xs, 0] = dirs[:, 0]
             pl[ys, xs, 1] = dirs[:, 1]
             pl[ys, xs, 2] = tz
-        solo = RangeImage.empty(scene.width, scene.height)
-        _render_instance(solo, models[cid], pose, scene.intrinsics, inst)
-        solo_px = int(np.count_nonzero(solo.instance == inst))
         ci, cj = int(math.floor(center[0] + 0.5)), int(math.floor(center[1] + 0.5))
         occ = True
         if 0 <= cj < h and 0 <= ci < w:
             occ = raster.instance[cj, ci] != inst
         truths.append(InstanceTruth(
             index=inst, class_id=cid, pose=pose, center=center, tz=tz,
-            visible_pixels=int(xs.size), solo_pixels=solo_px,
+            visible_pixels=int(xs.size), solo_pixels=raster.coverage[inst],
             center_occluded=bool(occ)))
     return fld, truths
 

@@ -132,6 +132,17 @@ def test_synth_vote_end_to_end(tmp_path):
         assert err <= 2.0
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_synth_random_below_one_exits_2(tmp_path, count, capsys):
+    out_dir = tmp_path / "scenes"
+    with pytest.raises(SystemExit) as e:
+        run(["synth", "--out-dir", str(out_dir), "--random", count,
+             "--seed", "1"])
+    assert e.value.code == 2
+    assert "--random" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_synth_deterministic_outputs(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert run(["synth", "--out-dir", str(d1), "--seed", "9",

@@ -107,3 +107,12 @@ def test_malformed_numbers_raise_ply_error(tmp_path, text):
     p.write_text(text)
     with pytest.raises(PlyError):
         load_ply(p)
+
+
+@pytest.mark.parametrize("nv, nf", [(-1, -1), (-1, 0), (1, -1)])
+def test_rejects_negative_element_counts(tmp_path, nv, nf):
+    face_header = _FACE_HEADER.replace("face 1", f"face {nf}")
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(nv=nv, faces=face_header) + "0 0 0\n")
+    with pytest.raises(PlyError, match="negative element count"):
+        load_ply(p)

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from posevote import synth
 from posevote.fields import LabelMap
 from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                                quat_to_rotation, random_quat)
 from posevote.losses import sloss
-from posevote.synth import (NoiseSpec, Scene, SynthError, default_registry,
-                            ground_truth_fields, make_primitive_model,
-                            perturb, random_scene, render_full, render_scene)
+from posevote.synth import (NoiseSpec, RangeImage, Scene, SynthError,
+                            default_registry, ground_truth_fields,
+                            make_primitive_model, perturb, random_scene,
+                            render_full, render_scene)
 
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 
@@ -133,16 +136,204 @@ def _ray_triangle_depth(model, pose, x, y):
 
 def test_render_depth_matches_ray_cast_oracle():
     models = default_registry()
-    rng = np.random.default_rng(1)
-    pose = Pose(random_quat(rng), np.array([0.02, -0.01, 0.85]))
-    model = models[1]
-    depth, labels, _ = render_scene(_lone_scene(1, pose), models)
-    ys, xs = np.nonzero(labels.labels == 1)
-    pick = rng.choice(len(xs), size=min(100, len(xs)), replace=False)
-    for i in pick:
-        x, y = int(xs[i]), int(ys[i])
-        oracle = _ray_triangle_depth(model, pose, x, y)
-        assert depth.depth[y, x] == pytest.approx(oracle, abs=1e-5)
+    for class_id in (1, 2, 3, 4):  # cube, bar_2fold, cylinder, blob
+        rng = np.random.default_rng(1)
+        pose = Pose(random_quat(rng), np.array([0.02, -0.01, 0.85]))
+        model = models[class_id]
+        depth, labels, _ = render_scene(_lone_scene(class_id, pose), models)
+        ys, xs = np.nonzero(labels.labels == class_id)
+        pick = rng.choice(len(xs), size=min(100, len(xs)), replace=False)
+        for i in pick:
+            x, y = int(xs[i]), int(ys[i])
+            oracle = _ray_triangle_depth(model, pose, x, y)
+            assert depth.depth[y, x] == pytest.approx(oracle, abs=1e-5), model.name
+
+
+# batched rasterizer against the per-triangle loop ----------------------------
+
+
+def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
+    """The per-triangle z-buffer loop that the batched rasterizer replaced,
+    kept as its reference: both must fill every buffer bit for bit alike."""
+    h, w = r.depth.shape
+    fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
+    z = verts_cam[:, 2]
+    u = fx * verts_cam[:, 0] / z + px
+    v = fy * verts_cam[:, 1] / z + py
+    inv_z = 1.0 / z
+    for tri in faces:
+        if np.any(z[tri] <= 1e-6):
+            continue
+        ua, ub, uc = u[tri]
+        va, vb, vc = v[tri]
+        x0 = max(0, int(math.floor(min(ua, ub, uc))))
+        x1 = min(w - 1, int(math.ceil(max(ua, ub, uc))))
+        y0 = max(0, int(math.floor(min(va, vb, vc))))
+        y1 = min(h - 1, int(math.ceil(max(va, vb, vc))))
+        if x1 < x0 or y1 < y0:
+            continue
+        denom = (ub - ua) * (vc - va) - (uc - ua) * (vb - va)
+        if abs(denom) < 1e-12:
+            continue
+        gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+        b1 = ((gx - ua) * (vc - va) - (uc - ua) * (gy - va)) / denom
+        b2 = ((ub - ua) * (gy - va) - (gx - ua) * (vb - va)) / denom
+        b0 = 1.0 - b1 - b2
+        inside = (b0 >= 0) & (b1 >= 0) & (b2 >= 0)
+        if not inside.any():
+            continue
+        izs = b0 * inv_z[tri[0]] + b1 * inv_z[tri[1]] + b2 * inv_z[tri[2]]
+        zs = 1.0 / izs
+        cur = r.depth[y0 : y1 + 1, x0 : x1 + 1]
+        win = inside & ((cur == 0) | (zs < cur))
+        if not win.any():
+            continue
+        p0, p1, p2 = verts_cam[tri]
+        n = np.cross(p1 - p0, p2 - p0)
+        nn = np.linalg.norm(n)
+        if nn < 1e-15:
+            continue
+        n = n / nn
+        if np.dot(n, (p0 + p1 + p2) / 3.0) > 0:
+            n = -n  # orient toward the camera
+        zw = zs[win]
+        sub = (slice(y0, y1 + 1), slice(x0, x1 + 1))
+        r.depth[sub][win] = zw
+        r.label[sub][win] = class_id
+        r.instance[sub][win] = inst
+        r.normals[sub][win] = n
+
+
+def _assert_same_raster(got, want):
+    for name in ("depth", "label", "instance", "normals"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def _reference_pass(meshes, intrinsics, width, height):
+    """Reference render of (verts_cam, faces, class_id) meshes, one instance
+    each, and the pixel count of each mesh rendered alone."""
+    r = RangeImage.empty(width, height)
+    solo = []
+    with np.errstate(all="ignore"):
+        for inst, (verts, faces, cid) in enumerate(meshes):
+            _reference_raster(r, verts, faces, intrinsics, cid, inst)
+            alone = RangeImage.empty(width, height)
+            _reference_raster(alone, verts, faces, intrinsics, cid, inst)
+            solo.append(int(np.count_nonzero(alone.instance == inst)))
+    return r, solo
+
+
+def _check_scene(scene, models):
+    meshes = []
+    for cid, pose in scene.instances:
+        m = models[cid]
+        meshes.append((m.points @ pose.rotation_matrix().T + pose.translation,
+                       m.faces, cid))
+    want, solo = _reference_pass(meshes, scene.intrinsics, scene.width,
+                                 scene.height)
+    got = render_full(scene, models)
+    _assert_same_raster(got, want)
+    assert got.coverage == solo
+    _, truths = ground_truth_fields(scene, models, got)
+    assert [t.solo_pixels for t in truths] == solo
+    return got
+
+
+@pytest.mark.parametrize("class_id", [1, 2, 3, 4],
+                         ids=["cube", "bar_2fold", "cylinder", "asymmetric_blob"])
+def test_batched_raster_matches_loop_per_kind(class_id):
+    models = default_registry()
+    rng = np.random.default_rng(class_id)
+    for _ in range(10):
+        t = np.array([rng.uniform(-0.15, 0.15), rng.uniform(-0.1, 0.1),
+                      rng.uniform(0.3, 1.4)])
+        _check_scene(_lone_scene(class_id, Pose(random_quat(rng), t)), models)
+
+
+def test_batched_raster_matches_loop_random_scenes():
+    models = default_registry()
+    for seed in range(20):
+        _check_scene(random_scene(seed, models), models)
+
+
+def _bbox_pixels(model, pose, w=320, h=240):
+    verts = model.points @ pose.rotation_matrix().T + pose.translation
+    u = K.fx * verts[:, 0] / verts[:, 2] + K.px
+    v = K.fy * verts[:, 1] / verts[:, 2] + K.py
+    tu, tv = u[model.faces], v[model.faces]
+    bw = np.minimum(w - 1, np.ceil(tu.max(1))) - np.maximum(0, np.floor(tu.min(1))) + 1
+    bh = np.minimum(h - 1, np.ceil(tv.max(1))) - np.maximum(0, np.floor(tv.min(1))) + 1
+    return int(np.sum(np.clip(bw, 0, None) * np.clip(bh, 0, None)))
+
+
+def test_batched_raster_near_camera_spans_batches():
+    models = default_registry()
+    pose = Pose(random_quat(np.random.default_rng(6)), np.array([0.0, 0.0, 0.06]))
+    assert _bbox_pixels(models[4], pose) > 2 * synth._FRAGMENT_BUDGET
+    r = _check_scene(_lone_scene(4, pose), models)
+    assert r.coverage[0] > 0.9 * r.depth.size
+
+
+def test_batched_raster_small_budget_matches_loop(monkeypatch):
+    monkeypatch.setattr(synth, "_FRAGMENT_BUDGET", 300)
+    models = default_registry()
+    for seed in range(4):
+        _check_scene(random_scene(seed, models), models)
+
+
+def test_coincident_instances_keep_the_earlier_one():
+    cube = default_registry()[1]
+    twin = ObjectModel(class_id=2, name="cube_twin", points=cube.points,
+                       faces=cube.faces)
+    models = {1: cube, 2: twin}
+    pose = Pose(random_quat(np.random.default_rng(2)), np.array([0.01, 0.0, 0.8]))
+    scene = Scene(instances=[(1, pose), (2, pose)], intrinsics=K,
+                  width=320, height=240)
+    r = _check_scene(scene, models)
+    covered = r.depth > 0
+    assert covered.sum() == r.coverage[0] == r.coverage[1] > 0
+    assert np.all(r.instance[covered] == 0)
+    assert np.all(r.label[covered] == 1)
+
+
+def test_render_rejects_non_finite_pose():
+    models = default_registry()
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, np.nan, 0.9]))
+    with pytest.raises(SynthError, match="non-finite"):
+        render_full(_lone_scene(1, pose), models)
+
+
+_KS = CameraIntrinsics(fx=40.0, fy=40.0, px=20.0, py=15.0)
+_XY = st.one_of(st.sampled_from([-0.1, 0.0, 0.05, 0.1]),
+                st.floats(-0.3, 0.3, allow_nan=False))
+_Z = st.one_of(st.sampled_from([-0.1, 0.0, 1e-6, 2e-6, 0.2, 0.5]),
+               st.floats(-0.05, 1.0, allow_nan=False))
+
+
+@st.composite
+def _degenerate_meshes(draw):
+    """Small meshes rich in zero-area, collinear and behind-camera triangles:
+    coordinates repeat often, the last vertex is the midpoint of the first
+    two, and the first faces are always degenerate."""
+    n = draw(st.integers(3, 7))
+    verts = np.array([[draw(_XY), draw(_XY), draw(_Z)] for _ in range(n)])
+    verts = np.vstack([verts, (verts[0] + verts[1]) / 2.0])
+    idx = st.integers(0, n)
+    faces = [[0, 0, 1], [0, 1, n]]
+    faces += draw(st.lists(st.lists(idx, min_size=3, max_size=3), max_size=10))
+    return verts, np.array(faces, dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_degenerate_meshes(), _degenerate_meshes())
+def test_batched_raster_degenerate_triangles_match_loop(first, second):
+    meshes = [(first[0], first[1], 3), (second[0], second[1], 1)]
+    want, solo = _reference_pass(meshes, _KS, 40, 30)
+    got = RangeImage.empty(40, 30)
+    counts = [synth._raster_triangles(got, v, f, _KS, cid, inst)
+              for inst, (v, f, cid) in enumerate(meshes)]
+    _assert_same_raster(got, want)
+    assert counts == solo
 
 
 # ground-truth fields --------------------------------------------------------
