@@ -7,7 +7,7 @@ poses; projective point-to-plane ICP refines them; and a synthetic z-buffer
 renderer provides both inputs and ground truth.
 """
 
-from .fields import CenterField, DepthMap, FieldError, LabelMap, regression_targets
+from .fields import CenterField, DepthMap, FieldError, LabelMap
 from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
                        backproject_center, model_diameter, project,
                        quat_to_rotation, rotation_angle_between)
@@ -19,7 +19,7 @@ from .ply import load_model, load_ply, save_ply
 from .refine import IcpError, IcpParams, RefineResult, icp_refine, multi_hypothesis_refine
 from .synth import (NoiseSpec, RangeImage, Scene, SynthError, default_registry,
                     ground_truth_fields, make_primitive_model, perturb,
-                    random_scene, render_scene)
+                    random_scene)
 from .tensorio import load_tensor, save_tensor
 from .voting import (Detection, VoteGrid, VotingError, cast_votes,
                      collect_inliers, detect, estimate_translation, find_centers)

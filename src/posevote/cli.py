@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,9 +25,8 @@ from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
                       reprojection_error)
 from .ply import load_model, save_ply
 from .refine import IcpParams, multi_hypothesis_refine
-from .synth import (NoiseSpec, Scene, default_registry, ground_truth_fields,
-                    make_primitive_model, perturb, random_quat, random_scene,
-                    render_full, scene_seed)
+from .synth import (NoiseSpec, Scene, default_registry, make_primitive_model,
+                    random_quat, random_scene, scene_seed)
 from .tensorio import load_tensor, save_tensor
 from .voting import detect
 
@@ -58,6 +56,14 @@ def _atomic_write(path: str, text: str):
 
 def write_json(path: str, obj):
     _atomic_write(path, json.dumps(_round9(obj), indent=2, allow_nan=True) + "\n")
+
+
+def _emit(path: str | None, obj):
+    """Write `obj` as JSON to `path`, or print it when no path is given."""
+    if path:
+        write_json(path, obj)
+    else:
+        print(json.dumps(_round9(obj), indent=2))
 
 
 def write_csv(path: str, rows: list[dict]):
@@ -130,21 +136,16 @@ def cmd_synth(args) -> int:
     models = default_registry()
     os.makedirs(args.out_dir, exist_ok=True)
     noise = _noise_from_args(args)
+    given = _load_scene_json(args.scene) if args.scene else None
     index = []
     for i in range(args.random):
-        if args.scene:
-            scene = _load_scene_json(args.scene)
-        else:
-            scene = random_scene(scene_seed(args.seed, i), models)
-        raster = render_full(scene, models)
-        labels = LabelMap(labels=raster.label)
-        fld, truths = ground_truth_fields(scene, models, raster)
-        spec = replace(noise, rng_seed=scene_seed(noise.rng_seed, i))
-        fld, labels = perturb(fld, labels, spec)
+        scene = (given if given is not None
+                 else random_scene(scene_seed(args.seed, i), models))
+        frame = pipeline_mod.synth_frame(scene, i, noise, models)
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
-        save_tensor(prefix + "_labels.pft", labels.labels)
-        save_tensor(prefix + "_depth.pft", raster.depth.astype(np.float32))
-        save_tensor(prefix + "_field.pft", fld.to_tensor(max(models)))
+        save_tensor(prefix + "_labels.pft", frame.labels.labels)
+        save_tensor(prefix + "_depth.pft", frame.raster.depth.astype(np.float32))
+        save_tensor(prefix + "_field.pft", frame.fld.to_tensor(max(models)))
         gt = {
             "seed": args.seed,
             "scene": i,
@@ -158,7 +159,7 @@ def cmd_synth(args) -> int:
                     "visibility": t.visibility,
                     "center_occluded": t.center_occluded,
                 }
-                for t in truths
+                for t in frame.truths
             ],
         }
         write_json(prefix + "_gt.json", gt)
@@ -174,10 +175,7 @@ def cmd_vote(args) -> int:
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     out = {"seed": args.seed, "detections": [d.to_dict() for d in detections]}
-    if args.out:
-        write_json(args.out, out)
-    else:
-        print(json.dumps(_round9(out), indent=2))
+    _emit(args.out, out)
     return 0
 
 
@@ -196,10 +194,7 @@ def cmd_loss(args) -> int:
         "gradient_check_max_rel_error": loss_gradient_check(
             kind, est.quaternion, gt.quaternion, model),
     }
-    if args.out:
-        write_json(args.out, out)
-    else:
-        print(json.dumps(_round9(out), indent=2))
+    _emit(args.out, out)
     return 0
 
 
@@ -242,10 +237,7 @@ def cmd_eval(args) -> int:
     }
     if args.out_csv:
         write_csv(args.out_csv, rows)
-    if args.out:
-        write_json(args.out, summary)
-    else:
-        print(json.dumps(_round9(summary), indent=2))
+    _emit(args.out, summary)
     return 0
 
 
@@ -264,10 +256,7 @@ def cmd_refine(args) -> int:
         "inlier_fraction": res.inlier_fraction,
         "iterations": res.iterations,
     }
-    if args.out:
-        write_json(args.out, out)
-    else:
-        print(json.dumps(_round9(out), indent=2))
+    _emit(args.out, out)
     return 0
 
 
@@ -283,10 +272,7 @@ def cmd_pipeline(args) -> int:
     summary, records = pipeline_mod.run_pipeline(cfg, default_registry())
     if args.csv:
         write_csv(args.csv, [r.to_row() for r in records])
-    if args.out:
-        write_json(args.out, summary)
-    else:
-        print(json.dumps(_round9(summary), indent=2))
+    _emit(args.out, summary)
     return 0
 
 
@@ -377,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", required=True,
                    choices=["cube", "bar_2fold", "asymmetric_blob", "cylinder"])
     s.add_argument("--scale", type=float, default=0.1)
-    s.add_argument("--points", type=int, default=500)
+    s.add_argument("--points", type=_positive_int, default=500)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_make_model)
     return p

@@ -1,4 +1,4 @@
-"""Dense per-pixel prediction containers and center-direction regression targets.
+"""Dense per-pixel prediction containers and center directions.
 
 Pixel coordinates are integer (x, y) used directly; a pixel of class k with
 center c regresses to the unit direction (c - p) / ||c - p|| plus the object
@@ -129,25 +129,4 @@ def directions_to_center(xs, ys, center) -> np.ndarray:
     safe = np.where(norm > 0, norm, 1.0)
     out = np.stack([dx / safe, dy / safe], axis=-1)
     out[norm == 0] = 0.0
-    return out
-
-
-def regression_targets(labels: LabelMap, centers: dict, depths: dict) -> CenterField:
-    """Build the per-class (nx, ny, Tz) target field from labels and centers.
-
-    `centers` maps class id -> 2D pixel center (may lie outside the image);
-    `depths` maps class id -> Tz in meters.
-    """
-    out = CenterField(width=labels.width, height=labels.height)
-    for cid in labels.class_ids():
-        if cid not in centers:
-            raise FieldError(f"class {cid} is labeled but has no center")
-        if cid not in depths or depths[cid] <= 0:
-            raise FieldError(f"class {cid} needs a positive depth")
-        ys, xs = np.nonzero(labels.labels == cid)
-        dirs = directions_to_center(xs, ys, np.asarray(centers[cid], dtype=float))
-        pl = out.plane(cid)
-        pl[ys, xs, 0] = dirs[:, 0]
-        pl[ys, xs, 1] = dirs[:, 1]
-        pl[ys, xs, 2] = depths[cid]
     return out

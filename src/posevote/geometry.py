@@ -57,11 +57,6 @@ def quat_multiply(q1, q2) -> np.ndarray:
     )
 
 
-def quat_conjugate(q) -> np.ndarray:
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array([w, -x, -y, -z])
-
-
 def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     n = np.linalg.norm(axis)
@@ -181,18 +176,6 @@ class Pose:
     def transform(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return points @ self.rotation_matrix().T + self.translation
-
-    def compose(self, other: "Pose") -> "Pose":
-        """self ∘ other: apply `other` first, then `self`."""
-        r = self.rotation_matrix()
-        return Pose(
-            quat_multiply(self.quaternion, other.quaternion),
-            r @ other.translation + self.translation,
-        )
-
-    def inverse(self) -> "Pose":
-        qc = quat_conjugate(self.quaternion)
-        return Pose(qc, -(quat_to_rotation(qc) @ self.translation))
 
     def to_dict(self, class_id: int | None = None) -> dict:
         d = {

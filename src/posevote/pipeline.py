@@ -16,13 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import DepthMap, LabelMap
+from .fields import CenterField, DepthMap, LabelMap
 from .geometry import ObjectModel, Pose, rotation_angle_between
 from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
                       reprojection_error)
 from .refine import IcpError, IcpParams, multi_hypothesis_refine
-from .synth import (NoiseSpec, ground_truth_fields, perturb, perturbed_pose,
-                    random_scene, render_full, scene_seed)
+from .synth import (InstanceTruth, NoiseSpec, RangeImage, Scene,
+                    ground_truth_fields, perturb, perturbed_pose, random_scene,
+                    render_full, scene_seed)
 from .voting import detect
 
 _MATCH_RADIUS_PX = 25.0
@@ -98,22 +99,41 @@ def _match_detections(truths, detections):
     return matched
 
 
+@dataclass
+class Frame:
+    """One rendered scene with the noisy label map and center field that
+    stand in for the network's output."""
+
+    raster: RangeImage
+    truths: list[InstanceTruth]
+    fld: CenterField  # perturbed
+    labels: LabelMap  # perturbed
+    noise: NoiseSpec  # the run's noise, seeded for this scene
+
+
+def synth_frame(scene: Scene, scene_index: int, noise: NoiseSpec,
+                models: dict[int, ObjectModel]) -> Frame:
+    """Render `scene`, derive its ground-truth fields and perturb them with
+    `noise` reseeded by scene_seed for the scene_index-th scene of a run."""
+    raster = render_full(scene, models)
+    fld, truths = ground_truth_fields(scene, raster)
+    noise = replace(noise, rng_seed=scene_seed(noise.rng_seed, scene_index))
+    fld, labels = perturb(fld, LabelMap(labels=raster.label), noise)
+    return Frame(raster, truths, fld, labels, noise)
+
+
 def evaluate_scene(scene_index: int, cfg: PipelineConfig,
                    models: dict[int, ObjectModel]) -> list[InstanceRecord]:
     """Run the full pipeline on one seeded random scene."""
     scene = random_scene(scene_seed(cfg.seed, scene_index), models)
-    raster = render_full(scene, models)
-    labels = LabelMap(labels=raster.label)
-    observed = DepthMap(depth=raster.depth.astype(np.float32))
-    fld, truths = ground_truth_fields(scene, models, raster)
-    noise = replace(cfg.noise,
-                    rng_seed=scene_seed(cfg.noise.rng_seed, scene_index))
-    fld, det_labels = perturb(fld, labels, noise)
-    detections = detect(det_labels, fld, scene.intrinsics)
-    matched = _match_detections(truths, detections)
+    frame = synth_frame(scene, scene_index, cfg.noise, models)
+    observed = DepthMap(depth=frame.raster.depth)
+    noise = frame.noise
+    detections = detect(frame.labels, frame.fld, scene.intrinsics)
+    matched = _match_detections(frame.truths, detections)
 
     records = []
-    for t in truths:
+    for t in frame.truths:
         if t.visibility < _MIN_VISIBILITY:
             continue
         rec = InstanceRecord(scene=scene_index, instance=t.index,
@@ -136,7 +156,7 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
             if cfg.refine:
                 try:
                     est = multi_hypothesis_refine(
-                        observed, det_labels, t.class_id, models[t.class_id],
+                        observed, frame.labels, t.class_id, models[t.class_id],
                         est, scene.intrinsics, cfg.icp).pose
                 except IcpError:
                     pass  # fall back to the voted pose

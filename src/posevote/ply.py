@@ -23,10 +23,14 @@ def load_ply(path):
     """Parse an ASCII PLY file.
 
     Returns (points, normals, faces); normals/faces are None when absent.
-    Only the x y z [nx ny nz] vertex layout and triangle faces are accepted.
+    Only the x y z [nx ny nz] vertex layout and triangle faces whose indices
+    name a vertex are accepted.
     """
-    with open(path, "r") as f:
-        lines = [ln.strip() for ln in f]
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = [ln.strip() for ln in f]
+    except UnicodeDecodeError:
+        raise PlyError("not an ASCII file") from None
     if not lines or lines[0] != "ply":
         raise PlyError("not a PLY file")
 
@@ -99,6 +103,8 @@ def load_ply(path):
             row = _numbers(line.split(), int, line)
             if len(row) != 4 or row[0] != 3:
                 raise PlyError(f"not a triangle face row: {line}")
+            if not all(0 <= v < n_vertices for v in row[1:]):
+                raise PlyError(f"face index out of range: {line}")
             rows.append(row[1:])
         faces = np.array(rows, dtype=np.int64)
     return points, normals, faces

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .fields import CenterField, DepthMap, LabelMap, directions_to_center
+from .fields import CenterField, LabelMap, directions_to_center
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                        quat_from_axis_angle, quat_multiply, random_quat)
 
@@ -49,11 +49,6 @@ class NoiseSpec:
             raise SynthError("label_flip_rate must be in [0, 1)")
         if self.rotation_sigma_deg < 0:
             raise SynthError("rotation_sigma_deg must be non-negative")
-
-    @property
-    def is_zero(self) -> bool:
-        return (self.direction_sigma == 0 and self.depth_sigma == 0
-                and self.label_flip_rate == 0 and self.rotation_sigma_deg == 0)
 
 
 @dataclass
@@ -200,6 +195,8 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
     """
     if scale <= 0:
         raise SynthError("scale must be positive")
+    if n_points < 1:
+        raise SynthError(f"n_points must be at least 1, got {n_points}")
     if kind == "cube":
         k = max(2, round(math.sqrt(max(n_points, 24) / 6)))
         pts, faces = _box_mesh(scale, scale, scale, k)
@@ -400,14 +397,7 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
     return r
 
 
-def render_scene(scene: Scene, models: dict[int, ObjectModel]):
-    """Render to (DepthMap, LabelMap, RangeImage); nearest surface wins."""
-    r = render_full(scene, models)
-    return DepthMap(depth=r.depth.astype(np.float32)), LabelMap(labels=r.label), r
-
-
-def ground_truth_fields(scene: Scene, models: dict[int, ObjectModel],
-                        raster: RangeImage):
+def ground_truth_fields(scene: Scene, raster: RangeImage):
     """Exact regression targets and per-instance ground truth for a scene
     whose render_full output is `raster`. Each instance's solo pixel count
     is the coverage the rasterizer recorded in `raster`.
@@ -450,11 +440,8 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
     and labels flip to a random other class with the configured rate.
     Zero-direction (center) pixels stay zero; unit norms are preserved.
     """
-    if spec.is_zero:
-        return fld.copy(), LabelMap(labels=labels.labels.copy())
     rng = np.random.default_rng(spec.rng_seed)
     out = fld.copy()
-    class_ids = sorted(set(out.class_ids()) | set(labels.class_ids()))
     for cid in out.class_ids():
         pl = out.planes[cid]
         mask = (labels.labels == cid)
@@ -471,11 +458,12 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
         if spec.depth_sigma > 0:
             pl[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma, xs.size).astype(np.float32)
     new_labels = labels.labels.copy()
-    if spec.label_flip_rate > 0 and len(class_ids) >= 1:
+    if spec.label_flip_rate > 0:
         ys, xs = np.nonzero(labels.labels != 0)
         flip = rng.random(xs.size) < spec.label_flip_rate
         fy, fx = ys[flip], xs[flip]
         if fy.size:
+            class_ids = sorted(set(out.class_ids()) | set(labels.class_ids()))
             choices = np.array(class_ids, dtype=np.uint16)
             picks = choices[rng.integers(0, len(choices), fy.size)]
             cur = new_labels[fy, fx]

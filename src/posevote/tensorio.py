@@ -7,6 +7,7 @@ are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -21,7 +22,7 @@ class TensorFormatError(ValueError):
 
 
 def save_tensor(path, array: np.ndarray) -> None:
-    array = np.ascontiguousarray(array)
+    array = np.asarray(array)
     dt = array.dtype.newbyteorder("<")
     if dt not in _CODE_FOR:
         raise TensorFormatError(f"unsupported dtype {array.dtype}; use f32 or u16")
@@ -46,8 +47,12 @@ def load_tensor(path) -> np.ndarray:
     except struct.error as exc:
         raise TensorFormatError("truncated header") from exc
     dt = _DTYPE_CODES[code]
-    n = int(np.prod(dims)) if ndim else 1
+    n = math.prod(dims)
     payload = data[12 + 4 * ndim :]
     if len(payload) != n * dt.itemsize:
         raise TensorFormatError("payload size mismatch")
-    return np.frombuffer(payload, dtype=dt).reshape(dims).copy()
+    try:
+        array = np.frombuffer(payload, dtype=dt).reshape(dims)
+    except ValueError as exc:  # an empty shape whose other dims overflow
+        raise TensorFormatError(f"unsupported shape {dims}") from exc
+    return array.copy()

@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from posevote.fields import LabelMap
+from posevote.fields import DepthMap, LabelMap
 from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose,
                                backproject_center, project, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat,
@@ -25,7 +25,7 @@ from posevote.refine import IcpParams, icp_refine, multi_hypothesis_refine
 from posevote.synth import (NoiseSpec, Scene, default_registry,
                             ground_truth_fields, make_primitive_model,
                             perturb, perturbed_pose, random_scene,
-                            render_full, render_scene)
+                            render_full)
 from posevote.voting import detect
 from posevote.cli import run as cli_run
 
@@ -139,7 +139,7 @@ def test_criterion_5_voting_robustness():
         seed += 1
         scene = random_scene(seed, MODELS)
         raster = render_full(scene, MODELS)
-        fld, truths = ground_truth_fields(scene, MODELS, raster)
+        fld, truths = ground_truth_fields(scene, raster)
         if not any(t.center_occluded and not t.fully_occluded for t in truths):
             continue
         scenes_used += 1
@@ -205,8 +205,8 @@ def _icp_scene(seed):
                 np.array([rng.uniform(-0.08, 0.08), rng.uniform(-0.06, 0.06),
                           rng.uniform(0.7, 1.1)]))
     scene = Scene(instances=[(4, pose)], intrinsics=intr, width=320, height=240)
-    depth, labels, _ = render_scene(scene, MODELS)
-    return depth, labels, pose, intr
+    r = render_full(scene, MODELS)
+    return DepthMap(depth=r.depth), LabelMap(labels=r.label), pose, intr
 
 
 def test_criterion_7_icp():

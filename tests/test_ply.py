@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posevote.geometry import GeometryError
 from posevote.ply import PlyError, load_model, load_ply, save_ply
@@ -116,3 +117,87 @@ def test_rejects_negative_element_counts(tmp_path, nv, nf):
     p.write_text(_XYZ_HEADER.format(nv=nv, faces=face_header) + "0 0 0\n")
     with pytest.raises(PlyError, match="negative element count"):
         load_ply(p)
+
+
+def test_non_ascii_bytes_raise_ply_error(tmp_path):
+    p = tmp_path / "m.ply"
+    save_ply(p, np.zeros((2, 3)))
+    data = p.read_bytes()
+    for bad in (b"comment caf\xc3\xa9\n", b"\xff\n"):
+        p.write_bytes(data.replace(b"end_header\n", bad + b"end_header\n"))
+        with pytest.raises(PlyError, match="ASCII"):
+            load_ply(p)
+
+
+@pytest.mark.parametrize("index", ["3", "-1", "99999999999999999999"])
+def test_rejects_face_index_out_of_range(tmp_path, index):
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(nv=3, faces=_FACE_HEADER)
+                 + f"0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n")
+    with pytest.raises(PlyError, match="face index out of range"):
+        load_ply(p)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _meshes(draw):
+    """(points, normals or None, faces or None); faces, when present, are at
+    least one triangle over existing vertices."""
+    n = draw(st.integers(0, 6))
+    points = np.array(draw(st.lists(st.tuples(_FINITE, _FINITE, _FINITE),
+                                    min_size=n, max_size=n)),
+                      dtype=float).reshape(n, 3)
+    normals = None
+    if draw(st.booleans()):
+        normals = np.array(draw(st.lists(
+            st.tuples(_FINITE, _FINITE, _FINITE), min_size=n, max_size=n)),
+            dtype=float).reshape(n, 3)
+    faces = None
+    if n and draw(st.booleans()):
+        idx = st.integers(0, n - 1)
+        faces = np.array(draw(st.lists(st.tuples(idx, idx, idx), min_size=1,
+                                       max_size=5)), dtype=np.int64)
+    return points, normals, faces
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_meshes())
+def test_save_load_save_is_byte_identical(tmp_path, mesh):
+    points, normals, faces = mesh
+    p = tmp_path / "m.ply"
+    save_ply(p, points, normals=normals, faces=faces)
+    first = p.read_bytes()
+    save_ply(p, *load_ply(p))
+    assert p.read_bytes() == first
+
+
+def _valid_ply(path):
+    pts = np.random.default_rng(0).standard_normal((5, 3))
+    save_ply(path, pts, normals=np.tile([0.0, 0.0, 1.0], (5, 1)),
+             faces=[[0, 1, 2], [2, 3, 4]])
+    return path.read_bytes()
+
+
+@st.composite
+def _damaged(draw, data: bytes):
+    """`data` cut at a drawn length and with up to 4 bytes overwritten."""
+    out = bytearray(data[:draw(st.integers(0, len(data)))])
+    for _ in range(draw(st.integers(0, 4))):
+        if out:
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_damaged_ply_loads_or_raises_ply_error(tmp_path, data):
+    p = tmp_path / "m.ply"
+    p.write_bytes(data.draw(_damaged(_valid_ply(p))))
+    try:
+        load_ply(p)
+    except PlyError:
+        pass

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from posevote.fields import DepthMap, LabelMap
 from posevote.geometry import (CameraIntrinsics, Pose, random_quat,
                                rotation_angle_between)
-from posevote.refine import (IcpError, IcpParams, icp_refine,
-                             multi_hypothesis_refine)
+from posevote.refine import (_MIN_MASK_PIXELS, IcpError, IcpParams,
+                             icp_refine, multi_hypothesis_refine)
 from posevote.synth import (Scene, default_registry, perturbed_pose,
-                            render_scene)
+                            render_full)
 
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 MODELS = default_registry()
@@ -20,8 +21,8 @@ def _scene(class_id, seed):
                           rng.uniform(0.7, 1.1)]))
     scene = Scene(instances=[(class_id, pose)], intrinsics=K,
                   width=320, height=240)
-    depth, labels, _ = render_scene(scene, MODELS)
-    return depth, labels, pose
+    r = render_full(scene, MODELS)
+    return DepthMap(depth=r.depth), LabelMap(labels=r.label), pose
 
 
 def test_fixed_point():
@@ -48,6 +49,50 @@ def test_insufficient_support():
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(IcpError):
         icp_refine(depth, labels, 4, MODELS[4], pose, K)
+
+
+def _sparse_mask(n_px, n_holes):
+    """A rendered blob whose label map marks `n_px` of its depth pixels and
+    `n_holes` background pixels as class 4 and the rest of it as class 2,
+    so exactly `n_px` masked pixels carry depth."""
+    depth, labels, pose = _scene(4, 0)
+    rng = np.random.default_rng(n_px)
+    on = np.flatnonzero(labels.labels == 4)
+    off = np.flatnonzero(depth.depth == 0)
+    marked = np.zeros(depth.depth.size, dtype=np.uint16)
+    marked[on] = 2
+    marked[rng.choice(on, n_px, replace=False)] = 4
+    marked[rng.choice(off, n_holes, replace=False)] = 4
+    return depth, LabelMap(labels=marked.reshape(depth.depth.shape)), pose
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_px=st.integers(0, _MIN_MASK_PIXELS - 1),
+       n_holes=st.integers(0, 200),
+       q=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT).filter(
+           lambda q: np.linalg.norm(q) > 1e-3),
+       t=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2),
+                   st.floats(0.3, 2.0)))
+@example(n_px=0, n_holes=0, q=(1.0, 0.0, 0.0, 0.0), t=(0.0, 0.0, 1.0))
+@example(n_px=_MIN_MASK_PIXELS - 1, n_holes=200, q=(1.0, 0.0, 0.0, 0.0),
+         t=(0.0, 0.0, 1.0))
+def test_sparse_mask_raises_icp_error(n_px, n_holes, q, t):
+    depth, labels, _ = _sparse_mask(n_px, n_holes)
+    init = Pose(np.array(q), np.array(t))
+    with pytest.raises(IcpError, match="insufficient support"):
+        icp_refine(depth, labels, 4, MODELS[4], init, K)
+    with pytest.raises(IcpError, match="insufficient support"):
+        multi_hypothesis_refine(depth, labels, 4, MODELS[4], init, K,
+                                IcpParams(n_hypotheses=2))
+
+
+def test_min_mask_pixels_suffice():
+    depth, labels, pose = _sparse_mask(_MIN_MASK_PIXELS, 100)
+    res = icp_refine(depth, labels, 4, MODELS[4], pose, K)
+    assert res.inlier_fraction == 1.0
 
 
 def test_objective_trace_non_increasing():

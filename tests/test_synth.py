@@ -12,7 +12,7 @@ from posevote.losses import sloss
 from posevote.synth import (NoiseSpec, RangeImage, Scene, SynthError,
                             default_registry, ground_truth_fields,
                             make_primitive_model, perturb, random_scene,
-                            render_full, render_scene)
+                            render_full)
 
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 
@@ -66,26 +66,34 @@ def test_unknown_kind_rejected():
         make_primitive_model("cube", scale=-1.0)
 
 
+@pytest.mark.parametrize("kind", ["cube", "bar_2fold", "asymmetric_blob",
+                                  "cylinder"])
+@pytest.mark.parametrize("n_points", [0, -5])
+def test_point_count_below_one_rejected(kind, n_points):
+    with pytest.raises(SynthError, match="n_points"):
+        make_primitive_model(kind, n_points=n_points)
+
+
 # rendering -----------------------------------------------------------------
 
 
 def test_render_empty_scene():
     scene = Scene(instances=[], intrinsics=K, width=64, height=48)
-    depth, labels, rng_img = render_scene(scene, {})
-    assert not np.any(depth.depth)
-    assert not np.any(labels.labels)
+    r = render_full(scene, {})
+    assert not np.any(r.depth)
+    assert not np.any(r.label)
 
 
 def test_render_depth_bounds():
     models = default_registry()
     tz = 0.9
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, tz]))
-    depth, labels, _ = render_scene(_lone_scene(1, pose), models)
-    mask = labels.labels == 1
+    r = render_full(_lone_scene(1, pose), models)
+    mask = r.label == 1
     assert mask.sum() > 0
     radius = models[1].diameter / 2
-    assert depth.depth[mask].min() >= tz - radius - 1e-6
-    assert depth.depth[mask].max() <= tz + radius + 1e-6
+    assert r.depth[mask].min() >= tz - radius - 1e-6
+    assert r.depth[mask].max() <= tz + radius + 1e-6
 
 
 def test_render_z_buffer_near_surface_wins():
@@ -94,13 +102,12 @@ def test_render_z_buffer_near_surface_wins():
     back = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.2]))
     scene = Scene(instances=[(3, back), (1, front)], intrinsics=K,
                   width=320, height=240)
-    depth, labels, _ = render_scene(scene, models)
-    solo_front, _, _ = render_scene(_lone_scene(1, front), models)
-    overlap = (solo_front.depth > 0) & (labels.labels != 0)
+    both = render_full(scene, models)
+    solo_front = render_full(_lone_scene(1, front), models)
+    covered = solo_front.depth > 0
     # wherever the front object covers a pixel, its label must win
-    assert np.all(labels.labels[solo_front.depth > 0] == 1)
-    assert np.all(depth.depth[solo_front.depth > 0]
-                  == solo_front.depth[solo_front.depth > 0])
+    assert np.all(both.label[covered] == 1)
+    assert np.all(both.depth[covered] == solo_front.depth[covered])
 
 
 def test_render_model_without_faces_rejected():
@@ -140,13 +147,13 @@ def test_render_depth_matches_ray_cast_oracle():
         rng = np.random.default_rng(1)
         pose = Pose(random_quat(rng), np.array([0.02, -0.01, 0.85]))
         model = models[class_id]
-        depth, labels, _ = render_scene(_lone_scene(class_id, pose), models)
-        ys, xs = np.nonzero(labels.labels == class_id)
+        r = render_full(_lone_scene(class_id, pose), models)
+        ys, xs = np.nonzero(r.label == class_id)
         pick = rng.choice(len(xs), size=min(100, len(xs)), replace=False)
         for i in pick:
             x, y = int(xs[i]), int(ys[i])
             oracle = _ray_triangle_depth(model, pose, x, y)
-            assert depth.depth[y, x] == pytest.approx(oracle, abs=1e-5), model.name
+            assert r.depth[y, x] == pytest.approx(oracle, abs=1e-5), model.name
 
 
 # batched rasterizer against the per-triangle loop ----------------------------
@@ -234,7 +241,7 @@ def _check_scene(scene, models):
     got = render_full(scene, models)
     _assert_same_raster(got, want)
     assert got.coverage == solo
-    _, truths = ground_truth_fields(scene, models, got)
+    _, truths = ground_truth_fields(scene, got)
     assert [t.solo_pixels for t in truths] == solo
     return got
 
@@ -344,7 +351,7 @@ def test_fields_point_at_projected_center():
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.05, 0.02, 0.9]))
     scene = _lone_scene(1, pose)
     raster = render_full(scene, models)
-    fld, truths = ground_truth_fields(scene, models, raster)
+    fld, truths = ground_truth_fields(scene, raster)
     t = truths[0]
     pl = fld.plane(1)
     ys, xs = np.nonzero(raster.label == 1)
@@ -355,6 +362,7 @@ def test_fields_point_at_projected_center():
             continue
         assert np.allclose(pl[y, x, :2], v / n, atol=1e-6)
         assert pl[y, x, 2] == pytest.approx(pose.translation[2], abs=1e-6)
+    assert not np.any(pl[raster.label != 1])  # background stays zero
 
 
 def test_fully_occluded_instance_flagged():
@@ -364,7 +372,7 @@ def test_fully_occluded_instance_flagged():
     scene = Scene(instances=[(1, small), (5, big)], intrinsics=K,
                   width=320, height=240)
     raster = render_full(scene, models)
-    fld, truths = ground_truth_fields(scene, models, raster)
+    fld, truths = ground_truth_fields(scene, raster)
     assert truths[0].fully_occluded
     assert not fld.has_class(1) or not np.any(fld.plane(1))
     assert not truths[1].fully_occluded
@@ -380,7 +388,7 @@ def _noisy_setup():
     scene = Scene(instances=[(1, left), (3, right)], intrinsics=K,
                   width=320, height=240)
     raster = render_full(scene, models)
-    fld, _ = ground_truth_fields(scene, models, raster)
+    fld, _ = ground_truth_fields(scene, raster)
     return fld, LabelMap(labels=raster.label)
 
 
@@ -388,7 +396,11 @@ def test_perturb_zero_spec_identity():
     fld, labels = _noisy_setup()
     out_fld, out_labels = perturb(fld, labels, NoiseSpec())
     assert np.array_equal(out_labels.labels, labels.labels)
-    assert np.array_equal(out_fld.plane(1), fld.plane(1))
+    assert not np.shares_memory(out_labels.labels, labels.labels)
+    assert out_fld.class_ids() == fld.class_ids() == [1, 3]
+    for cid in fld.class_ids():
+        assert np.array_equal(out_fld.plane(cid), fld.plane(cid))
+        assert not np.shares_memory(out_fld.plane(cid), fld.plane(cid))
 
 
 def test_perturb_direction_sigma_statistics():
