@@ -125,11 +125,20 @@ def _load_scene_json(path) -> Scene:
                  width=int(desc["width"]), height=int(desc["height"]))
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    """A seed for numpy's generators, which take no negative value."""
+    return _int_at_least(text, 0)
 
 
 def cmd_synth(args) -> int:
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", required=True)
     s.add_argument("--random", type=_positive_int, default=1, metavar="N")
     s.add_argument("--scene", help="scene description JSON (instead of random)")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
     s.set_defaults(func=cmd_synth)
 
@@ -303,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--labels", required=True)
     s.add_argument("--field", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_vote)
 
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model-kind", default="bar_2fold")
     s.add_argument("--inits", type=int, default=200)
     s.add_argument("--steps", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_histogram)
 
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--est", required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--intrinsics")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.add_argument("--out-csv")
     s.set_defaults(func=cmd_eval)
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--init", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--out")
     s.add_argument("--hypotheses", type=int, default=1)
     s.set_defaults(func=cmd_refine)
@@ -350,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("pipeline",
                        help="synth -> detect -> (refine) -> eval, end to end")
     s.add_argument("--scenes", type=int, default=20)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--refine", action="store_true")
     s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--out")

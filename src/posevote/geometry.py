@@ -166,10 +166,6 @@ class Pose:
         self.quaternion = normalize_quat(self.quaternion)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3))
-
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_rotation(self.quaternion)
 

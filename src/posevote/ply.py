@@ -22,7 +22,8 @@ def _numbers(tokens, kind, line: str) -> list:
 def load_ply(path):
     """Parse an ASCII PLY file.
 
-    Returns (points, normals, faces); normals/faces are None when absent.
+    Returns (points, normals, faces); normals/faces are None when absent. A
+    declared face element with a count of 0 gives a (0, 3) faces array.
     Only the x y z [nx ny nz] vertex layout and triangle faces whose indices
     name a vertex are accepted.
     """
@@ -36,6 +37,7 @@ def load_ply(path):
 
     n_vertices = 0
     n_faces = 0
+    has_faces = False
     vertex_props = []
     current_element = None
     i = 1
@@ -58,6 +60,7 @@ def load_ply(path):
                 n_vertices, = _numbers(tokens[2:3], int, line)
             elif tokens[1] == "face":
                 n_faces, = _numbers(tokens[2:3], int, line)
+                has_faces = True
             else:
                 raise PlyError(f"unsupported element: {tokens[1]}")
             if min(n_vertices, n_faces) < 0:
@@ -97,7 +100,7 @@ def load_ply(path):
     normals = vdata[:, 3:6] if has_normals else None
 
     faces = None
-    if n_faces:
+    if has_faces:
         rows = []
         for line in body[n_vertices:n_vertices + n_faces]:
             row = _numbers(line.split(), int, line)
@@ -106,7 +109,7 @@ def load_ply(path):
             if not all(0 <= v < n_vertices for v in row[1:]):
                 raise PlyError(f"face index out of range: {line}")
             rows.append(row[1:])
-        faces = np.array(rows, dtype=np.int64)
+        faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
     return points, normals, faces
 
 

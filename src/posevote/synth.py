@@ -96,10 +96,6 @@ class InstanceTruth:
     def visibility(self) -> float:
         return self.visible_pixels / self.solo_pixels if self.solo_pixels else 0.0
 
-    @property
-    def fully_occluded(self) -> bool:
-        return self.visible_pixels == 0
-
 
 # ---------------------------------------------------------------------------
 # primitive models

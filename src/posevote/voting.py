@@ -17,6 +17,9 @@ from .fields import CenterField, LabelMap
 from .geometry import CameraIntrinsics, backproject_center
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
+# Ray steps accumulated at once; a longer ray is its own chunk. Bounds the
+# per-chunk arrays whatever the number of labeled pixels.
+_VOTE_STEP_BUDGET = 1 << 15
 _NMS_RADIUS = 20  # px, Chebyshev distance between accepted centers
 _INLIER_RAY_DISTANCE = 3.0  # px, perpendicular distance from ray to center
 
@@ -74,33 +77,77 @@ def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
     return xs[keep], ys[keep], nx / norm, ny / norm
 
 
+def _exit_steps(xs, ys, nx, ny, w: int, h: int, n_steps: int) -> np.ndarray:
+    """Steps each ray takes before it leaves the image, at most n_steps.
+
+    A slab test against [-0.5, w-0.5) x [-0.5, h-0.5) gives the parameter at
+    which each ray exits; 2 steps of margin past it cover rounding at the
+    border (the caller still masks the cells that fall outside).
+    """
+    t_exit = np.full(xs.shape, np.inf)
+    for p, n, size in ((xs, nx, w), (ys, ny, h)):
+        bound = np.where(n > 0, size - 0.5, -0.5)
+        with np.errstate(divide="ignore"):  # bound - p is never 0
+            t = (bound - p) / n
+        t_exit = np.minimum(t_exit, np.where(n == 0, np.inf, t))
+    steps = np.minimum(t_exit / _RAY_STEP, n_steps).astype(np.int64) + 3
+    return np.minimum(steps, n_steps)
+
+
+def _round_cells(p: np.ndarray, n: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """floor(p + n * ts + 0.5) as int32 cells, computed in place."""
+    v = n * ts
+    v += p
+    v += 0.5
+    return np.floor(v, out=v).astype(np.int32)
+
+
 def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
                max_ray_length: int | None = None) -> VoteGrid:
     """Accumulate center votes for one class along every pixel's ray.
 
     Each pixel increments every grid cell its ray visits (all-touched
     stepping at half-pixel resolution), up to max ray length or the border.
-    Accumulation is pure addition, so the result is independent of pixel
-    processing order.
+    Each ray is walked only until it leaves the image, and whole rays are
+    accumulated in chunks of at most _VOTE_STEP_BUDGET steps. Accumulation
+    is pure addition, so the result is independent of pixel processing order.
     """
     h, w = labels.height, labels.width
     grid = np.zeros((h, w), dtype=np.int64)
     xs, ys, nx, ny = _class_rays(labels, fld, class_id)
-    if xs.size == 0:
-        return VoteGrid(class_id=class_id, scores=grid)
-
     max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
     n_steps = int(max_len / _RAY_STEP) + 1
-    ts = np.arange(n_steps) * _RAY_STEP
-    # cells touched along each ray, rounded to nearest integer pixel
-    cx = np.floor(xs[:, None] + nx[:, None] * ts[None, :] + 0.5).astype(np.int64)
-    cy = np.floor(ys[:, None] + ny[:, None] * ts[None, :] + 0.5).astype(np.int64)
-    inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-    key = cy * w + cx
-    fresh = np.ones_like(inside)
-    fresh[:, 1:] = key[:, 1:] != key[:, :-1]  # dedup consecutive duplicates
-    valid = inside & fresh
-    np.add.at(grid.ravel(), key[valid], 1)
+    if xs.size == 0 or n_steps < 1:
+        return VoteGrid(class_id=class_id, scores=grid)
+
+    steps = _exit_steps(xs, ys, nx, ny, w, h, n_steps)
+    ends = np.cumsum(steps)
+    flat = grid.ravel()
+    start = 0
+    while start < steps.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, base + _VOTE_STEP_BUDGET, side="right")))
+        size = steps[start:stop]
+        first = ends[start:stop] - size - base  # each ray's first step in the chunk
+        ts = (np.arange(ends[stop - 1] - base) - np.repeat(first, size)) * _RAY_STEP
+        # cells touched along each ray, rounded to nearest integer pixel
+        cx = _round_cells(np.repeat(xs[start:stop], size),
+                          np.repeat(nx[start:stop], size), ts)
+        cy = _round_cells(np.repeat(ys[start:stop], size),
+                          np.repeat(ny[start:stop], size), ts)
+        # a negative cell wraps to a large unsigned value
+        inside = (cx.view(np.uint32) < w) & (cy.view(np.uint32) < h)
+        key = cy * np.int32(w) + cx  # int32: a frame holds < 2**31 cells
+        fresh = np.ones_like(inside)
+        fresh[1:] = key[1:] != key[:-1]  # dedup consecutive duplicates
+        fresh[first] = True
+        hit = key[inside & fresh]
+        if hit.size:
+            lo = int(hit.min())
+            counts = np.bincount(hit - lo)
+            flat[lo:lo + counts.size] += counts
+        start = stop
     return VoteGrid(class_id=class_id, scores=grid)
 
 

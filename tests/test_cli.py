@@ -1,8 +1,11 @@
+import argparse
 import csv
 import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,16 @@ def _write_json(path, obj):
 def _pose_entry(class_id, quat, trans):
     return {"class_id": class_id, "quaternion_wxyz": list(quat),
             "translation_m": list(trans)}
+
+
+def test_python_m_posevote_runs_cli(tmp_path):
+    out = tmp_path / "cube.ply"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "posevote", "make-model",
+                           "--kind", "cube", "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert load_ply(out)[0].shape[0] > 0
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -152,6 +165,39 @@ def test_make_model_points_below_one_exits_2(tmp_path, count, capsys):
     assert e.value.code == 2
     assert "--points" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one command line per subcommand that takes --seed, writing into {d}
+_SEEDED = [
+    ["synth", "--out-dir", "{d}/scenes", "--random", "1"],
+    ["vote", "--labels", "l", "--field", "f", "--intrinsics", "k",
+     "--out", "{d}/v.json"],
+    ["histogram", "--kind", "sloss", "--inits", "2", "--out", "{d}/h.csv"],
+    ["eval", "--gt", "g", "--est", "e", "--model", "m", "--out", "{d}/e.json",
+     "--out-csv", "{d}/e.csv"],
+    ["refine", "--depth", "d", "--labels", "l", "--class-id", "1",
+     "--model", "m", "--init", "i", "--intrinsics", "k", "--out", "{d}/r.json"],
+    ["pipeline", "--scenes", "1", "--out", "{d}/p.json", "--csv", "{d}/p.csv"],
+]
+
+
+def test_every_seeded_subcommand_listed():
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    seeded = {name for name, p in sub.choices.items()
+              if any("--seed" in a.option_strings for a in p._actions)}
+    assert seeded == {cmd[0] for cmd in _SEEDED}
+
+
+@pytest.mark.parametrize("cmd", _SEEDED, ids=[c[0] for c in _SEEDED])
+def test_negative_seed_exits_2(tmp_path, cmd, capsys):
+    argv = [a.format(d=tmp_path) for a in cmd]
+    with pytest.raises(SystemExit) as e:
+        run(argv + ["--seed", "-1"])
+    assert e.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_deterministic_outputs(tmp_path):

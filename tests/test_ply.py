@@ -27,6 +27,18 @@ def test_round_trip_with_normals_and_faces(tmp_path):
     assert np.array_equal(faces, faces2)
 
 
+def test_zero_face_element_loads_as_empty_faces(tmp_path):
+    p = tmp_path / "m.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                 "property float y\nproperty float z\nelement face 0\n"
+                 "property list uchar int vertex_indices\nend_header\n0 0 0\n")
+    _, _, faces = load_ply(p)
+    assert faces.shape == (0, 3) and faces.dtype == np.int64
+    first = p.read_bytes()
+    save_ply(p, *load_ply(p))
+    assert p.read_bytes() == first
+
+
 def test_rejects_binary_format(tmp_path):
     p = tmp_path / "m.ply"
     p.write_text("ply\nformat binary_little_endian 1.0\n"
@@ -143,8 +155,8 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _meshes(draw):
-    """(points, normals or None, faces or None); faces, when present, are at
-    least one triangle over existing vertices."""
+    """(points, normals or None, faces or None); faces, when present, are
+    triangles over existing vertices, possibly none."""
     n = draw(st.integers(0, 6))
     points = np.array(draw(st.lists(st.tuples(_FINITE, _FINITE, _FINITE),
                                     min_size=n, max_size=n)),
@@ -155,10 +167,11 @@ def _meshes(draw):
             st.tuples(_FINITE, _FINITE, _FINITE), min_size=n, max_size=n)),
             dtype=float).reshape(n, 3)
     faces = None
-    if n and draw(st.booleans()):
-        idx = st.integers(0, n - 1)
-        faces = np.array(draw(st.lists(st.tuples(idx, idx, idx), min_size=1,
-                                       max_size=5)), dtype=np.int64)
+    if draw(st.booleans()):
+        idx = st.integers(0, max(n - 1, 0))
+        faces = np.array(draw(st.lists(st.tuples(idx, idx, idx),
+                                       max_size=5 if n else 0)),
+                         dtype=np.int64).reshape(-1, 3)
     return points, normals, faces
 
 

@@ -116,6 +116,10 @@ def test_render_model_without_faces_rejected():
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
     with pytest.raises(SynthError, match="no faces"):
         render_full(_lone_scene(1, pose), {1: points_only})
+    zero_faces = ObjectModel(class_id=1, name="cloud", points=cube.points,
+                             faces=np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(SynthError, match="no faces"):
+        render_full(_lone_scene(1, pose), {1: zero_faces})
 
 
 def _ray_triangle_depth(model, pose, x, y):
@@ -373,9 +377,9 @@ def test_fully_occluded_instance_flagged():
                   width=320, height=240)
     raster = render_full(scene, models)
     fld, truths = ground_truth_fields(scene, raster)
-    assert truths[0].fully_occluded
+    assert truths[0].visible_pixels == 0
     assert not fld.has_class(1) or not np.any(fld.plane(1))
-    assert not truths[1].fully_occluded
+    assert truths[1].visible_pixels > 0
 
 
 # noise ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from posevote import pipeline, voting
 from posevote.fields import CenterField, LabelMap, directions_to_center
 from posevote.geometry import CameraIntrinsics
+from posevote.synth import NoiseSpec, default_registry, random_scene
 from posevote.voting import (VotingError, cast_votes, collect_inliers, detect,
                              estimate_translation, find_centers, refine_center)
 
@@ -63,6 +69,141 @@ def test_votes_stop_at_max_ray_length():
     grid = cast_votes(labels, fld, 1, max_ray_length=50)
     assert grid.scores[30, 40] == 1
     assert grid.scores[30, 60] == 0
+
+
+def test_votes_stop_at_border():
+    labels, fld = _field_with_pixels(100, 100, 1, [(0, 50)], (99, 50))
+    grid = cast_votes(labels, fld, 1)
+    assert np.all(grid.scores[50] == 1) and grid.scores.sum() == 100
+    # the walk ends 2 steps past the border, not after the full diagonal
+    xs, ys, nx, ny = voting._class_rays(labels, fld, 1)
+    n_steps = int(math.ceil(math.hypot(100, 100)) / voting._RAY_STEP) + 1
+    steps = voting._exit_steps(xs, ys, nx, ny, 100, 100, n_steps)
+    assert steps.tolist() == [int(99.5 / voting._RAY_STEP) + 3]
+    assert steps[0] < n_steps
+
+
+def _reference_cast_votes(labels, fld, class_id, max_ray_length=None):
+    """Every ray walked over the full image diagonal in one (rays x steps)
+    array: the definition the clipped, chunked cast_votes must match."""
+    h, w = labels.height, labels.width
+    grid = np.zeros((h, w), dtype=np.int64)
+    xs, ys, nx, ny = voting._class_rays(labels, fld, class_id)
+    if xs.size == 0:
+        return grid
+    max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
+    n_steps = int(max_len / voting._RAY_STEP) + 1
+    ts = np.arange(n_steps) * voting._RAY_STEP
+    cx = np.floor(xs[:, None] + nx[:, None] * ts[None, :] + 0.5).astype(np.int64)
+    cy = np.floor(ys[:, None] + ny[:, None] * ts[None, :] + 0.5).astype(np.int64)
+    inside = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
+    key = cy * w + cx
+    fresh = np.ones_like(inside)
+    fresh[:, 1:] = key[:, 1:] != key[:, :-1]
+    np.add.at(grid.ravel(), key[inside & fresh], 1)
+    return grid
+
+
+def _assert_matches_reference(labels, fld, class_id, max_ray_length=None):
+    got = cast_votes(labels, fld, class_id, max_ray_length).scores
+    want = _reference_cast_votes(labels, fld, class_id, max_ray_length)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _ray_field(w, h, rays):
+    """Class-1 labels + field holding the given (x, y, nx, ny) rays."""
+    labels = np.zeros((h, w), dtype=np.uint16)
+    fld = CenterField(width=w, height=h)
+    pl = fld.plane(1)
+    for x, y, nx, ny in rays:
+        labels[y, x] = 1
+        pl[y, x, :2] = (nx, ny)
+    return LabelMap(labels), fld
+
+
+_MODERATE = dict(direction_sigma=0.05, depth_sigma=0.005, rotation_sigma_deg=25.0)
+
+
+@pytest.fixture(scope="module")
+def synth_frames():
+    models = default_registry()
+    frames = []
+    for noise in (NoiseSpec(), NoiseSpec(rng_seed=0, **_MODERATE)):
+        for i in range(7):
+            scene = random_scene(pipeline.scene_seed(0, i), models)
+            frames.append(pipeline.synth_frame(scene, i, noise, models))
+    return frames
+
+
+def test_cast_votes_matches_reference_on_synth_frames(synth_frames):
+    n = 0
+    for f in synth_frames:
+        for cid in f.labels.class_ids():
+            if f.fld.has_class(cid):
+                _assert_matches_reference(f.labels, f.fld, cid)
+                n += 1
+    assert n > 14
+
+
+def test_cast_votes_matches_reference_on_axis_rays():
+    w, h = 23, 17
+    rays = [(x, y, d[0], d[1]) for x, y in ((0, 0), (11, 8), (22, 16), (5, 16))
+            for d in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+    for ray in rays:
+        _assert_matches_reference(*_ray_field(w, h, [ray]), 1)
+    _assert_matches_reference(*_ray_field(w, h, rays[:4]), 1)
+
+
+def test_cast_votes_matches_reference_on_outward_border_rays():
+    w, h = 30, 20
+    rays = [(0, 7, -1, 0.2), (29, 3, 1, -0.3), (12, 0, 0.1, -1), (4, 19, -0.6, 0.8),
+            (0, 0, -0.7, -0.7), (29, 19, 0.6, 0.8), (29, 0, 1e-3, -1)]
+    _assert_matches_reference(*_ray_field(w, h, rays), 1)
+
+
+def test_cast_votes_matches_reference_on_corner_exits():
+    w, h = 20, 20
+    rays = []
+    for x, y in ((10, 10), (0, 0), (19, 19), (3, 14)):
+        for cx, cy in ((-0.5, -0.5), (w - 0.5, -0.5), (-0.5, h - 0.5),
+                       (w - 0.5, h - 0.5)):
+            d = np.array([cx - x, cy - y])
+            rays.append((x, y, *(d / np.linalg.norm(d))))
+    for ray in rays:
+        _assert_matches_reference(*_ray_field(w, h, [ray]), 1)
+
+
+@pytest.mark.parametrize("max_ray_length", [1, 3, 5, 12, 40, 100, 1000])
+def test_cast_votes_matches_reference_with_max_ray_length(max_ray_length):
+    rng = np.random.default_rng(7)
+    w, h = 60, 45
+    ang = rng.uniform(0, 2 * np.pi, 200)
+    rays = list(zip(rng.integers(0, w, 200), rng.integers(0, h, 200),
+                    np.cos(ang), np.sin(ang)))
+    _assert_matches_reference(*_ray_field(w, h, rays), 1, max_ray_length)
+
+
+def test_cast_votes_matches_reference_one_ray_per_chunk(monkeypatch, synth_frames):
+    monkeypatch.setattr(voting, "_VOTE_STEP_BUDGET", 4)
+    f = synth_frames[7]  # scene 0 with moderate noise
+    for cid in f.labels.class_ids():
+        _assert_matches_reference(f.labels, f.fld, cid)
+    _assert_matches_reference(*_ray_field(20, 20, [(3, 4, 1, 0), (5, 5, 0, -1)]), 1, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cast_votes_matches_reference_random_fields(data):
+    h = data.draw(st.integers(1, 12), label="h")
+    w = data.draw(st.integers(1, 12), label="w")
+    labels = data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 2)))
+    fld = CenterField(width=w, height=h)
+    fld.plane(1)[:, :, :2] = data.draw(arrays(
+        np.float32, (h, w, 2),
+        elements=st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-7])
+        | st.floats(-1, 1, width=32)))
+    max_ray_length = data.draw(st.none() | st.integers(1, 20))
+    _assert_matches_reference(LabelMap(labels), fld, 1, max_ray_length)
 
 
 def test_find_centers_empty_grid():
