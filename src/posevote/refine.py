@@ -1,13 +1,14 @@
 """Pose refinement by projective point-to-plane ICP.
 
-Each iteration renders the model at the current pose, associates every
-masked observed depth pixel with the rendered surface at the same pixel, and
-forms the signed distance from the observed 3D point to the rendered tangent
-plane. Residuals above a rejection threshold are dropped; the remaining ones
-drive a damped Gauss-Newton step on the 6-dof pose (rotation handled as a
-tangent increment composed onto the quaternion), with step halving so the
-mean inlier residual never increases. Multi-hypothesis refinement perturbs
-the initial pose with seeded random offsets and keeps the pose with the best
+Each iteration renders the model at the current pose over the window the
+masked observed depth pixels span, associates every masked observed depth
+pixel with the rendered surface at the same pixel, and forms the signed
+distance from the observed 3D point to the rendered tangent plane.
+Residuals above a rejection threshold are dropped; the remaining ones drive
+a damped Gauss-Newton step on the 6-dof pose (rotation handled as a tangent
+increment composed onto the quaternion), with step halving so the mean
+inlier residual never increases. Multi-hypothesis refinement perturbs the
+initial pose with seeded random offsets and keeps the pose with the best
 alignment score = inlier_fraction - mean_residual / reject_threshold.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import DepthMap, LabelMap
-from .geometry import (CameraIntrinsics, ObjectModel, Pose,
+from .geometry import (CameraIntrinsics, ObjectModel, Pose, cross_rows,
                        quat_from_axis_angle, quat_multiply)
 from .synth import RangeImage, Scene, render_full
 
@@ -74,15 +75,9 @@ def _observed_points(observed: DepthMap, mask: np.ndarray,
     return xs, ys, rays, rays * z[:, None]
 
 
-def _render_model(model: ObjectModel, pose: Pose, intrinsics: CameraIntrinsics,
-                  width: int, height: int):
-    scene = Scene(instances=[(model.class_id, pose)], intrinsics=intrinsics,
-                  width=width, height=height)
-    return render_full(scene, {model.class_id: model})
-
-
-def _associate(raster: RangeImage, xs, ys, rays, obs_pts, reject: float):
-    """Point-plane residuals for masked pixels with rendered coverage.
+def _associate(raster: RangeImage, flat, rays, obs_pts, reject: float):
+    """Point-plane residuals for masked pixels with rendered coverage;
+    `flat` indexes each masked pixel in the rendered window.
 
     Returns inlier (points, normals, residuals), the inlier count, the mean
     absolute inlier residual, and a truncated alignment energy: the mean over
@@ -91,22 +86,29 @@ def _associate(raster: RangeImage, xs, ys, rays, obs_pts, reject: float):
     objective; unlike the raw inlier mean it cannot be gamed by shrinking
     the inlier set.
     """
-    n_masked = xs.size
-    hit = raster.depth[ys, xs] > 0
-    if not hit.any():
+    n_masked = flat.size
+    depth = raster.depth.ravel()[flat]
+    hit = np.flatnonzero(depth > 0)
+    if not hit.size:
         return None
-    p = rays[hit] * raster.depth[ys[hit], xs[hit]][:, None]
-    n = raster.normals[ys[hit], xs[hit]]
-    o = obs_pts[hit]
-    r = np.sum(n * (o - p), axis=1)
-    keep = np.abs(r) <= reject
+    # row gathers go through take, which is faster than fancy indexing
+    p = rays.take(hit, axis=0) * depth[hit][:, None]
+    n = raster.normals.reshape(-1, 3).take(flat[hit], axis=0)
+    nd = obs_pts.take(hit, axis=0) - p
+    nd *= n
+    r = 0.0 + nd[:, 0] + nd[:, 1] + nd[:, 2]  # n . (o - p), added as np.sum does
+    abs_r = np.abs(r)
+    keep = abs_r <= reject
     n_in = int(keep.sum())
     if n_in == 0:
         return None
-    mean_abs = float(np.mean(np.abs(r[keep])))
-    energy = (float(np.sum(np.minimum(np.abs(r), reject)))
-              + (n_masked - int(hit.sum())) * reject) / n_masked
-    return p[keep], n[keep], r[keep], n_in, mean_abs, energy
+    mean_abs = float(np.mean(abs_r[keep]))
+    energy = (float(np.sum(np.minimum(abs_r, reject)))
+              + (n_masked - r.size) * reject) / n_masked
+    if n_in < r.size:
+        keep = np.flatnonzero(keep)
+        p, n, r = p.take(keep, axis=0), n.take(keep, axis=0), r[keep]
+    return p, n, r, n_in, mean_abs, energy
 
 
 def _apply_increment(pose: Pose, omega: np.ndarray, dt: np.ndarray) -> Pose:
@@ -130,6 +132,9 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     params = params or IcpParams()
     if init.translation[2] <= 0:
         raise IcpError("initial pose is behind the camera")
+    if labels.labels.shape != observed.depth.shape:
+        raise IcpError(f"label map shape {labels.labels.shape} differs from "
+                       f"depth map shape {observed.depth.shape}")
     mask = labels.labels == class_id
     xs, ys, rays, obs_pts = _observed_points(observed, mask, intrinsics)
     n_masked = xs.size
@@ -137,14 +142,20 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         raise IcpError(f"insufficient support: {n_masked} masked depth pixels "
                        f"(need {_MIN_MASK_PIXELS})")
     h, w = observed.depth.shape
+    # only the window the masked pixels span is rendered
+    x0, y0 = int(xs.min()), int(ys.min())
+    window = (x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1)
+    flat = (ys - y0) * window[2] + (xs - x0)
     reject = params.residual_reject_threshold
     radius = 0.5 * model.diameter
 
     def evaluate(pose: Pose):
         if pose.translation[2] <= 0:
             return None  # candidate stepped behind the camera
-        raster = _render_model(model, pose, intrinsics, w, h)
-        return _associate(raster, xs, ys, rays, obs_pts, reject)
+        scene = Scene(instances=[(model.class_id, pose)], intrinsics=intrinsics,
+                      width=w, height=h, window=window)
+        raster = render_full(scene, {model.class_id: model})
+        return _associate(raster, flat, rays, obs_pts, reject)
 
     current = init
     state = evaluate(current)
@@ -156,7 +167,9 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     for iterations in range(1, params.max_iterations + 1):
         p, n, r, n_in, mean_abs, energy = state
         # linearize: r(omega, dt) ~= r - (p x n) . omega - n . dt
-        jac = np.hstack([np.cross(p, n), n])
+        jac = np.empty((n_in, 6))
+        cross_rows(p, n, out=jac[:, :3])
+        jac[:, 3:] = n
         jtj = jac.T @ jac
         jtr = jac.T @ r
         damp = 1e-9 * max(np.trace(jtj) / 6.0, 1e-12)

@@ -5,7 +5,13 @@ The renderer stands in for a learned dense predictor and doubles as the
 ground-truth oracle for tests. Each mesh is rasterized in one vectorized
 pass over all its triangles, with perspective-correct depth and a z-buffer
 in which the earlier triangle keeps a pixel on equal depth; models without
-faces cannot be rendered.
+faces cannot be rendered. Each row of a triangle's bounding box walks only
+the columns its edge lines allow, widened by a pixel, and the whole row
+where rounding could move an edge further. A render covers the whole frame
+or a `Scene.window` of it: the window's buffers hold exactly those pixels
+of the whole-frame render, `RangeImage.origin` places them in the frame,
+and `RangeImage.coverage` counts pixels within the window. ICP renders only
+the window its masked depth pixels span.
 Everything is deterministic, and all randomness flows from explicit seeds.
 """
 
@@ -18,8 +24,9 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .fields import CenterField, LabelMap, directions_to_center
-from .geometry import (CameraIntrinsics, ObjectModel, Pose, project,
-                       quat_from_axis_angle, quat_multiply, random_quat)
+from .geometry import (CameraIntrinsics, ObjectModel, Pose, cross_rows,
+                       project, quat_from_axis_angle, quat_multiply,
+                       random_quat)
 
 
 class SynthError(ValueError):
@@ -32,6 +39,8 @@ class Scene:
     intrinsics: CameraIntrinsics
     width: int
     height: int
+    # (x0, y0, width, height) of the frame to render; None renders it whole
+    window: tuple[int, int, int, int] | None = None
 
 
 @dataclass
@@ -54,21 +63,25 @@ class NoiseSpec:
 @dataclass
 class RangeImage:
     """Z-buffer render: depth, class label, instance index and unit normal
-    per pixel. Camera-frame points follow from depth and the pixel rays."""
+    per pixel. Camera-frame points follow from depth and the pixel rays.
+    The buffers hold a window of the frame whose top-left pixel is `origin`;
+    buffer pixel (j, i) is frame pixel (origin[1] + j, origin[0] + i)."""
 
     depth: np.ndarray  # (h, w), 0 = empty
     label: np.ndarray  # (h, w) uint16, 0 = background
     instance: np.ndarray  # (h, w) int32, -1 = background
     normals: np.ndarray  # (h, w, 3), oriented toward the camera
-    # per instance index, the pixels it covers when rendered alone
+    # per instance index, the window pixels it covers when rendered alone
     coverage: list[int] = field(default_factory=list)
+    origin: tuple[int, int] = (0, 0)  # frame (x, y) of buffer pixel (0, 0)
 
     @classmethod
-    def empty(cls, width: int, height: int) -> "RangeImage":
+    def empty(cls, width: int, height: int,
+              origin: tuple[int, int] = (0, 0)) -> "RangeImage":
         return cls(depth=np.zeros((height, width)),
                    label=np.zeros((height, width), dtype=np.uint16),
                    instance=np.full((height, width), -1, dtype=np.int32),
-                   normals=np.zeros((height, width, 3)))
+                   normals=np.zeros((height, width, 3)), origin=origin)
 
     @property
     def height(self) -> int:
@@ -257,9 +270,20 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
 # rendering
 
 
-# Bounding-box pixels enumerated at once; a larger triangle is its own batch.
-# Bounds the per-batch arrays when a mesh comes close to the camera.
+# Pixels walked at once; a longer box row is its own batch. Bounds the
+# per-batch arrays when a mesh comes close to the camera.
 _FRAGMENT_BUDGET = 1 << 18
+
+# Each box row walks only the columns its triangle's edge lines allow,
+# widened by 1 px. An edge bounds the walk only where rounding in the
+# barycentric test provably moves it by at most half a pixel: that error is
+# below _SPAN_ROUNDING times the magnitude of the terms the test sums,
+# divided by the edge's height. Edges under _SPAN_MIN_HEIGHT px tall, and
+# every edge of a triangle with a vertex beyond _SPAN_MAX_UV px, bound
+# nothing, so such rows fall back to their whole box row.
+_SPAN_ROUNDING = 8 * np.finfo(float).eps
+_SPAN_MIN_HEIGHT = 1e-3
+_SPAN_MAX_UV = 1e6
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -276,21 +300,64 @@ def _spans(lo: np.ndarray, size: np.ndarray):
     return np.arange(owner.size) - np.repeat(np.cumsum(size) - size - lo, size), owner
 
 
+def _row_spans(ua, va, du1, dv1, du2, dv2, denom, safe, box, row_t, c1, c2):
+    """First column and column count to walk in each box row.
+
+    The barycentric test is b1 = (dx dv1 - c1) / denom, b2 = (c2 - dx dv2) /
+    denom and b0 = 1 - b1 - b2 with dx = x - ua and the row terms c1 = du1 dy,
+    c2 = du2 dy; each b >= 0 holds on one side of an edge line. Per row,
+    every edge the rounding bound trusts gives the column where it crosses
+    the row, and the walk runs from the last lower crossing - 1 to the first
+    upper crossing + 1, clipped to the box (x0, x1, y0, y1): pixels outside
+    that fail the test however it rounds.
+    """
+    x0, x1, y0, y1 = box
+    dv0 = dv1 - dv2
+    mx = np.maximum(np.abs(x0 - ua), np.abs(x1 - ua))
+    my = np.maximum(np.abs(y0 - va), np.abs(y1 - va))
+    m1 = mx * np.abs(dv1) + my * np.abs(du1)
+    m2 = mx * np.abs(dv2) + my * np.abs(du2)
+    pos = denom > 0
+    ua = ua[row_t]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        crossings = (ua + c1 / dv1[row_t], ua + c2 / dv2[row_t],
+                     ua + (denom[row_t] + c1 - c2) / dv0[row_t])
+    lo = np.full(row_t.size, -np.inf)
+    hi = np.full(row_t.size, np.inf)
+    # (edge height, magnitude of the terms, whether b grows with x) per b
+    for (dv, mag, lower), x in zip(((dv1, m1, (dv1 > 0) == pos),
+                                    (dv2, m2, (dv2 < 0) == pos),
+                                    (dv0, m1 + m2 + np.abs(denom), (dv0 < 0) == pos)),
+                                   crossings):
+        trusted = (safe & (np.abs(dv) >= _SPAN_MIN_HEIGHT)
+                   & (_SPAN_ROUNDING * mag <= 0.5 * np.abs(dv)))
+        lo = np.where((trusted & lower)[row_t], np.maximum(lo, x), lo)
+        hi = np.where((trusted & ~lower)[row_t], np.minimum(hi, x), hi)
+    first = np.clip(np.ceil(lo - 1.0), x0[row_t], x1[row_t] + 1.0)
+    last = np.clip(np.floor(hi + 1.0), x0[row_t] - 1.0, x1[row_t])
+    return first.astype(np.int64), np.maximum(last - first + 1.0, 0).astype(np.int64)
+
+
 def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
                       intrinsics: CameraIntrinsics, class_id: int, inst: int) -> int:
-    """Z-buffer the triangles `faces` of `verts_cam` (camera frame) into `r`
-    and return the number of distinct pixels they cover.
+    """Z-buffer the triangles `faces` of `verts_cam` (camera frame) into the
+    window `r` holds and return the number of distinct window pixels they
+    cover.
 
     All triangles go through one vectorized pass, in batches of at most
-    _FRAGMENT_BUDGET bounding-box pixels. A pixel takes the fragment with the
-    smallest perspective-correct depth; among equal depths the earlier
-    triangle, and an instance rendered earlier, keeps it. Triangles with a
-    vertex at z <= 1e-6, no bounding-box pixel in the frame, or zero
-    projected or 3D area are skipped. A non-finite vertex raises SynthError.
+    _FRAGMENT_BUDGET walked pixels; each row of a triangle's bounding box
+    walks only the columns its edges allow (see _row_spans). Every pixel
+    test runs in frame coordinates, so a window holds exactly those pixels
+    of a whole-frame render. A pixel takes the fragment with the smallest
+    perspective-correct depth; among equal depths the earlier triangle, and
+    an instance rendered earlier, keeps it. Triangles with a vertex at
+    z <= 1e-6, no bounding-box pixel in the window, or zero projected or 3D
+    area are skipped. A non-finite vertex raises SynthError.
     """
     if not np.isfinite(verts_cam).all():
         raise SynthError("non-finite vertex in the camera frame")
     h, w = r.depth.shape
+    ox, oy = r.origin
     fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
     z = verts_cam[:, 2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -299,75 +366,85 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
         inv_z = 1.0 / z
     faces = faces[~np.any(z[faces] <= 1e-6, axis=1)]
     tu, tv = u[faces], v[faces]
-    x0 = np.maximum(0.0, np.floor(tu.min(axis=1)))
-    x1 = np.minimum(w - 1.0, np.ceil(tu.max(axis=1)))
-    y0 = np.maximum(0.0, np.floor(tv.min(axis=1)))
-    y1 = np.minimum(h - 1.0, np.ceil(tv.max(axis=1)))
+    x0 = np.maximum(float(ox), np.floor(tu.min(axis=1)))
+    x1 = np.minimum(ox + w - 1.0, np.ceil(tu.max(axis=1)))
+    y0 = np.maximum(float(oy), np.floor(tv.min(axis=1)))
+    y1 = np.minimum(oy + h - 1.0, np.ceil(tv.max(axis=1)))
     ua, ub, uc = tu.T
     va, vb, vc = tv.T
-    denom = (ub - ua) * (vc - va) - (uc - ua) * (vb - va)
+    du1, dv1, du2, dv2 = uc - ua, vc - va, ub - ua, vb - va
+    denom = du2 * dv1 - du1 * dv2
     p0, p1, p2 = (verts_cam[faces[:, k]] for k in range(3))
-    n = np.cross(p1 - p0, p2 - p0)
+    n = cross_rows(p1 - p0, p2 - p0)
     nn = np.sqrt(_rowdot(n, n))
     keep = (x1 >= x0) & (y1 >= y0) & ~(np.abs(denom) < 1e-12) & ~(nn < 1e-15)
     n = n[keep] / nn[keep][:, None]
     facing = _rowdot(n, (p0[keep] + p1[keep] + p2[keep]) / 3.0) > 0
     n[facing] = -n[facing]  # orient toward the camera
-    ua, ub, uc, va, vb, vc, denom = (a[keep] for a in (ua, ub, uc, va, vb, vc, denom))
+    safe = np.all((np.abs(tu[keep]) <= _SPAN_MAX_UV)
+                  & (np.abs(tv[keep]) <= _SPAN_MAX_UV), axis=1)
+    ua, va, du1, dv1, du2, dv2, denom, x0, x1, y0, y1 = (
+        a[keep] for a in (ua, va, du1, dv1, du2, dv2, denom, x0, x1, y0, y1))
     iz0, iz1, iz2 = inv_z[faces[keep]].T
-    x0, y0 = x0[keep].astype(np.int64), y0[keep].astype(np.int64)
-    bw = x1[keep].astype(np.int64) - x0 + 1
-    bh = y1[keep].astype(np.int64) - y0 + 1
     # The barycentric numerators split into a column term and a row term per
     # triangle, each computed once with the same operations as per pixel.
-    col_x, col_t = _spans(x0, bw)
-    row_y, row_t = _spans(y0, bh)
+    ix0, iy0 = x0.astype(np.int64), y0.astype(np.int64)
+    bw = x1.astype(np.int64) - ix0 + 1
+    bh = y1.astype(np.int64) - iy0 + 1
+    col_x, col_t = _spans(ix0, bw)
+    row_y, row_t = _spans(iy0, bh)
     dx, dy = col_x - ua[col_t], row_y - va[row_t]
-    a1, a2 = dx * (vc - va)[col_t], dx * (vb - va)[col_t]
-    c1, c2 = (uc - ua)[row_t] * dy, (ub - ua)[row_t] * dy
-    col_start = np.cumsum(bw) - bw
-    row_start = np.cumsum(bh) - bh
-    ends = np.cumsum(bw * bh)
-    covered = np.zeros((h, w), dtype=bool)
+    a1, a2 = dx * dv1[col_t], dx * dv2[col_t]
+    c1, c2 = du1[row_t] * dy, du2[row_t] * dy
+    first, walk = _row_spans(ua, va, du1, dv1, du2, dv2, denom, safe,
+                             (x0, x1, y0, y1), row_t, c1, c2)
+    # index into the column terms of each row's first walked pixel
+    first += (np.cumsum(bw) - bw - ix0)[row_t]
+    ends = np.cumsum(walk)
+    # flat views of the window's buffers, which RangeImage.empty makes
+    # C-contiguous
+    depth, label, instance = r.depth.ravel(), r.label.ravel(), r.instance.ravel()
+    normals = r.normals.reshape(-1, 3)
+    covered = np.zeros(h * w, dtype=bool)
     start = 0
-    while start < bw.size:
+    while start < walk.size:
         base = ends[start - 1] if start else 0
         stop = max(start + 1,
                    int(np.searchsorted(ends, base + _FRAGMENT_BUDGET, side="right")))
-        # every bounding-box pixel of the batch: by triangle, row, column
-        rows = np.arange(row_start[start], row_start[stop - 1] + bh[stop - 1])
-        col, fr = _spans(col_start[row_t[rows]], bw[row_t[rows]])
-        fr += rows[0]
+        # every walked pixel of the batch: by triangle, row, column
+        col, fr = _spans(first[start:stop], walk[start:stop])
+        fr += start
+        start = stop
         t = row_t[fr]
         d = denom[t]
         b1 = (a1[col] - c1[fr]) / d
         b2 = (c2[fr] - a2[col]) / d
         b0 = 1.0 - b1 - b2
         inside = np.flatnonzero((b0 >= 0) & (b1 >= 0) & (b2 >= 0))
+        if not inside.size:
+            continue
         t, gx, gy = t[inside], col_x[col[inside]], row_y[fr[inside]]
         zs = 1.0 / (b0[inside] * iz0[t] + b1[inside] * iz1[t] + b2[inside] * iz2[t])
-        # per pixel of the batch's bounding box the nearest fragment, the
+        # per pixel of the fragments' bounding box the nearest fragment, the
         # earliest one among equals
-        wx0, wy0 = x0[start:stop].min(), y0[start:stop].min()
-        ww = (x0 + bw)[start:stop].max() - wx0
-        wh = (y0 + bh)[start:stop].max() - wy0
+        wx0, wy0 = gx.min(), gy.min()
+        ww, wh = gx.max() - wx0 + 1, gy.max() - wy0 + 1
         pix = (gy - wy0) * ww + (gx - wx0)
         zmin = np.full(ww * wh, np.inf)
         np.minimum.at(zmin, pix, zs)
         cand = np.flatnonzero(zs == zmin[pix])
-        first = np.full(ww * wh, zs.size)
-        np.minimum.at(first, pix[cand], cand)
-        f = first[first < zs.size]
-        gx, gy, zw, t = gx[f], gy[f], zs[f], t[f]
-        covered[gy, gx] = True
-        cur = r.depth[gy, gx]
+        earliest = np.full(ww * wh, zs.size)
+        np.minimum.at(earliest, pix[cand], cand)
+        f = earliest[earliest < zs.size]
+        at, zw, t = (gy[f] - oy) * w + (gx[f] - ox), zs[f], t[f]
+        covered[at] = True
+        cur = depth[at]
         win = (cur == 0) | (zw < cur)
-        gx, gy = gx[win], gy[win]
-        r.depth[gy, gx] = zw[win]
-        r.label[gy, gx] = class_id
-        r.instance[gy, gx] = inst
-        r.normals[gy, gx] = n[t[win]]
-        start = stop
+        at = at[win]
+        depth[at] = zw[win]
+        label[at] = class_id
+        instance[at] = inst
+        normals[at] = n.take(t[win], axis=0)
     return int(np.count_nonzero(covered))
 
 
@@ -381,8 +458,15 @@ def _render_instance(r: RangeImage, model: ObjectModel, pose: Pose,
 
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
-    """Z-buffer render returning depth/label/instance/normal buffers."""
-    r = RangeImage.empty(scene.width, scene.height)
+    """Z-buffer render returning depth/label/instance/normal buffers of the
+    scene's window, or of the whole frame when it has none."""
+    x0, y0, w, h = scene.window or (0, 0, scene.width, scene.height)
+    if scene.window and not (0 <= x0 and 0 <= y0 and 1 <= w and 1 <= h
+                             and x0 + w <= scene.width
+                             and y0 + h <= scene.height):
+        raise SynthError(f"window {scene.window} does not lie in the "
+                         f"{scene.width}x{scene.height} frame")
+    r = RangeImage.empty(w, h, origin=(x0, y0))
     for inst, (cid, pose) in enumerate(scene.instances):
         if cid not in models:
             raise SynthError(f"scene references unknown class id {cid}")

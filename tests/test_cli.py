@@ -13,7 +13,7 @@ import pytest
 
 from posevote.cli import build_parser, run
 from posevote.ply import load_ply, save_ply
-from posevote.tensorio import save_tensor
+from posevote.tensorio import load_tensor, save_tensor
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
 
@@ -28,14 +28,22 @@ def _pose_entry(class_id, quat, trans):
             "translation_m": list(trans)}
 
 
-def test_python_m_posevote_runs_cli(tmp_path):
+def _python_m_make_model(module, tmp_path):
     out = tmp_path / "cube.ply"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-m", "posevote", "make-model",
+    proc = subprocess.run([sys.executable, "-m", module, "make-model",
                            "--kind", "cube", "--out", str(out)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert load_ply(out)[0].shape[0] > 0
+
+
+def test_python_m_posevote_runs_cli(tmp_path):
+    _python_m_make_model("posevote", tmp_path)
+
+
+def test_python_m_posevote_cli_runs_cli(tmp_path):
+    _python_m_make_model("posevote.cli", tmp_path)
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -299,6 +307,17 @@ def test_refine_cli(tmp_path):
     res = json.loads(out.read_text())
     # refining from ground truth must stay at ground truth
     assert np.allclose(res["translation_m"], inst["translation_m"], atol=1e-4)
+
+
+def test_refine_cli_rejects_label_map_of_other_shape(tmp_path, capsys):
+    args, _ = _refine_args(tmp_path)
+    labels = args[args.index("--labels") + 1]
+    save_tensor(labels, load_tensor(labels)[:200])
+    out = tmp_path / "refined.json"
+    assert run(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "posevote: error: label map shape (200, 320) differs" in err
+    assert not out.exists()
 
 
 def test_refine_cli_rejects_points_only_model(tmp_path, capsys):

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from posevote import pipeline, refine
 from posevote.fields import DepthMap, LabelMap
 from posevote.geometry import (CameraIntrinsics, Pose, random_quat,
                                rotation_angle_between)
-from posevote.refine import (_MIN_MASK_PIXELS, IcpError, IcpParams,
-                             icp_refine, multi_hypothesis_refine)
-from posevote.synth import (Scene, default_registry, perturbed_pose,
+from posevote.refine import (_CONVERGENCE_TOL, _MAX_HALVINGS, _MIN_MASK_PIXELS,
+                             IcpError, IcpParams, RefineResult,
+                             _apply_increment, icp_refine,
+                             multi_hypothesis_refine)
+from posevote.synth import (NoiseSpec, Scene, default_registry, perturbed_pose,
                             render_full)
 
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
@@ -153,3 +156,153 @@ def test_icp_params_validation():
         IcpParams(max_iterations=0)
     with pytest.raises((IcpError, ValueError)):
         IcpParams(residual_reject_threshold=-1.0)
+
+
+def test_label_shape_mismatch_raises_icp_error():
+    depth, labels, pose = _scene(4, 0)
+    labels = LabelMap(labels=labels.labels[:200])
+    match = (r"label map shape \(200, 320\) differs from depth map shape "
+             r"\(240, 320\)")
+    with pytest.raises(IcpError, match=match):
+        icp_refine(depth, labels, 4, MODELS[4], pose, K)
+    with pytest.raises(IcpError, match=match):
+        multi_hypothesis_refine(depth, labels, 4, MODELS[4], pose, K,
+                                IcpParams(n_hypotheses=2))
+
+
+# windowed ICP against the whole-frame evaluation -----------------------------
+
+
+def _reference_icp_refine(observed, labels, class_id, model, init, intrinsics,
+                          params):
+    """icp_refine as it was before ICP rendered only the masked window: each
+    evaluation renders the whole frame, gathers through (ys, xs) and uses
+    np.cross and np.sum. Kept as the reference the windowed ICP must match
+    bit for bit."""
+    ys, xs = np.nonzero((labels.labels == class_id) & (observed.depth > 0))
+    z = observed.depth[ys, xs].astype(float)
+    rays = np.stack([(xs - intrinsics.px) / intrinsics.fx,
+                     (ys - intrinsics.py) / intrinsics.fy,
+                     np.ones(xs.size)], axis=1)
+    obs_pts = rays * z[:, None]
+    h, w = observed.depth.shape
+    reject = params.residual_reject_threshold
+
+    def evaluate(pose):
+        if pose.translation[2] <= 0:
+            return None
+        raster = render_full(Scene(instances=[(model.class_id, pose)],
+                                   intrinsics=intrinsics, width=w, height=h),
+                             {model.class_id: model})
+        hit = raster.depth[ys, xs] > 0
+        if not hit.any():
+            return None
+        p = rays[hit] * raster.depth[ys[hit], xs[hit]][:, None]
+        n = raster.normals[ys[hit], xs[hit]]
+        r = np.sum(n * (obs_pts[hit] - p), axis=1)
+        keep = np.abs(r) <= reject
+        n_in = int(keep.sum())
+        if n_in == 0:
+            return None
+        energy = (float(np.sum(np.minimum(np.abs(r), reject)))
+                  + (xs.size - int(hit.sum())) * reject) / xs.size
+        return (p[keep], n[keep], r[keep], n_in,
+                float(np.mean(np.abs(r[keep]))), energy)
+
+    current = init
+    state = init_state = evaluate(current)
+    trace = [state[5]]
+    iterations = 0
+    for iterations in range(1, params.max_iterations + 1):
+        p, n, r, n_in, mean_abs, energy = state
+        jac = np.hstack([np.cross(p, n), n])
+        jtj = jac.T @ jac
+        damp = 1e-9 * max(np.trace(jtj) / 6.0, 1e-12)
+        xi = np.linalg.solve(jtj + damp * np.eye(6), jac.T @ r)
+        step, accepted = 1.0, None
+        for _ in range(_MAX_HALVINGS):
+            cand = _apply_increment(current, step * xi[:3], step * xi[3:])
+            cand_state = evaluate(cand)
+            if cand_state is not None and cand_state[5] <= energy:
+                accepted = (cand, cand_state, step)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        current, state, step = accepted
+        trace.append(state[5])
+        change = step * (float(np.linalg.norm(xi[3:]))
+                         + float(np.linalg.norm(xi[:3])) * 0.5 * model.diameter)
+        if change < _CONVERGENCE_TOL:
+            break
+    if state[4] > init_state[4]:
+        current, state = init, init_state
+    return RefineResult(pose=current, mean_residual=state[4],
+                        inlier_fraction=state[3] / xs.size,
+                        iterations=iterations, objective_trace=trace)
+
+
+def _assert_same_refinement(args):
+    got = icp_refine(*args)
+    want = _reference_icp_refine(*args)
+    assert np.array_equal(got.pose.quaternion, want.pose.quaternion)
+    assert np.array_equal(got.pose.translation, want.pose.translation)
+    assert got.iterations == want.iterations
+    assert got.objective_trace == want.objective_trace
+    assert got.mean_residual == want.mean_residual
+    assert got.inlier_fraction == want.inlier_fraction
+
+
+def _recorded_icp_calls(monkeypatch, fn):
+    """Run fn() and return the arguments of every icp_refine call that
+    multi_hypothesis_refine made during it, defaults filled in."""
+    calls = []
+    real = refine.icp_refine
+
+    def record(observed, labels, class_id, model, init, intrinsics, params=None):
+        args = (observed, labels, class_id, model, init, intrinsics,
+                params or IcpParams())
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(refine, "icp_refine", record)
+        fn()
+    return calls
+
+
+def test_windowed_icp_matches_whole_frame_on_refine_noisy_scene(monkeypatch):
+    # the benchmark's refine_noisy op: scene 11, moderate noise, 4 hypotheses
+    cfg = pipeline.PipelineConfig(
+        seed=0, noise=NoiseSpec(rng_seed=0, direction_sigma=0.05,
+                                depth_sigma=0.005, rotation_sigma_deg=25.0),
+        refine=True, icp=IcpParams(n_hypotheses=4, rng_seed=0))
+    calls = _recorded_icp_calls(
+        monkeypatch, lambda: pipeline.evaluate_scene(11, cfg, MODELS))
+    assert len(calls) == 8
+    for args in calls:
+        _assert_same_refinement(args)
+
+
+def test_windowed_icp_matches_whole_frame_on_acceptance_7_cases(monkeypatch):
+    # the fixed-point, basin and multi-hypothesis cases of acceptance
+    # criterion 7, drawn the same way (its scenes are _scene(4, seed))
+    blob = MODELS[4]
+    rng = np.random.default_rng(107)
+    for s in range(10):
+        depth, labels, pose = _scene(4, 1000 + s)
+        _assert_same_refinement((depth, labels, 4, blob, pose, K,
+                                 IcpParams(max_iterations=10)))
+    for s in range(40):
+        depth, labels, pose = _scene(4, 2000 + s)
+        init = perturbed_pose(pose, rng.uniform(0, 10.0), rng.uniform(0, 0.02),
+                              rng)
+        _assert_same_refinement((depth, labels, 4, blob, init, K, IcpParams()))
+    for s in range(50):
+        depth, labels, pose = _scene(4, 3000 + s)
+        init = perturbed_pose(pose, 20.0, 0.02, rng)
+        calls = _recorded_icp_calls(monkeypatch, lambda: multi_hypothesis_refine(
+            depth, labels, 4, blob, init, K, IcpParams(n_hypotheses=8)))
+        assert len(calls) == 8
+        for args in calls:
+            _assert_same_refinement(args)

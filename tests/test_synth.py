@@ -347,6 +347,134 @@ def test_batched_raster_degenerate_triangles_match_loop(first, second):
     assert counts == solo
 
 
+_SLIVER = st.one_of(st.just(0.0), st.floats(1e-12, 1e-3),
+                   st.floats(1e-3, 2.0), st.floats(-1e-3, -1e-12))
+
+
+@st.composite
+def _span_triangles(draw):
+    """Triangles placed in pixel coordinates on the 40x30 frame of _KS:
+    vertices on and off pixel centers and edges, slivers a hair off a line,
+    edges close to horizontal or shorter than 1e-3 px, and vertices far
+    off-screen (some beyond 1e6 px). Returns camera-frame vertices."""
+    coord = st.one_of(st.sampled_from([-0.5, 0.0, 0.5, 1.0, 14.5, 20.0, 39.0,
+                                       39.5, 40.0]),
+                      st.integers(-3, 43).map(float),
+                      st.floats(-5.0, 45.0, allow_nan=False),
+                      st.sampled_from([-3e6, -2e5, 2e5, 3e6]))
+    uv = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = np.array([draw(coord), draw(coord)])
+        kind = draw(st.sampled_from(["free", "flat", "short", "sliver"]))
+        if kind == "free":
+            b = np.array([draw(coord), draw(coord)])
+            c = np.array([draw(coord), draw(coord)])
+        elif kind == "flat":  # an edge within a sliver of horizontal
+            b = a + [draw(st.floats(-60.0, 60.0)), draw(_SLIVER)]
+            c = np.array([draw(coord), draw(coord)])
+        elif kind == "short":  # an edge under 1e-3 px
+            b = a + [draw(_SLIVER) * 1e-3, draw(_SLIVER) * 1e-3]
+            c = np.array([draw(coord), draw(coord)])
+        else:  # c a hair off the line through a and b
+            b = np.array([draw(coord), draw(coord)])
+            off = np.array([a[1] - b[1], b[0] - a[0]]) * draw(_SLIVER)
+            c = a + draw(st.floats(-0.5, 1.5)) * (b - a) + off
+        uv += [a, b, c]
+    uv = np.array(uv)
+    z = np.array([draw(st.floats(0.2, 2.0)) for _ in range(len(uv))])
+    verts = np.stack([(uv[:, 0] - _KS.px) * z / _KS.fx,
+                      (uv[:, 1] - _KS.py) * z / _KS.fy, z], axis=1)
+    return verts, np.arange(len(uv)).reshape(-1, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_span_triangles(), _span_triangles())
+def test_span_walk_adversarial_triangles_match_loop(first, second):
+    meshes = [(first[0], first[1], 2), (second[0], second[1], 4)]
+    want, solo = _reference_pass(meshes, _KS, 40, 30)
+    got = RangeImage.empty(40, 30)
+    counts = [synth._raster_triangles(got, v, f, _KS, cid, inst)
+              for inst, (v, f, cid) in enumerate(meshes)]
+    _assert_same_raster(got, want)
+    assert counts == solo
+
+
+# windowed renders ------------------------------------------------------------
+
+
+def _crop(r, x0, y0, w, h):
+    return RangeImage(depth=r.depth[y0:y0 + h, x0:x0 + w],
+                      label=r.label[y0:y0 + h, x0:x0 + w],
+                      instance=r.instance[y0:y0 + h, x0:x0 + w],
+                      normals=r.normals[y0:y0 + h, x0:x0 + w])
+
+
+def _windows(r, rng):
+    """Windows on the mesh's pixels touching each frame border, a 1x1
+    window on it, and windows the mesh misses: a 1x1 one and, where there
+    is room, one beside the mesh's bounding box."""
+    ys, xs = np.nonzero(r.depth > 0)
+    h, w = r.depth.shape
+    bx0, bx1, by0, by1 = xs.min(), xs.max(), ys.min(), ys.max()
+    wins = [(0, 0, w, h), (0, by0, bx1 + 1, by1 - by0 + 1),
+            (bx0, 0, w - bx0, by1 + 1), (bx0, by0, w - bx0, h - by0),
+            (0, by0, w, h - by0), (bx0, by0, bx1 - bx0 + 1, by1 - by0 + 1)]
+    i = rng.integers(xs.size)
+    wins.append((int(xs[i]), int(ys[i]), 1, 1))
+    empty = np.flatnonzero(r.depth.ravel() == 0)
+    j = empty[rng.integers(empty.size)]
+    wins.append((int(j % w), int(j // w), 1, 1))
+    if bx0 > 0:
+        wins.append((0, 0, bx0, h))
+    if by1 < h - 1:
+        wins.append((0, by1 + 1, w, h - by1 - 1))
+    return [tuple(int(v) for v in win) for win in wins]
+
+
+@pytest.mark.parametrize("class_id", [1, 2, 3, 4],
+                         ids=["cube", "bar_2fold", "cylinder", "asymmetric_blob"])
+def test_window_render_equals_crop_of_full_render(class_id):
+    models = default_registry()
+    rng = np.random.default_rng(30 + class_id)
+    for _ in range(6):
+        t = np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15),
+                      rng.uniform(0.4, 1.4)])
+        scene = _lone_scene(class_id, Pose(random_quat(rng), t))
+        full = render_full(scene, models)
+        for win in _windows(full, rng):
+            scene.window = win
+            got = render_full(scene, models)
+            want = _crop(full, *win)
+            _assert_same_raster(got, want)
+            assert got.origin == win[:2]
+            assert got.coverage == [int(np.count_nonzero(want.depth))]
+
+
+def test_window_render_of_a_scene_counts_coverage_in_the_window():
+    models = default_registry()
+    scene = random_scene(3, models)
+    full = render_full(scene, models)
+    win = (50, 40, 200, 150)
+    scene.window = win
+    got = render_full(scene, models)
+    _assert_same_raster(got, _crop(full, *win))
+    for inst, (cid, pose) in enumerate(scene.instances):
+        alone = render_full(_lone_scene(cid, pose), models)
+        assert got.coverage[inst] == np.count_nonzero(_crop(alone, *win).depth)
+
+
+@pytest.mark.parametrize("win", [(-1, 0, 10, 10), (0, -1, 10, 10),
+                                 (0, 0, 0, 10), (0, 0, 10, 0),
+                                 (311, 0, 10, 10), (0, 231, 10, 10)])
+def test_window_outside_the_frame_rejected(win):
+    models = default_registry()
+    scene = _lone_scene(1, Pose(np.array([1.0, 0.0, 0.0, 0.0]),
+                                np.array([0.0, 0.0, 0.9])))
+    scene.window = win
+    with pytest.raises(SynthError, match="window"):
+        render_full(scene, models)
+
+
 # ground-truth fields --------------------------------------------------------
 
 
