@@ -20,13 +20,13 @@ import numpy as np
 from . import pipeline as pipeline_mod
 from .fields import CenterField, DepthMap, LabelMap
 from .geometry import CameraIntrinsics, Pose, rotation_angle_between
-from .losses import LossKind, loss_gradient_check, optimize_rotation, ploss, sloss
+from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
 from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
                       reprojection_error)
 from .ply import load_model, save_ply
 from .refine import IcpParams, multi_hypothesis_refine
-from .synth import (NoiseSpec, Scene, default_registry, make_primitive_model,
-                    random_quat, random_scene, scene_seed)
+from .synth import (PRIMITIVE_KINDS, NoiseSpec, Scene, default_registry,
+                    make_primitive_model, random_quat, random_scene, scene_seed)
 from .tensorio import load_tensor, save_tensor
 from .voting import detect
 
@@ -96,6 +96,14 @@ def load_poses(path: str) -> list[tuple[int, Pose]]:
     return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in data]
 
 
+def _load_pose(path: str) -> Pose:
+    """The one pose a pose file holds."""
+    poses = load_poses(path)
+    if len(poses) != 1:
+        raise ValueError(f"{path} holds {len(poses)} poses, expected 1")
+    return poses[0][1]
+
+
 _NOISE_PRESETS = {
     "none": {},
     "moderate": {"direction_sigma": 0.05, "depth_sigma": 0.005,
@@ -136,8 +144,9 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _seed(text: str) -> int:
-    """A seed for numpy's generators, which take no negative value."""
+def _non_negative_int(text: str) -> int:
+    """A count that may be zero, or a seed for numpy's generators, which
+    take no negative value."""
     return _int_at_least(text, 0)
 
 
@@ -190,11 +199,10 @@ def cmd_vote(args) -> int:
 
 def cmd_loss(args) -> int:
     model = load_model(args.model, class_id=1)
-    (_, est), = load_poses(args.pose_est)
-    (_, gt), = load_poses(args.pose_gt)
+    est = _load_pose(args.pose_est)
+    gt = _load_pose(args.pose_gt)
     kind = LossKind(args.kind)
-    fn = ploss if kind is LossKind.PLOSS else sloss
-    res = fn(est.quaternion, gt.quaternion, model)
+    res = evaluate_loss(kind, est.quaternion, gt.quaternion, model)
     out = {
         "kind": args.kind,
         "value_m2": res.value,
@@ -225,7 +233,8 @@ def cmd_eval(args) -> int:
     gt_poses = load_poses(args.gt)
     est_poses = load_poses(args.est)
     if len(gt_poses) != len(est_poses):
-        raise SystemExit("gt and est pose lists differ in length")
+        raise ValueError(f"gt and est pose lists differ in length: "
+                         f"{len(gt_poses)} and {len(est_poses)}")
     intr = load_intrinsics(args.intrinsics) if args.intrinsics else None
     rows = []
     for i, ((_, gt), (_, est)) in enumerate(zip(gt_poses, est_poses)):
@@ -254,7 +263,7 @@ def cmd_refine(args) -> int:
     observed = DepthMap(depth=load_tensor(args.depth))
     labels = LabelMap(labels=load_tensor(args.labels))
     model = load_model(args.model, class_id=args.class_id)
-    (_, init), = load_poses(args.init)
+    init = _load_pose(args.init)
     intr = load_intrinsics(args.intrinsics)
     res = multi_hypothesis_refine(observed, labels, args.class_id, model,
                                   init, intr, _icp_from_args(args))
@@ -304,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out-dir", required=True)
     s.add_argument("--random", type=_positive_int, default=1, metavar="N")
     s.add_argument("--scene", help="scene description JSON (instead of random)")
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
     s.set_defaults(func=cmd_synth)
 
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--labels", required=True)
     s.add_argument("--field", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_vote)
 
@@ -328,9 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rotation-error histogram from loss descent")
     s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
     s.add_argument("--model-kind", default="bar_2fold")
-    s.add_argument("--inits", type=int, default=200)
-    s.add_argument("--steps", type=int, default=500)
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--inits", type=_positive_int, default=200)
+    s.add_argument("--steps", type=_non_negative_int, default=500)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_histogram)
 
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--est", required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--intrinsics")
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.add_argument("--out-csv")
     s.set_defaults(func=cmd_eval)
@@ -351,26 +360,25 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--init", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
-    s.add_argument("--hypotheses", type=int, default=1)
+    s.add_argument("--hypotheses", type=_positive_int, default=1)
     s.set_defaults(func=cmd_refine)
 
     s = sub.add_parser("pipeline",
                        help="synth -> detect -> (refine) -> eval, end to end")
-    s.add_argument("--scenes", type=int, default=20)
-    s.add_argument("--seed", type=_seed, default=0)
+    s.add_argument("--scenes", type=_positive_int, default=20)
+    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--refine", action="store_true")
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--jobs", type=_positive_int, default=1)
     s.add_argument("--out")
     s.add_argument("--csv")
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
-    s.add_argument("--hypotheses", type=int, default=1)
+    s.add_argument("--hypotheses", type=_positive_int, default=1)
     s.set_defaults(func=cmd_pipeline)
 
     s = sub.add_parser("make-model", help="write a primitive model PLY")
-    s.add_argument("--kind", required=True,
-                   choices=["cube", "bar_2fold", "asymmetric_blob", "cylinder"])
+    s.add_argument("--kind", required=True, choices=PRIMITIVE_KINDS)
     s.add_argument("--scale", type=float, default=0.1)
     s.add_argument("--points", type=_positive_int, default=500)
     s.add_argument("--out", required=True)

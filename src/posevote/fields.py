@@ -56,14 +56,6 @@ class DepthMap:
         if np.any(self.depth < 0):
             raise FieldError("depths must be non-negative")
 
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
 
 @dataclass
 class CenterField:

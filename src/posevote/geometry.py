@@ -112,28 +112,16 @@ class CameraIntrinsics:
         return cls(fx=d["fx"], fy=d["fy"], px=d["px"], py=d["py"])
 
 
-def project(t, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pinhole projection of a 3D camera-frame point to pixels."""
-    t = np.asarray(t, dtype=float)
-    if t[2] <= 0:
-        raise GeometryError("point is behind the camera (Tz <= 0)")
-    return np.array(
-        [
-            intrinsics.fx * t[0] / t[2] + intrinsics.px,
-            intrinsics.fy * t[1] / t[2] + intrinsics.py,
-        ]
-    )
-
-
-def project_many(points, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Vectorized pinhole projection of an (n, 3) array; all z must be > 0."""
+def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Pinhole projection of camera-frame points of shape (..., 3) to pixels
+    of shape (..., 2); every z must be > 0."""
     points = np.asarray(points, dtype=float)
-    z = points[:, 2]
+    z = points[..., 2]
     if np.any(z <= 0):
-        raise GeometryError("points behind the camera (Tz <= 0)")
-    out = np.empty((points.shape[0], 2))
-    out[:, 0] = intrinsics.fx * points[:, 0] / z + intrinsics.px
-    out[:, 1] = intrinsics.fy * points[:, 1] / z + intrinsics.py
+        raise GeometryError("point is behind the camera (Tz <= 0)")
+    out = np.empty(points.shape[:-1] + (2,))
+    out[..., 0] = intrinsics.fx * points[..., 0] / z + intrinsics.px
+    out[..., 1] = intrinsics.fy * points[..., 1] / z + intrinsics.py
     return out
 
 

@@ -84,7 +84,8 @@ def sloss(q_est, q_gt, model: ObjectModel) -> LossResult:
     return _loss_impl(q_est, q_gt, model, matched=False)
 
 
-def _evaluate(kind: LossKind, q_est, q_gt, model) -> LossResult:
+def evaluate_loss(kind: LossKind, q_est, q_gt, model) -> LossResult:
+    """The loss of the given kind, with its gradient."""
     return ploss(q_est, q_gt, model) if kind is LossKind.PLOSS \
         else sloss(q_est, q_gt, model)
 
@@ -95,15 +96,15 @@ def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> floa
     finite-difference component magnitude.
     """
     qe = normalize_quat(q_est)
-    analytic = _evaluate(kind, qe, q_gt, model).gradient
+    analytic = evaluate_loss(kind, qe, q_gt, model).gradient
     fd = np.zeros(4)
     for k in range(4):
         qp = qe.copy()
         qp[k] += _FD_STEP
         qm = qe.copy()
         qm[k] -= _FD_STEP
-        fp = _evaluate(kind, qp, q_gt, model).value
-        fm = _evaluate(kind, qm, q_gt, model).value
+        fp = evaluate_loss(kind, qp, q_gt, model).value
+        fm = evaluate_loss(kind, qm, q_gt, model).value
         fd[k] = (fp - fm) / (2.0 * _FD_STEP)
     fd = _tangent_project(fd, qe)
     scale = max(float(np.max(np.abs(fd))), 1e-12)
@@ -125,7 +126,7 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     for q0 in inits:
         q = normalize_quat(q0)
         for t in range(steps):
-            g = _evaluate(kind, q, qg, model).gradient
+            g = evaluate_loss(kind, q, qg, model).gradient
             ng = float(np.linalg.norm(g))
             if ng < 1e-15:
                 break

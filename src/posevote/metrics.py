@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
-                       nearest_neighbors, project_many)
+from .geometry import (CameraIntrinsics, ObjectModel, Pose, nearest_neighbors,
+                       project)
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
 AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
@@ -38,12 +38,10 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
 
 def reprojection_error(pose_est: Pose, pose_gt: Pose, model: ObjectModel,
                        intrinsics: CameraIntrinsics) -> float:
-    """Mean pixel distance between corresponding projected model points."""
-    est = pose_est.transform(model.points)
-    gt = pose_gt.transform(model.points)
-    if np.any(est[:, 2] <= 0) or np.any(gt[:, 2] <= 0):
-        raise GeometryError("transformed points behind the camera")
-    d = project_many(est, intrinsics) - project_many(gt, intrinsics)
+    """Mean pixel distance between corresponding projected model points;
+    a point behind the camera raises GeometryError."""
+    d = (project(pose_est.transform(model.points), intrinsics)
+         - project(pose_gt.transform(model.points), intrinsics))
     return float(np.mean(np.linalg.norm(d, axis=1)))
 
 

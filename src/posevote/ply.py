@@ -138,7 +138,7 @@ def save_ply(path, points, normals=None, faces=None):
                 f.write("3 %d %d %d\n" % tuple(tri))
 
 
-def load_model(path, class_id: int, name: str | None = None) -> ObjectModel:
+def load_model(path, class_id: int) -> ObjectModel:
     """ObjectModel from a PLY file. Vertex normals, when present, must be
     unit length; they are checked and then dropped, as nothing uses them."""
     points, normals, faces = load_ply(path)
@@ -146,5 +146,5 @@ def load_model(path, class_id: int, name: str | None = None) -> ObjectModel:
         norms = np.linalg.norm(normals, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-6):
             raise GeometryError("model normals must be unit length")
-    return ObjectModel(class_id=class_id, name=name or str(path),
+    return ObjectModel(class_id=class_id, name=str(path),
                        points=points, faces=faces)

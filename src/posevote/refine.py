@@ -231,7 +231,6 @@ def multi_hypothesis_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     for _ in range(params.n_hypotheses - 1):
         hypotheses.append(_random_perturbation(init, rng))
     best = None
-    last_error = None
     for hyp in hypotheses:
         try:
             res = icp_refine(observed, labels, class_id, model, hyp,
@@ -243,5 +242,5 @@ def multi_hypothesis_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         if best is None or score > best[0]:
             best = (score, res)
     if best is None:
-        raise last_error if last_error else IcpError("no hypotheses to refine")
+        raise last_error  # every hypothesis failed (init is always one)
     return best[1]

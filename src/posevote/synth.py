@@ -24,9 +24,9 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .fields import CenterField, LabelMap, directions_to_center
-from .geometry import (CameraIntrinsics, ObjectModel, Pose, cross_rows,
-                       project, quat_from_axis_angle, quat_multiply,
-                       random_quat)
+from .geometry import (CameraIntrinsics, ObjectModel, Pose, backproject_center,
+                       cross_rows, project, quat_from_axis_angle,
+                       quat_multiply, random_quat)
 
 
 class SynthError(ValueError):
@@ -83,14 +83,6 @@ class RangeImage:
                    instance=np.full((height, width), -1, dtype=np.int32),
                    normals=np.zeros((height, width, 3)), origin=origin)
 
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
 
 @dataclass
 class InstanceTruth:
@@ -113,7 +105,7 @@ class InstanceTruth:
 # ---------------------------------------------------------------------------
 # primitive models
 
-_PRIMITIVE_KINDS = ("cube", "bar_2fold", "asymmetric_blob", "cylinder")
+PRIMITIVE_KINDS = ("cube", "bar_2fold", "asymmetric_blob", "cylinder")
 
 
 def _box_mesh(sx: float, sy: float, sz: float, k: int):
@@ -137,29 +129,20 @@ def _box_mesh(sx: float, sy: float, sz: float, k: int):
             face_pts[:, axis] = 0.5 * sign
             verts.append(face_pts * 2.0 * half)
     pts = np.concatenate(verts)
-    # locate the 8 corners in the grid and triangulate the box over them
-    corner_idx = {}
-    for ix, cs in enumerate(
-            (sign * half for sign in
-             (np.array([sx_, sy_, sz_]) for sx_ in (-1, 1)
-              for sy_ in (-1, 1) for sz_ in (-1, 1)))):
-        j = int(np.argmin(np.sum((pts - cs) ** 2, axis=1)))
-        corner_idx[ix] = j
-    # corner bit order: x sign (4), y sign (2), z sign (1)
-    quads = [
+    # corner bit order: x sign (4), y sign (2), z sign (1). A corner first
+    # occurs on the x face of its sign, at grid row (y) and column (z) 0 or
+    # k - 1; the box is triangulated over those 8 points.
+    corner_idx = np.array([((c >> 2) * k + (c >> 1 & 1) * (k - 1)) * k
+                           + (c & 1) * (k - 1) for c in range(8)], dtype=np.int64)
+    quads = corner_idx[[
         (0, 1, 3, 2),  # -x
         (4, 6, 7, 5),  # +x
         (0, 4, 5, 1),  # -y
         (2, 3, 7, 6),  # +y
         (0, 2, 6, 4),  # -z
         (1, 5, 7, 3),  # +z
-    ]
-    faces = []
-    for a, b, c, d in quads:
-        ia, ib, ic, id_ = (corner_idx[v] for v in (a, b, c, d))
-        faces.append([ia, ib, ic])
-        faces.append([ia, ic, id_])
-    return pts, np.array(faces, dtype=np.int64)
+    ]]
+    return pts, np.stack([quads[:, :3], quads[:, [0, 2, 3]]], axis=1).reshape(-1, 3)
 
 
 def _cylinder_mesh(radius: float, length: float, n_ang: int, n_len: int):
@@ -192,6 +175,18 @@ def _cylinder_mesh(radius: float, length: float, n_ang: int, n_len: int):
     return np.array(verts), np.array(faces, dtype=np.int64)
 
 
+def _fibonacci_dirs(n: int):
+    """n unit directions spread over the sphere on a Fibonacci spiral, with
+    their polar angles phi and azimuths theta."""
+    i = np.arange(n) + 0.5
+    phi = np.arccos(1 - 2 * i / n)
+    theta = math.pi * (1 + math.sqrt(5)) * i
+    dirs = np.stack([np.sin(phi) * np.cos(theta),
+                     np.sin(phi) * np.sin(theta),
+                     np.cos(phi)], axis=1)
+    return dirs, phi, theta
+
+
 def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
                          class_id: int = 1) -> ObjectModel:
     """Deterministic primitive point sets/meshes with known symmetry groups.
@@ -218,13 +213,7 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
         # floating point). The smooth surface avoids the spurious SLoss
         # minima that flat box faces create.
         half = max(n_points, 24) // 2
-        i = np.arange(half) + 0.5
-        phi = np.arccos(1 - 2 * i / half)
-        theta = math.pi * (1 + math.sqrt(5)) * i
-        dirs = np.stack([np.sin(phi) * np.cos(theta),
-                         np.sin(phi) * np.sin(theta),
-                         np.cos(phi)], axis=1)
-        p = dirs * (scale * np.array([1.0, 0.5, 0.15]))
+        p = _fibonacci_dirs(half)[0] * (scale * np.array([1.0, 0.5, 0.15]))
         mirrored = p.copy()
         mirrored[:, 0] *= -1.0
         mirrored[:, 1] *= -1.0
@@ -246,12 +235,7 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
         rng = np.random.default_rng(20240521)
         n = max(n_points, 50)
         # Fibonacci sphere directions, radius modulated by fixed harmonics
-        i = np.arange(n) + 0.5
-        phi = np.arccos(1 - 2 * i / n)
-        theta = math.pi * (1 + math.sqrt(5)) * i
-        dirs = np.stack([np.sin(phi) * np.cos(theta),
-                         np.sin(phi) * np.sin(theta),
-                         np.cos(phi)], axis=1)
+        dirs, phi, theta = _fibonacci_dirs(n)
         r = 0.5 * scale * (1.0 + 0.25 * np.sin(3 * theta) * np.sin(2 * phi)
                            + 0.15 * np.cos(phi + 0.7))
         pts = dirs * r[:, None] * np.array([1.0, 0.75, 0.55])
@@ -263,7 +247,7 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
         return ObjectModel(class_id=class_id, name="asymmetric_blob",
                            points=pts, faces=faces)
     raise SynthError(f"unknown primitive kind: {kind!r} "
-                     f"(expected one of {_PRIMITIVE_KINDS})")
+                     f"(expected one of {PRIMITIVE_KINDS})")
 
 
 # ---------------------------------------------------------------------------
@@ -448,15 +432,6 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
     return int(np.count_nonzero(covered))
 
 
-def _render_instance(r: RangeImage, model: ObjectModel, pose: Pose,
-                     intrinsics: CameraIntrinsics, inst: int):
-    if model.faces is None or not model.faces.size:
-        raise SynthError(f"model {model.name!r} has no faces to render")
-    pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
-    return _raster_triangles(r, pts_cam, model.faces, intrinsics,
-                             model.class_id, inst)
-
-
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
     """Z-buffer render returning depth/label/instance/normal buffers of the
     scene's window, or of the whole frame when it has none."""
@@ -472,8 +447,12 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
             raise SynthError(f"scene references unknown class id {cid}")
         if pose.translation[2] <= 0:
             raise SynthError("instance depth Tz must be positive")
-        r.coverage.append(
-            _render_instance(r, models[cid], pose, scene.intrinsics, inst))
+        model = models[cid]
+        if model.faces is None or not model.faces.size:
+            raise SynthError(f"model {model.name!r} has no faces to render")
+        pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
+        r.coverage.append(_raster_triangles(r, pts_cam, model.faces,
+                                            scene.intrinsics, model.class_id, inst))
     return r
 
 
@@ -603,10 +582,8 @@ def random_scene(seed: int, models: dict[int, ObjectModel],
         cy = height / 2.0 + float(rng.normal(0.0, spread))
         cx = min(max(cx, 0.15 * width), 0.85 * width)
         cy = min(max(cy, 0.15 * height), 0.85 * height)
-        tx = (cx - intr.px) * tz / intr.fx
-        ty = (cy - intr.py) * tz / intr.fy
         q = random_quat(rng)
-        instances.append((cid, Pose(q, np.array([tx, ty, tz]))))
+        instances.append((cid, Pose(q, backproject_center((cx, cy), tz, intr))))
     return Scene(instances=instances, intrinsics=intr, width=width, height=height)
 
 

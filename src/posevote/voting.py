@@ -34,10 +34,6 @@ class VoteGrid:
     scores: np.ndarray  # (height, width) non-negative integers
 
     @property
-    def height(self) -> int:
-        return self.scores.shape[0]
-
-    @property
     def width(self) -> int:
         return self.scores.shape[1]
 

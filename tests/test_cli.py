@@ -326,3 +326,83 @@ def test_refine_cli_rejects_points_only_model(tmp_path, capsys):
     assert run(args + ["--out", str(out)]) == 1
     assert "posevote: error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# each count flag with a value below its least: counts are at least 1, and
+# --steps (a descent may take no step) at least 0
+_REFINE_ARGV = ["refine", "--depth", "d", "--labels", "l", "--class-id", "1",
+                "--model", "m", "--init", "i", "--intrinsics", "k",
+                "--out", "{d}/r.json"]
+_BELOW_LEAST = [
+    (["histogram", "--kind", "sloss", "--out", "{d}/h.csv"], "--inits", "0"),
+    (["histogram", "--kind", "sloss", "--out", "{d}/h.csv"], "--steps", "-3"),
+    (["pipeline", "--out", "{d}/p.json"], "--scenes", "0"),
+    (["pipeline", "--out", "{d}/p.json"], "--jobs", "0"),
+    (["pipeline", "--out", "{d}/p.json"], "--hypotheses", "0"),
+    (_REFINE_ARGV, "--hypotheses", "0"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag, value", _BELOW_LEAST,
+                         ids=[f"{c[0]}{f}={v}" for c, f, v in _BELOW_LEAST])
+def test_count_below_least_exits_2(tmp_path, cmd, flag, value, capsys):
+    argv = [a.format(d=tmp_path) for a in cmd]
+    with pytest.raises(SystemExit) as e:
+        run(argv + [flag, value])
+    assert e.value.code == 2
+    assert f"argument {flag}: must be at least" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_histogram_zero_steps_writes_starting_angles(tmp_path):
+    out = tmp_path / "hist.csv"
+    assert run(["histogram", "--kind", "sloss", "--inits", "3", "--steps", "0",
+                "--seed", "2", "--out", str(out)]) == 0
+    with open(out) as f:
+        assert len(list(csv.DictReader(f))) == 3
+
+
+def test_eval_pose_lists_of_different_lengths_exit_1(tmp_path, capsys):
+    model = tmp_path / "m.ply"
+    run(["make-model", "--kind", "cube", "--out", str(model)])
+    poses = [_pose_entry(1, [1, 0, 0, 0], [0.01 * i, 0, 1.0]) for i in range(3)]
+    gt, est = tmp_path / "gt.json", tmp_path / "est.json"
+    _write_json(gt, poses)
+    _write_json(est, poses[:2])
+    out = tmp_path / "summary.json"
+    assert run(["eval", "--gt", str(gt), "--est", str(est),
+                "--model", str(model), "--out", str(out)]) == 1
+    assert ("posevote: error: gt and est pose lists differ in length: 3 and 2"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [0, 2])
+@pytest.mark.parametrize("bad", ["--pose-est", "--pose-gt"])
+def test_loss_rejects_pose_file_not_of_one_pose(tmp_path, bad, count, capsys):
+    model = tmp_path / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+    one, other = tmp_path / "one.json", tmp_path / "other.json"
+    _write_json(one, [_pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0])])
+    _write_json(other, [_pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0])] * count)
+    paths = {"--pose-est": str(one), "--pose-gt": str(one), bad: str(other)}
+    out = tmp_path / "loss.json"
+    rc = run(["loss", "--model", str(model), "--kind", "sloss",
+              "--out", str(out)] + [a for kv in paths.items() for a in kv])
+    assert rc == 1
+    assert (f"posevote: error: {other} holds {count} poses, expected 1"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_refine_rejects_init_file_of_two_poses(tmp_path, capsys):
+    args, inst = _refine_args(tmp_path)
+    init = args[args.index("--init") + 1]
+    entry = _pose_entry(inst["class_id"], inst["quaternion_wxyz"],
+                        inst["translation_m"])
+    _write_json(init, [entry, entry])
+    out = tmp_path / "refined.json"
+    assert run(args + ["--out", str(out)]) == 1
+    assert (f"posevote: error: {init} holds 2 poses, expected 1"
+            in capsys.readouterr().err)
+    assert not out.exists()

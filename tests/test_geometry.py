@@ -6,7 +6,6 @@ import pytest
 from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                Pose, backproject_center, model_diameter,
                                nearest_neighbors, normalize_quat, project,
-                               project_many,
                                quat_from_axis_angle, quat_multiply,
                                quat_to_rotation, random_quat,
                                rotation_angle_between)
@@ -113,13 +112,18 @@ def test_project_backproject_round_trip():
     assert worst < 1e-9
 
 
-def test_project_many_matches_scalar():
+def test_project_rows_match_single_points():
     rng = np.random.default_rng(6)
     pts = np.column_stack([rng.uniform(-1, 1, 20), rng.uniform(-1, 1, 20),
                            rng.uniform(0.3, 3.0, 20)])
-    many = project_many(pts, K)
+    many = project(pts, K)
+    assert many.shape == (20, 2)
     for i, p in enumerate(pts):
-        assert np.allclose(many[i], project(p, K))
+        assert np.array_equal(many[i], project(p, K))
+    assert np.array_equal(project(pts.reshape(4, 5, 3), K), many.reshape(4, 5, 2))
+    pts[7, 2] = 0.0
+    with pytest.raises(GeometryError):
+        project(pts, K)
 
 
 def test_pose_transform_and_compose():

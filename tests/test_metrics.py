@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose,
-                               project_many, quat_from_axis_angle,
+from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
+                               Pose, project, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat)
 from posevote.metrics import (accuracy_curve, add, add_s, auc, is_correct,
                               reprojection_error)
@@ -86,12 +86,23 @@ def test_reprojection_matches_oracle():
     rng = np.random.default_rng(5)
     m = make_primitive_model("cube", scale=0.1, n_points=96)
     est, gt = _random_pose(rng), _random_pose(rng)
-    a = project_many(m.points @ quat_to_rotation(est.quaternion).T
-                     + est.translation, K)
-    b = project_many(m.points @ quat_to_rotation(gt.quaternion).T
-                     + gt.translation, K)
+    a = project(m.points @ quat_to_rotation(est.quaternion).T
+                + est.translation, K)
+    b = project(m.points @ quat_to_rotation(gt.quaternion).T
+                + gt.translation, K)
     oracle = float(np.mean(np.linalg.norm(a - b, axis=1)))
     assert reprojection_error(est, gt, m, K) == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("behind", ["est", "gt"])
+def test_reprojection_rejects_points_behind_the_camera(behind):
+    m = make_primitive_model("cube", scale=0.1, n_points=96)
+    front = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    # the cube straddles the camera plane: some of its points have z < 0
+    straddle = Pose(front.quaternion, np.array([0.0, 0.0, 0.01]))
+    est, gt = (straddle, front) if behind == "est" else (front, straddle)
+    with pytest.raises(GeometryError, match="behind the camera"):
+        reprojection_error(est, gt, m, K)
 
 
 def test_reprojection_scales_with_focal_length():

@@ -74,6 +74,35 @@ def test_point_count_below_one_rejected(kind, n_points):
         make_primitive_model(kind, n_points=n_points)
 
 
+def _argmin_box_faces(pts, sx, sy, sz):
+    """The box's 12 corner triangles, each corner located by an argmin over
+    all grid points (the first among equals)."""
+    half = np.array([sx, sy, sz]) / 2.0
+    corner_idx = {}
+    for ix, cs in enumerate(
+            (sign * half for sign in
+             (np.array([sx_, sy_, sz_]) for sx_ in (-1, 1)
+              for sy_ in (-1, 1) for sz_ in (-1, 1)))):
+        corner_idx[ix] = int(np.argmin(np.sum((pts - cs) ** 2, axis=1)))
+    quads = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
+             (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)]
+    faces = []
+    for a, b, c, d in quads:
+        ia, ib, ic, id_ = (corner_idx[v] for v in (a, b, c, d))
+        faces.append([ia, ib, ic])
+        faces.append([ia, ic, id_])
+    return np.array(faces, dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7, 10, 21])
+@pytest.mark.parametrize("size", [(0.1, 0.1, 0.1), (0.3, 0.05, 0.12),
+                                  (1e-3, 2.0, 0.7), (0.14, 0.14, 0.14)])
+def test_box_corners_match_argmin_search(k, size):
+    pts, faces = synth._box_mesh(*size, k)
+    assert faces.dtype == np.int64
+    assert np.array_equal(faces, _argmin_box_faces(pts, *size))
+
+
 # rendering -----------------------------------------------------------------
 
 
