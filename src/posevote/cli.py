@@ -83,17 +83,47 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+def _read_json(path: str, parse):
+    """parse(the JSON document at path). A missing key, or a value parse
+    cannot use, raises ValueError naming the file (and the key)."""
+    try:
+        with open(path) as f:
+            return parse(json.load(f))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _poses(data) -> list[tuple[int, Pose]]:
+    entries = [data] if isinstance(data, dict) else data
+    if not (isinstance(entries, list) and all(isinstance(d, dict) for d in entries)):
+        raise ValueError("expected a pose object or a list of pose objects")
+    return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in entries]
+
+
+def _frame_size(desc: dict, key: str) -> int:
+    value = desc[key]
+    if type(value) is not int or value < 1:  # a JSON float or bool is no size
+        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
+
+
+def _scene(desc) -> Scene:
+    intr = CameraIntrinsics.from_dict(desc["intrinsics"])
+    instances = [(int(inst["class_id"]), Pose.from_dict(inst))
+                 for inst in desc["instances"]]
+    return Scene(instances=instances, intrinsics=intr,
+                 width=_frame_size(desc, "width"),
+                 height=_frame_size(desc, "height"))
+
+
 def load_intrinsics(path: str) -> CameraIntrinsics:
-    with open(path) as f:
-        return CameraIntrinsics.from_dict(json.load(f))
+    return _read_json(path, CameraIntrinsics.from_dict)
 
 
 def load_poses(path: str) -> list[tuple[int, Pose]]:
-    with open(path) as f:
-        data = json.load(f)
-    if isinstance(data, dict):
-        data = [data]
-    return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in data]
+    return _read_json(path, _poses)
 
 
 def _load_pose(path: str) -> Pose:
@@ -123,18 +153,12 @@ def _icp_from_args(args) -> IcpParams:
 # subcommands
 
 
-def _load_scene_json(path) -> Scene:
-    with open(path) as f:
-        desc = json.load(f)
-    intr = CameraIntrinsics.from_dict(desc["intrinsics"])
-    instances = [(int(inst["class_id"]), Pose.from_dict(inst))
-                 for inst in desc["instances"]]
-    return Scene(instances=instances, intrinsics=intr,
-                 width=int(desc["width"]), height=int(desc["height"]))
-
-
 def _int_at_least(text: str, low: int) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
     if n < low:
         raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
     return n
@@ -150,11 +174,23 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return x
+
+
 def cmd_synth(args) -> int:
+    given = _read_json(args.scene, _scene) if args.scene else None
     models = default_registry()
     os.makedirs(args.out_dir, exist_ok=True)
     noise = _noise_from_args(args)
-    given = _load_scene_json(args.scene) if args.scene else None
     index = []
     for i in range(args.random):
         scene = (given if given is not None
@@ -336,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("histogram",
                        help="rotation-error histogram from loss descent")
     s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
-    s.add_argument("--model-kind", default="bar_2fold")
+    s.add_argument("--model-kind", choices=PRIMITIVE_KINDS, default="bar_2fold")
     s.add_argument("--inits", type=_positive_int, default=200)
     s.add_argument("--steps", type=_non_negative_int, default=500)
     s.add_argument("--seed", type=_non_negative_int, default=0)
@@ -379,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("make-model", help="write a primitive model PLY")
     s.add_argument("--kind", required=True, choices=PRIMITIVE_KINDS)
-    s.add_argument("--scale", type=float, default=0.1)
+    s.add_argument("--scale", type=_positive_float, default=0.1)
     s.add_argument("--points", type=_positive_int, default=500)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_make_model)

@@ -9,7 +9,7 @@ a damped Gauss-Newton step on the 6-dof pose (rotation handled as a tangent
 increment composed onto the quaternion), with step halving so the mean
 inlier residual never increases. Multi-hypothesis refinement perturbs the
 initial pose with seeded random offsets and keeps the pose with the best
-alignment score = inlier_fraction - mean_residual / reject_threshold.
+alignment score = inlier_fraction - mean_residual / reject threshold.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .synth import RangeImage, Scene, render_full
 _MIN_MASK_PIXELS = 50
 _MAX_HALVINGS = 8
 _CONVERGENCE_TOL = 1e-5  # meters of pose change per iteration
+_RESIDUAL_REJECT_M = 0.02  # point-plane residuals above this are outliers
 _PERTURB_ROT_SIGMA_DEG = 20.0  # hypothesis rotation offsets
 _PERTURB_TRANS_SIGMA_M = 0.02  # hypothesis translation offsets
 
@@ -37,16 +38,15 @@ class IcpError(RuntimeError):
 
 @dataclass
 class IcpParams:
-    """ICP settings; the step schedule and hypothesis offsets are constants."""
+    """ICP settings; the step schedule, residual cut and hypothesis offsets
+    are constants."""
 
     max_iterations: int = 100
-    residual_reject_threshold: float = 0.02  # meters
     n_hypotheses: int = 8
     rng_seed: int = 0
 
     def __post_init__(self):
-        if (self.max_iterations <= 0 or self.residual_reject_threshold <= 0
-                or self.n_hypotheses <= 0):
+        if self.max_iterations <= 0 or self.n_hypotheses <= 0:
             raise ValueError("all ICP parameters must be positive")
 
 
@@ -58,9 +58,9 @@ class RefineResult:
     iterations: int
     objective_trace: list  # truncated energy at the start and per accepted step
 
-    def alignment_score(self, residual_scale: float) -> float:
+    def alignment_score(self) -> float:
         """Coverage-minus-fit score used to pick among refined hypotheses."""
-        return self.inlier_fraction - self.mean_residual / residual_scale
+        return self.inlier_fraction - self.mean_residual / _RESIDUAL_REJECT_M
 
 
 def _observed_points(observed: DepthMap, mask: np.ndarray,
@@ -146,7 +146,6 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     x0, y0 = int(xs.min()), int(ys.min())
     window = (x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1)
     flat = (ys - y0) * window[2] + (xs - x0)
-    reject = params.residual_reject_threshold
     radius = 0.5 * model.diameter
 
     def evaluate(pose: Pose):
@@ -155,7 +154,7 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         scene = Scene(instances=[(model.class_id, pose)], intrinsics=intrinsics,
                       width=w, height=h, window=window)
         raster = render_full(scene, {model.class_id: model})
-        return _associate(raster, flat, rays, obs_pts, reject)
+        return _associate(raster, flat, rays, obs_pts, _RESIDUAL_REJECT_M)
 
     current = init
     state = evaluate(current)
@@ -238,7 +237,7 @@ def multi_hypothesis_refine(observed: DepthMap, labels: LabelMap, class_id: int,
         except IcpError as exc:
             last_error = exc
             continue
-        score = res.alignment_score(params.residual_reject_threshold)
+        score = res.alignment_score()
         if best is None or score > best[0]:
             best = (score, res)
     if best is None:

@@ -197,8 +197,8 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
     asymmetric_blob: deformed ellipsoid point cloud, trivial symmetry group.
     cylinder: capped cylinder mesh with discrete n-fold axial symmetry.
     """
-    if scale <= 0:
-        raise SynthError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise SynthError(f"scale must be positive and finite, got {scale}")
     if n_points < 1:
         raise SynthError(f"n_points must be at least 1, got {n_points}")
     if kind == "cube":
@@ -559,15 +559,15 @@ def scene_seed(seed: int, i: int) -> int:
     return seed * 100003 + i
 
 
-def random_scene(seed: int, models: dict[int, ObjectModel],
-                 width: int = 320, height: int = 240) -> Scene:
-    """Seeded random scene: 3 to 5 objects, each class at most once (which
-    keeps inlier depth averages free of cross-instance contamination), seen
-    by a camera with fx = fy = 400 px and its principal point at the image
-    center. Tz is uniform in [0.7, 1.4] m; projected centers are normal
+def random_scene(seed: int, models: dict[int, ObjectModel]) -> Scene:
+    """Seeded random 320x240 scene: 3 to 5 objects, each class at most once
+    (which keeps inlier depth averages free of cross-instance contamination),
+    seen by a camera with fx = fy = 400 px and its principal point at the
+    image center. Tz is uniform in [0.7, 1.4] m; projected centers are normal
     around the image center (sigma 0.35 * min(width, height) / 2), clamped
     to [0.15, 0.85] of each side, so occluded objects and centers are common.
     """
+    width, height = 320, 240
     rng = np.random.default_rng(seed)
     intr = CameraIntrinsics(fx=400.0, fy=400.0, px=width / 2.0, py=height / 2.0)
     cids = list(models)

@@ -30,12 +30,8 @@ class VotingError(ValueError):
 
 @dataclass
 class VoteGrid:
-    class_id: int
     scores: np.ndarray  # (height, width) non-negative integers
-
-    @property
-    def width(self) -> int:
-        return self.scores.shape[1]
+    rays: tuple  # (xs, ys, nx, ny) of the voting pixels, as _class_rays gives them
 
 
 @dataclass
@@ -114,7 +110,7 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
     max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
     n_steps = int(max_len / _RAY_STEP) + 1
     if xs.size == 0 or n_steps < 1:
-        return VoteGrid(class_id=class_id, scores=grid)
+        return VoteGrid(grid, (xs, ys, nx, ny))
 
     steps = _exit_steps(xs, ys, nx, ny, w, h, n_steps)
     ends = np.cumsum(steps)
@@ -144,7 +140,7 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
             counts = np.bincount(hit - lo)
             flat[lo:lo + counts.size] += counts
         start = stop
-    return VoteGrid(class_id=class_id, scores=grid)
+    return VoteGrid(grid, (xs, ys, nx, ny))
 
 
 def find_centers(grid: VoteGrid,
@@ -160,7 +156,7 @@ def find_centers(grid: VoteGrid,
     if ys.size == 0:
         return []
     scores = grid.scores[ys, xs]
-    order = np.lexsort((ys * grid.width + xs, -scores))
+    order = np.lexsort((ys * grid.scores.shape[1] + xs, -scores))
     accepted: list[tuple[np.ndarray, int]] = []
     acc_xy: list[tuple[int, int]] = []
     for idx in order:
@@ -173,40 +169,24 @@ def find_centers(grid: VoteGrid,
     return accepted
 
 
-def collect_inliers(center, labels: LabelMap, fld: CenterField,
-                    class_id: int) -> np.ndarray:
-    """Class pixels whose ray passes within _INLIER_RAY_DISTANCE (3 px) of
-    the center while pointing toward it (positive dot product). Returns
-    (n, 2) integer (x, y) pairs in row-major pixel order, the order
-    np.nonzero gives them.
-    """
-    xs, ys, nx, ny = _class_rays(labels, fld, class_id)
-    if xs.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+def collect_inliers(center, grid: VoteGrid) -> np.ndarray:
+    """Mask over grid.rays: the rays that pass within _INLIER_RAY_DISTANCE
+    (3 px) of the center while pointing toward it (positive dot product)."""
+    xs, ys, nx, ny = grid.rays
     vx = float(center[0]) - xs
     vy = float(center[1]) - ys
     toward = vx * nx + vy * ny > 0
-    perp = np.abs(vx * ny - vy * nx)
-    keep = toward & (perp <= _INLIER_RAY_DISTANCE)
-    return np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
+    return toward & (np.abs(vx * ny - vy * nx) <= _INLIER_RAY_DISTANCE)
 
 
-def refine_center(center, inliers: np.ndarray, fld: CenterField,
-                  class_id: int) -> np.ndarray:
-    """Sub-pixel center: least-squares point closest to all inlier rays.
+def refine_center(center, xs, ys, nx, ny) -> np.ndarray:
+    """Sub-pixel center: least-squares point closest to the inlier rays.
 
     Solves sum_i (I - n_i n_i^T) c = sum_i (I - n_i n_i^T) p_i; falls back to
     the voted cell when the system is degenerate (e.g. all rays parallel).
     """
-    if inliers.shape[0] < 2:
+    if xs.size < 2:
         return np.asarray(center, dtype=float)
-    pl = fld.plane(class_id)
-    xs = inliers[:, 0]
-    ys = inliers[:, 1]
-    nx = pl[ys, xs, 0].astype(float)
-    ny = pl[ys, xs, 1].astype(float)
-    norm = np.hypot(nx, ny)
-    nx, ny = nx / norm, ny / norm
     a00 = np.sum(1.0 - nx * nx)
     a01 = np.sum(-nx * ny)
     a11 = np.sum(1.0 - ny * ny)
@@ -224,40 +204,44 @@ def refine_center(center, inliers: np.ndarray, fld: CenterField,
     return refined
 
 
-def estimate_translation(center, inliers: np.ndarray, fld: CenterField,
-                         class_id: int, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Translation from the voted center and the mean inlier depth."""
-    if inliers.shape[0] == 0:
+def estimate_translation(center, tz: np.ndarray,
+                         intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Translation from the voted center and the mean of the inliers'
+    predicted depths tz."""
+    if tz.size == 0:
         raise VotingError("no inlier support for translation estimate")
-    pl = fld.plane(class_id)
-    tz = float(np.mean(pl[inliers[:, 1], inliers[:, 0], 2].astype(float)))
-    if not tz > 0:  # also catches a NaN mean
+    mean_tz = float(np.mean(tz))
+    if not mean_tz > 0:  # also catches a NaN mean
         raise VotingError("mean predicted depth is not positive")
-    return backproject_center(np.asarray(center, dtype=float), tz, intrinsics)
+    return backproject_center(np.asarray(center, dtype=float), mean_tz, intrinsics)
 
 
 def detect(labels: LabelMap, fld: CenterField,
            intrinsics: CameraIntrinsics) -> list[Detection]:
     """Full voting pipeline: votes -> centers -> inliers -> translation/bbox.
 
-    The thresholds are fixed: find_centers' score cut and _NMS_RADIUS, and
-    collect_inliers' _INLIER_RAY_DISTANCE.
+    Each class's rays and depth plane are read once. The thresholds are
+    fixed: find_centers' score cut and _NMS_RADIUS, and collect_inliers'
+    _INLIER_RAY_DISTANCE.
     """
     detections: list[Detection] = []
     for cid in labels.class_ids():
         if not fld.has_class(cid):
             continue
         grid = cast_votes(labels, fld, cid)
+        xs, ys, nx, ny = grid.rays
+        tz = fld.plane(cid)[ys, xs, 2].astype(float)
         n_px = int(np.count_nonzero(labels.labels == cid))
         for center, score in find_centers(grid, class_pixel_count=n_px):
-            inliers = collect_inliers(center, labels, fld, cid)
-            if inliers.shape[0] == 0:
+            keep = collect_inliers(center, grid)
+            if not keep.any():
                 continue
-            center = refine_center(center, inliers, fld, cid)
-            translation = estimate_translation(center, inliers, fld, cid, intrinsics)
-            bbox = (int(inliers[:, 0].min()), int(inliers[:, 1].min()),
-                    int(inliers[:, 0].max()), int(inliers[:, 1].max()))
+            ix, iy = xs[keep], ys[keep]
+            center = refine_center(center, ix, iy, nx[keep], ny[keep])
+            translation = estimate_translation(center, tz[keep], intrinsics)
             detections.append(Detection(
-                class_id=cid, center=center, score=score, inliers=inliers,
-                bbox=bbox, translation=translation))
+                class_id=cid, center=center, score=score,
+                inliers=np.stack([ix, iy], axis=1).astype(np.int64),
+                bbox=(int(ix.min()), int(iy.min()), int(ix.max()), int(iy.max())),
+                translation=translation))
     return detections

@@ -406,3 +406,106 @@ def test_refine_rejects_init_file_of_two_poses(tmp_path, capsys):
     assert (f"posevote: error: {init} holds 2 poses, expected 1"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+# a value the parser cannot read as an integer is reported without the name
+# of the helper that reads it
+_NOT_AN_INTEGER = [
+    (["histogram", "--kind", "sloss", "--out", "{d}/h.csv"], "--steps", "abc"),
+    (["make-model", "--kind", "cube", "--out", "{d}/m.ply"], "--points", "1.5"),
+    (["pipeline", "--out", "{d}/p.json"], "--seed", "x"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag, value", _NOT_AN_INTEGER,
+                         ids=[f"{c[0]}{f}={v}" for c, f, v in _NOT_AN_INTEGER])
+def test_non_integer_exits_2_without_helper_name(tmp_path, cmd, flag, value,
+                                                 capsys):
+    argv = [a.format(d=tmp_path) for a in cmd]
+    with pytest.raises(SystemExit) as e:
+        run(argv + [flag, value])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer, got '{value}'" in err
+    assert not re.search(r"(?<![\w-])_\w", err), err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_histogram_unknown_model_kind_exits_2(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    with pytest.raises(SystemExit) as e:
+        run(["histogram", "--kind", "sloss", "--model-kind", "foo",
+             "--out", str(out)])
+    assert e.value.code == 2
+    assert "argument --model-kind: invalid choice: 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1", "0", "abc"])
+def test_make_model_scale_not_positive_finite_exits_2(tmp_path, scale, capsys):
+    out = tmp_path / "m.ply"
+    with pytest.raises(SystemExit) as e:
+        run(["make-model", "--kind", "cube", f"--scale={scale}", "--out", str(out)])
+    assert e.value.code == 2
+    assert "argument --scale:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _vote_inputs(tmp_path):
+    labels = np.zeros((20, 30), dtype=np.uint16)
+    save_tensor(tmp_path / "l.pft", labels)
+    save_tensor(tmp_path / "f.pft", np.zeros((1, 3, 20, 30), dtype=np.float32))
+    return ["vote", "--labels", str(tmp_path / "l.pft"),
+            "--field", str(tmp_path / "f.pft")]
+
+
+def test_intrinsics_missing_key_names_file_and_key(tmp_path, capsys):
+    k = tmp_path / "k.json"
+    _write_json(k, {key: v for key, v in K_JSON.items() if key != "py"})
+    out = tmp_path / "dets.json"
+    assert run(_vote_inputs(tmp_path) + ["--intrinsics", str(k),
+                                         "--out", str(out)]) == 1
+    assert f"posevote: error: {k}: missing key 'py'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    ({"class_id": 1, "quaternion_wxyz": [1, 0, 0, 0]}, "missing key 'translation_m'"),
+    (5, "expected a pose object or a list of pose objects"),
+    ([5], "expected a pose object or a list of pose objects"),
+])
+def test_pose_file_errors_name_the_file(tmp_path, content, message, capsys):
+    model = tmp_path / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    _write_json(good, [_pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0])])
+    _write_json(bad, content)
+    out = tmp_path / "summary.json"
+    assert run(["eval", "--gt", str(good), "--est", str(bad),
+                "--model", str(model), "--out", str(out)]) == 1
+    assert f"posevote: error: {bad}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _scene_json(**changes):
+    scene = {"intrinsics": K_JSON, "width": 160, "height": 120,
+             "instances": [_pose_entry(1, [1, 0, 0, 0], [0, 0, 0.8])]}
+    scene.update(changes)
+    return {k: v for k, v in scene.items() if v is not None}
+
+
+@pytest.mark.parametrize("scene, message", [
+    (_scene_json(intrinsics=None), "missing key 'intrinsics'"),
+    (_scene_json(width=0, height=0), "'width' must be a positive integer, got 0"),
+    (_scene_json(width=-5), "'width' must be a positive integer, got -5"),
+    (_scene_json(width=64.7), "'width' must be a positive integer, got 64.7"),
+    (_scene_json(height=120.0), "'height' must be a positive integer, got 120.0"),
+    (_scene_json(height=True), "'height' must be a positive integer, got True"),
+], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool"])
+def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys):
+    path = tmp_path / "scene.json"
+    _write_json(path, scene)
+    out_dir = tmp_path / "out"
+    assert run(["synth", "--out-dir", str(out_dir), "--scene", str(path)]) == 1
+    assert f"posevote: error: {path}: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()

@@ -148,14 +148,14 @@ def test_alignment_score_pareto_consistency():
                         iterations=3, objective_trace=[])
     bad = RefineResult(pose=p, mean_residual=0.005, inlier_fraction=0.5,
                        iterations=3, objective_trace=[])
-    assert good.alignment_score(0.02) > bad.alignment_score(0.02)
+    assert good.alignment_score() > bad.alignment_score()
 
 
 def test_icp_params_validation():
     with pytest.raises((IcpError, ValueError)):
         IcpParams(max_iterations=0)
     with pytest.raises((IcpError, ValueError)):
-        IcpParams(residual_reject_threshold=-1.0)
+        IcpParams(n_hypotheses=0)
 
 
 def test_label_shape_mismatch_raises_icp_error():
@@ -186,7 +186,7 @@ def _reference_icp_refine(observed, labels, class_id, model, init, intrinsics,
                      np.ones(xs.size)], axis=1)
     obs_pts = rays * z[:, None]
     h, w = observed.depth.shape
-    reject = params.residual_reject_threshold
+    reject = refine._RESIDUAL_REJECT_M
 
     def evaluate(pose):
         if pose.translation[2] <= 0:

@@ -66,6 +66,13 @@ def test_unknown_kind_rejected():
         make_primitive_model("cube", scale=-1.0)
 
 
+@pytest.mark.parametrize("kind", synth.PRIMITIVE_KINDS)
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0])
+def test_non_finite_or_zero_scale_rejected(kind, scale):
+    with pytest.raises(SynthError, match="scale must be positive and finite"):
+        make_primitive_model(kind, scale=scale)
+
+
 @pytest.mark.parametrize("kind", ["cube", "bar_2fold", "asymmetric_blob",
                                   "cylinder"])
 @pytest.mark.parametrize("n_points", [0, -5])
@@ -631,9 +638,9 @@ def test_random_scene_unique_classes():
 
 def test_random_scene_constants():
     models = default_registry()
+    w, h = 320, 240
     for seed in range(50):
-        w, h = (320, 240) if seed % 2 else (200, 150)
-        scene = random_scene(seed, models, width=w, height=h)
+        scene = random_scene(seed, models)
         assert (scene.width, scene.height) == (w, h)
         k = scene.intrinsics
         assert (k.fx, k.fy, k.px, k.py) == (400.0, 400.0, w / 2, h / 2)

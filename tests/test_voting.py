@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from posevote import pipeline, voting
 from posevote.fields import CenterField, LabelMap, directions_to_center
-from posevote.geometry import CameraIntrinsics
+from posevote.geometry import CameraIntrinsics, backproject_center
 from posevote.synth import NoiseSpec, default_registry, random_scene
 from posevote.voting import (VotingError, cast_votes, collect_inliers, detect,
                              estimate_translation, find_centers, refine_center)
@@ -254,12 +254,24 @@ def test_two_objects_same_class():
     assert abs(got[1][0] - c2[0]) <= 1 and abs(got[1][1] - c2[1]) <= 1
 
 
+def _inlier_rays(center, labels, fld):
+    """The class-1 rays (xs, ys, nx, ny) collect_inliers keeps for center."""
+    grid = cast_votes(labels, fld, 1)
+    keep = collect_inliers(np.asarray(center, dtype=float), grid)
+    return tuple(a[keep] for a in grid.rays)
+
+
+def _inlier_depths(center, labels, fld):
+    xs, ys, _, _ = _inlier_rays(center, labels, fld)
+    return fld.plane(1)[ys, xs, 2].astype(float)
+
+
 def test_collect_inliers_direction_sign():
     labels, fld = _field_with_pixels(60, 60, 1, [(10, 30), (50, 30)], (30, 30))
     # reverse the second pixel's direction so it points away from the center
     fld.plane(1)[30, 50, :2] *= -1
-    inl = collect_inliers(np.array([30.0, 30.0]), labels, fld, 1)
-    assert inl.tolist() == [[10, 30]]
+    xs, ys, _, _ = _inlier_rays([30.0, 30.0], labels, fld)
+    assert list(zip(xs.tolist(), ys.tolist())) == [(10, 30)]
 
 
 def test_collect_inliers_noise_free_full_set():
@@ -269,17 +281,17 @@ def test_collect_inliers_noise_free_full_set():
                      for x, y in zip(rng.integers(20, 60, 200),
                                      rng.integers(20, 55, 200))})
     labels, fld = _field_with_pixels(80, 70, 1, pixels, center)
-    inl = collect_inliers(np.array(center, dtype=float), labels, fld, 1)
+    xs, ys, _, _ = _inlier_rays(center, labels, fld)
     # every pixel but the center, in row-major (y, then x) order
     expect = sorted((p for p in pixels if p != center), key=lambda p: (p[1], p[0]))
-    assert list(map(tuple, inl.tolist())) == expect
+    assert list(zip(xs.tolist(), ys.tolist())) == expect
 
 
 def test_estimate_translation_principal_point():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
-    inl = collect_inliers(np.array([160.0, 120.0]), labels, fld, 1)
-    t = estimate_translation(np.array([160.0, 120.0]), inl, fld, 1, K)
+    tz = _inlier_depths([160.0, 120.0], labels, fld)
+    t = estimate_translation(np.array([160.0, 120.0]), tz, K)
     assert np.allclose(t, [0.0, 0.0, 1.0])
 
 
@@ -288,8 +300,8 @@ def test_estimate_translation_depth_mean():
                                      [(100, 120), (160, 40)], (160, 120))
     fld.plane(1)[120, 100, 2] = 0.9
     fld.plane(1)[40, 160, 2] = 1.1
-    inl = collect_inliers(np.array([160.0, 120.0]), labels, fld, 1)
-    t = estimate_translation(np.array([160.0, 120.0]), inl, fld, 1, K)
+    tz = _inlier_depths([160.0, 120.0], labels, fld)
+    t = estimate_translation(np.array([160.0, 120.0]), tz, K)
     assert t[2] == pytest.approx(1.0)
 
 
@@ -297,17 +309,14 @@ def test_nan_depth_raises_instead_of_nan_translation():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
     fld.plane(1)[40, 160, 2] = np.nan
-    inl = collect_inliers(np.array([160.0, 120.0]), labels, fld, 1)
+    tz = _inlier_depths([160.0, 120.0], labels, fld)
     with pytest.raises(VotingError):
-        estimate_translation(np.array([160.0, 120.0]), inl, fld, 1, K)
+        estimate_translation(np.array([160.0, 120.0]), tz, K)
 
 
 def test_estimate_translation_requires_support():
-    fld = CenterField(width=10, height=10)
-    fld.plane(1)
     with pytest.raises(VotingError):
-        estimate_translation(np.array([5.0, 5.0]), np.empty((0, 2), dtype=int),
-                             fld, 1, K)
+        estimate_translation(np.array([5.0, 5.0]), np.empty(0), K)
 
 
 def test_refine_center_subpixel():
@@ -317,8 +326,8 @@ def test_refine_center_subpixel():
                      for x, y in zip(rng.integers(40, 120, 300),
                                      rng.integers(30, 95, 300))})
     labels, fld = _field_with_pixels(200, 150, 1, pixels, center)
-    inl = collect_inliers(np.array([81.0, 63.0]), labels, fld, 1)
-    c = refine_center(np.array([81.0, 63.0]), inl, fld, 1)
+    rays = _inlier_rays([81.0, 63.0], labels, fld)
+    c = refine_center(np.array([81.0, 63.0]), *rays)
     assert np.allclose(c, center, atol=1e-6)
 
 
@@ -340,6 +349,56 @@ def test_detect_bbox_contains_inliers():
     xmin, ymin, xmax, ymax = d.bbox
     assert np.all(d.inliers[:, 0] >= xmin) and np.all(d.inliers[:, 0] <= xmax)
     assert np.all(d.inliers[:, 1] >= ymin) and np.all(d.inliers[:, 1] <= ymax)
+
+
+def _reference_detect(labels, fld, intrinsics):
+    """detect as it was before each class's rays were read once: every
+    center derives the class's rays again, refine_center reads and
+    re-normalizes the inliers' directions from the field, and the depths
+    are read from the field again. Kept as the reference detect must match
+    bit for bit."""
+    detections = []
+    for cid in labels.class_ids():
+        if not fld.has_class(cid):
+            continue
+        grid = cast_votes(labels, fld, cid)
+        n_px = int(np.count_nonzero(labels.labels == cid))
+        pl = fld.plane(cid)
+        for center, score in find_centers(grid, class_pixel_count=n_px):
+            xs, ys, nx, ny = voting._class_rays(labels, fld, cid)
+            vx, vy = float(center[0]) - xs, float(center[1]) - ys
+            keep = ((vx * nx + vy * ny > 0)
+                    & (np.abs(vx * ny - vy * nx) <= voting._INLIER_RAY_DISTANCE))
+            inliers = np.stack([xs[keep], ys[keep]], axis=1).astype(np.int64)
+            if inliers.shape[0] == 0:
+                continue
+            ix, iy = inliers[:, 0], inliers[:, 1]
+            inx = pl[iy, ix, 0].astype(float)
+            iny = pl[iy, ix, 1].astype(float)
+            norm = np.hypot(inx, iny)
+            center = refine_center(center, ix, iy, inx / norm, iny / norm)
+            tz = float(np.mean(pl[iy, ix, 2].astype(float)))
+            assert tz > 0
+            translation = backproject_center(center, tz, intrinsics)
+            bbox = (int(ix.min()), int(iy.min()), int(ix.max()), int(iy.max()))
+            detections.append((cid, center, score, inliers, bbox, translation))
+    return detections
+
+
+def test_detect_matches_reference_on_synth_frames(synth_frames):
+    n = 0
+    for f in synth_frames:
+        got = detect(f.labels, f.fld, K)  # K is every random scene's camera
+        want = _reference_detect(f.labels, f.fld, K)
+        assert len(got) == len(want)
+        for d, (cid, center, score, inliers, bbox, translation) in zip(got, want):
+            assert d.class_id == cid and d.score == score and d.bbox == bbox
+            assert np.array_equal(d.center, center)
+            assert d.inliers.dtype == inliers.dtype
+            assert np.array_equal(d.inliers, inliers)
+            assert np.array_equal(d.translation, translation)
+        n += len(got)
+    assert n > 14
 
 
 def test_detect_translation_equivariance():
