@@ -1,9 +1,10 @@
 """Hough voting for object center localization and translation recovery.
 
-Each labeled pixel casts votes along its predicted ray toward the center;
-accumulator maxima surviving non-maximum suppression become detections. The
-depth of a center is the mean of its inlier depth predictions, and the full
-3D translation follows by inverting the pinhole projection.
+Each labeled pixel casts votes along its predicted ray toward the center,
+added one cell run at a time into a difference array; accumulator maxima
+surviving non-maximum suppression become detections. The depth of a center
+is the mean of its inlier depth predictions, and the full 3D translation
+follows by inverting the pinhole projection.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .fields import CenterField, LabelMap
 from .geometry import CameraIntrinsics, backproject_center
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
-# Ray steps accumulated at once; a longer ray is its own chunk. Bounds the
-# per-chunk arrays whatever the number of labeled pixels.
+# Run boundaries accumulated at once; a ray with more is its own chunk.
+# Bounds the per-chunk arrays whatever the number of labeled pixels.
 _VOTE_STEP_BUDGET = 1 << 15
 _NMS_RADIUS = 20  # px, Chebyshev distance between accepted centers
 _INLIER_RAY_DISTANCE = 3.0  # px, perpendicular distance from ray to center
@@ -56,13 +57,18 @@ class Detection:
 
 
 def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
-    """Pixels of a class with a nonzero predicted direction (xs, ys, nx, ny)."""
+    """Pixels of a class with a nonzero predicted direction (xs, ys, nx, ny).
+
+    Raises VotingError if a labeled pixel's direction is NaN or infinite.
+    """
     if not fld.has_class(class_id):
         raise VotingError(f"field has no plane for class {class_id}")
     ys, xs = np.nonzero(labels.labels == class_id)
     pl = fld.plane(class_id)
     nx = pl[ys, xs, 0].astype(float)
     ny = pl[ys, xs, 1].astype(float)
+    if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
+        raise VotingError(f"class {class_id} has a non-finite predicted direction")
     norm = np.hypot(nx, ny)
     keep = norm > 1e-6
     nx, ny, norm = nx[keep], ny[keep], norm[keep]
@@ -74,7 +80,7 @@ def _exit_steps(xs, ys, nx, ny, w: int, h: int, n_steps: int) -> np.ndarray:
 
     A slab test against [-0.5, w-0.5) x [-0.5, h-0.5) gives the parameter at
     which each ray exits; 2 steps of margin past it cover rounding at the
-    border (the caller still masks the cells that fall outside).
+    border (the caller still discards the cells that fall outside).
     """
     t_exit = np.full(xs.shape, np.inf)
     for p, n, size in ((xs, nx, w), (ys, ny, h)):
@@ -86,12 +92,82 @@ def _exit_steps(xs, ys, nx, ny, w: int, h: int, n_steps: int) -> np.ndarray:
     return np.minimum(steps, n_steps)
 
 
-def _round_cells(p: np.ndarray, n: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """floor(p + n * ts + 0.5) as int32 cells, computed in place."""
-    v = n * ts
+def _ray_values(p: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """p + n * (k * _RAY_STEP) + 0.5 in the walk's order of operations, in
+    place; its floor is the cell that step k lands in."""
+    v = k * _RAY_STEP
+    v *= n
     v += p
     v += 0.5
+    return v
+
+
+def _round_cells(p: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The cells of steps k, floor(_ray_values(p, n, k)), as int32."""
+    v = _ray_values(p, n, k)
     return np.floor(v, out=v).astype(np.int32)
+
+
+def _run_starts(p, n, j, row) -> np.ndarray:
+    """First step k whose cell _round_cells(p, n, k) reaches row, j >= 1
+    cells from p: where _ray_values reaches row, or falls below row + 1 when
+    n < 0. The real-valued crossing estimates k, which then moves one step
+    at a time until the value at k is past that edge and at k - 1 is not;
+    the value is monotone in k, so this ends at the true first step.
+    """
+    up = n > 0
+    edge = row + np.where(up, 0.0, 1.0)
+    k = np.ceil((2 * j - 1) / np.abs(n)).astype(np.int64)
+    at, pt, nt, et, ut, kt = np.arange(k.size), p, n, edge, up, k
+    while kt.size:
+        early = (_ray_values(pt, nt, kt) >= et) != ut
+        late = (_ray_values(pt, nt, kt - 1) >= et) == ut
+        i = np.flatnonzero(early | late)
+        at, pt, nt, et, ut, kt = at[i], pt[i], nt[i], et[i], ut[i], kt[i] + early[i] - late[i]
+        k[at] = kt
+    return k
+
+
+def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
+    """Votes as a (minor cells, major cells) grid of the given shape, from
+    rays with minor and major coordinates p, q, directions n, m and cells
+    pe, qe at their last step. Each run adds +1 at the low end of its
+    major-axis segment and -1 just past its high end to a difference array.
+    Its minor axis is padded by 2 cells on each side for the walk's last
+    steps past the border; segment ends are clipped to the frame, so a
+    segment wholly outside cancels itself.
+    """
+    rows, size = shape
+    diff = np.zeros((rows + 4) * (size + 1), dtype=np.int64)
+
+    def add(row, cell, weight, past):
+        np.add.at(diff, (row + 2) * (size + 1) + np.clip(cell + past, 0, size), weight)
+
+    # A run starts at step 0 or at a boundary k, and ends at step k - 1 or
+    # last. A start adds sign at its cell (past it if sign < 0), an end adds
+    # -sign at its cell (past it if sign > 0).
+    sign = np.where(m < 0, -1, 1)
+    add(p, q, sign, sign < 0)
+    add(pe, qe, -sign, sign > 0)
+    moves = pe - p
+    bounds = np.abs(moves)  # a ray's run boundaries
+    step = np.sign(moves)  # minor cell change from one run to the next
+    ends = np.cumsum(bounds)
+    start = 0
+    while start < p.size:
+        base = ends[start - 1] if start else 0
+        stop = max(start + 1,
+                   int(np.searchsorted(ends, base + _VOTE_STEP_BUDGET, side="right")))
+        c = slice(start, stop)
+        count = bounds[c]
+        j = np.arange(1, ends[stop - 1] - base + 1) - np.repeat(ends[c] - count - base, count)
+        pb, nb, qb, mb, db, sb = (np.repeat(a[c], count) for a in (p, n, q, m, step, sign))
+        row = pb + j * db
+        k = _run_starts(pb, nb, j, row)
+        add(row, _round_cells(qb, mb, k), sb, sb < 0)
+        add(row - db, _round_cells(qb, mb, k - 1), -sb, sb > 0)
+        start = stop
+    return np.cumsum(diff.reshape(rows + 4, size + 1), axis=1)[2:rows + 2, :size]
 
 
 def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
@@ -100,9 +176,13 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
 
     Each pixel increments every grid cell its ray visits (all-touched
     stepping at half-pixel resolution), up to max ray length or the border.
-    Each ray is walked only until it leaves the image, and whole rays are
-    accumulated in chunks of at most _VOTE_STEP_BUDGET steps. Accumulation
-    is pure addition, so the result is independent of pixel processing order.
+    A ray's cells never turn back and move at most one per step on each
+    axis, so on its minor axis (the one whose cell moves less) the walk
+    falls into runs of one cell, each covering every major-axis cell between
+    its first and last step once. Votes are added one cell run at a time
+    into a difference array, until each ray leaves the image, in chunks of
+    whole rays with at most _VOTE_STEP_BUDGET run boundaries. Accumulation
+    is pure addition, so the result is independent of pixel order.
     """
     h, w = labels.height, labels.width
     grid = np.zeros((h, w), dtype=np.int64)
@@ -112,34 +192,12 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
     if xs.size == 0 or n_steps < 1:
         return VoteGrid(grid, (xs, ys, nx, ny))
 
-    steps = _exit_steps(xs, ys, nx, ny, w, h, n_steps)
-    ends = np.cumsum(steps)
-    flat = grid.ravel()
-    start = 0
-    while start < steps.size:
-        base = ends[start - 1] if start else 0
-        stop = max(start + 1,
-                   int(np.searchsorted(ends, base + _VOTE_STEP_BUDGET, side="right")))
-        size = steps[start:stop]
-        first = ends[start:stop] - size - base  # each ray's first step in the chunk
-        ts = (np.arange(ends[stop - 1] - base) - np.repeat(first, size)) * _RAY_STEP
-        # cells touched along each ray, rounded to nearest integer pixel
-        cx = _round_cells(np.repeat(xs[start:stop], size),
-                          np.repeat(nx[start:stop], size), ts)
-        cy = _round_cells(np.repeat(ys[start:stop], size),
-                          np.repeat(ny[start:stop], size), ts)
-        # a negative cell wraps to a large unsigned value
-        inside = (cx.view(np.uint32) < w) & (cy.view(np.uint32) < h)
-        key = cy * np.int32(w) + cx  # int32: a frame holds < 2**31 cells
-        fresh = np.ones_like(inside)
-        fresh[1:] = key[1:] != key[:-1]  # dedup consecutive duplicates
-        fresh[first] = True
-        hit = key[inside & fresh]
-        if hit.size:
-            lo = int(hit.min())
-            counts = np.bincount(hit - lo)
-            flat[lo:lo + counts.size] += counts
-        start = stop
+    last = _exit_steps(xs, ys, nx, ny, w, h, n_steps) - 1
+    ex = _round_cells(xs, nx, last)
+    ey = _round_cells(ys, ny, last)
+    along_x = np.abs(ey - ys) <= np.abs(ex - xs)  # y is the minor axis
+    grid += _run_votes(*(a[along_x] for a in (ys, ny, ey, xs, nx, ex)), (h, w))
+    grid += _run_votes(*(a[~along_x] for a in (xs, nx, ex, ys, ny, ey)), (w, h)).T
     return VoteGrid(grid, (xs, ys, nx, ny))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,87 @@ def test_cast_votes_matches_reference_random_fields(data):
         | st.floats(-1, 1, width=32)))
     max_ray_length = data.draw(st.none() | st.integers(1, 20))
     _assert_matches_reference(LabelMap(labels), fld, 1, max_ray_length)
+
+
+_EXACT_DIRECTIONS = [0.0, 1.0, -1.0, 0.5, -0.5, 0.6, -0.6, 0.8, -0.8, 1e-3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cast_votes_matches_reference_long_rays(data):
+    h = data.draw(st.integers(1, 240), label="h")
+    w = data.draw(st.integers(1, 320), label="w")
+    pixels = data.draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+                                min_size=1, max_size=40, unique=True), label="pixels")
+    direction = (st.sampled_from(_EXACT_DIRECTIONS)
+                 | st.floats(allow_nan=False, allow_infinity=False, width=32))
+    rays = [(x, y, data.draw(direction), data.draw(direction)) for x, y in pixels]
+    max_ray_length = data.draw(st.none() | st.integers(1, 400), label="max_ray_length")
+    # a small budget splits the rays into chunks of one or a few rays
+    budget = data.draw(st.sampled_from([4, 64, voting._VOTE_STEP_BUDGET]), label="budget")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voting, "_VOTE_STEP_BUDGET", budget)
+        _assert_matches_reference(*_ray_field(w, h, rays), 1, max_ray_length)
+
+
+def test_cast_votes_matches_reference_on_cell_edges():
+    """Walks that land exactly on cell edges: (3, 4) and (4, 3) normalize to
+    exactly 0.6 and 0.8, so some runs start a step after the real-valued
+    estimate of their first step."""
+    w, h = 64, 48
+    dirs = [(0.6, 0.8), (3.0, 4.0), (0.5, math.sqrt(0.75)), (1e-3, 1.0)]
+    for x, y in ((0, 0), (31, 23), (63, 47), (10, 40), (50, 5)):
+        for dx, dy in dirs:
+            for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                for d in ((sx * dx, sy * dy), (sy * dy, sx * dx)):
+                    for max_ray_length in (None, 13):
+                        _assert_matches_reference(*_ray_field(w, h, [(x, y, *d)]), 1,
+                                                  max_ray_length)
+
+
+def test_run_starts_matches_step_scan():
+    """Directions a few ulps either side of 3/5, 1/2, 4/5, 1, 1/3 and 1e-3,
+    where the real-valued estimate of a run's first step is off by one in
+    either direction, against a scan of every step."""
+    ks = np.arange(401)
+    ps, ns, js, want = [], [], [], []
+    for p in (0, 7, 150, 300):
+        for base in (0.6, 0.5, 0.8, 1.0, 1 / 3, 1e-3, -0.6, -0.5, -0.8, -1.0, -1 / 3, -1e-3):
+            near, up, down = [base], base, base
+            for _ in range(2):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+                near += [up, down]
+            for n in near:
+                cells = voting._round_cells(np.full(ks.size, p), np.full(ks.size, n), ks)
+                moved = np.abs(cells.astype(np.int64) - p)
+                for j in range(1, moved[-1] + 1):
+                    ps.append(p)
+                    ns.append(n)
+                    js.append(j)
+                    want.append(int(np.argmax(moved >= j)))
+    ps, ns, js = np.array(ps), np.array(ns), np.array(js)
+    got = voting._run_starts(ps, ns, js, ps + js * np.sign(ns).astype(np.int64))
+    assert got.tolist() == want
+
+
+def test_cast_votes_on_axis_rays_raises_no_warning():
+    rays = [(0, 0, 1, 0), (11, 8, -1, 0), (22, 16, 0, -1), (5, 16, 0, 1), (3, 3, 0.0, -0.5)]
+    labels, fld = _ray_field(23, 17, rays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cast_votes(labels, fld, 1)
+    assert np.array_equal(grid.scores, _reference_cast_votes(labels, fld, 1))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_direction_raises(axis, value):
+    labels, fld = _field_with_pixels(20, 20, 1, [(3, 4), (15, 12), (8, 17)], (10, 10))
+    fld.plane(1)[12, 15, axis] = value
+    with pytest.raises(VotingError, match="class 1"):
+        cast_votes(labels, fld, 1)
+    with pytest.raises(VotingError, match="class 1"):
+        detect(labels, fld, K)
 
 
 def test_find_centers_empty_grid():
