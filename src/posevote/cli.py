@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("refine", help="multi-hypothesis ICP refinement")
     s.add_argument("--depth", required=True)
     s.add_argument("--labels", required=True)
-    s.add_argument("--class-id", type=int, required=True)
+    s.add_argument("--class-id", type=_positive_int, required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--init", required=True)
     s.add_argument("--intrinsics", required=True)
@@ -427,8 +427,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:
         print(f"posevote: error: {exc}", file=sys.stderr)
         return 1

@@ -18,15 +18,24 @@ class FieldError(ValueError):
 
 @dataclass
 class LabelMap:
-    """Per-pixel class ids, 0 = background; shape (height, width)."""
+    """Per-pixel class ids, 0 = background; shape (height, width).
+
+    Stored as uint16. Other integer input is checked to lie in [0, 65535]
+    before it is converted; non-integer input raises FieldError.
+    """
 
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels)
-        if self.labels.ndim != 2:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2:
             raise FieldError("labels must be 2-D")
-        self.labels = self.labels.astype(np.uint16, copy=False)
+        if labels.dtype != np.uint16:
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise FieldError(f"labels must be integers, got {labels.dtype}")
+            if labels.size and (labels.min() < 0 or labels.max() > 65535):
+                raise FieldError("labels must lie in [0, 65535]")
+        self.labels = labels.astype(np.uint16, copy=False)
 
     @property
     def height(self) -> int:

@@ -11,9 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
-from scipy.spatial.distance import cdist
-
-_BRUTE_FORCE_LIMIT = 2000
 
 
 class GeometryError(ValueError):
@@ -196,16 +193,16 @@ def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
 
 
 def nearest_neighbors(query: np.ndarray, targets: np.ndarray):
-    """(distances, indices) of the closest target to each query point.
+    """(distances, indices) of the closest target to each query point,
+    answered by a k-d tree over the targets.
 
-    Up to _BRUTE_FORCE_LIMIT targets one dense distance matrix is searched
-    (ties -> lowest index) and the distances are read back from it; above
-    that a k-d tree answers the query.
+    Among targets at equal distance the index is the tree's choice, which is
+    deterministic but not always the lowest. Exact duplicates share their
+    coordinates, so targets[indices] holds the same points whichever index
+    the tree picks. A non-finite query or target raises GeometryError.
     """
-    if targets.shape[0] <= _BRUTE_FORCE_LIMIT:
-        d = cdist(query, targets)
-        idx = np.argmin(d, axis=1)
-        return d[np.arange(idx.size), idx], idx
+    if not (np.isfinite(query).all() and np.isfinite(targets).all()):
+        raise GeometryError("nearest-neighbour points must be finite")
     return cKDTree(targets).query(query, k=1)
 
 

@@ -46,8 +46,12 @@ class IcpParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.n_hypotheses <= 0:
-            raise ValueError("all ICP parameters must be positive")
+        counts = (self.max_iterations, self.n_hypotheses)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+            raise ValueError("max_iterations and n_hypotheses must be "
+                             "integers of at least 1")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise ValueError("rng_seed must be a non-negative integer")
 
 
 @dataclass

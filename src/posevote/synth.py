@@ -52,12 +52,13 @@ class NoiseSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.direction_sigma < 0 or self.depth_sigma < 0:
-            raise SynthError("noise sigmas must be non-negative")
+        sigmas = (self.direction_sigma, self.depth_sigma, self.rotation_sigma_deg)
+        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+            raise SynthError("noise sigmas must be finite and non-negative")
         if not 0 <= self.label_flip_rate < 1:
             raise SynthError("label_flip_rate must be in [0, 1)")
-        if self.rotation_sigma_deg < 0:
-            raise SynthError("rotation_sigma_deg must be non-negative")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise SynthError("rng_seed must be a non-negative integer")
 
 
 @dataclass

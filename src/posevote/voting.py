@@ -183,13 +183,20 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
     into a difference array, until each ray leaves the image, in chunks of
     whole rays with at most _VOTE_STEP_BUDGET run boundaries. Accumulation
     is pure addition, so the result is independent of pixel order.
+
+    max_ray_length is None (the frame diagonal) or an integer of at least 1;
+    any other value raises VotingError.
     """
+    if max_ray_length is not None and not (
+            isinstance(max_ray_length, (int, np.integer)) and max_ray_length >= 1):
+        raise VotingError("max_ray_length must be None or an integer of at "
+                          f"least 1, got {max_ray_length!r}")
     h, w = labels.height, labels.width
     grid = np.zeros((h, w), dtype=np.int64)
     xs, ys, nx, ny = _class_rays(labels, fld, class_id)
     max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
     n_steps = int(max_len / _RAY_STEP) + 1
-    if xs.size == 0 or n_steps < 1:
+    if xs.size == 0:
         return VoteGrid(grid, (xs, ys, nx, ny))
 
     last = _exit_steps(xs, ys, nx, ny, w, h, n_steps) - 1

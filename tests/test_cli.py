@@ -153,6 +153,21 @@ def test_synth_vote_end_to_end(tmp_path):
         assert err <= 2.0
 
 
+def test_vote_rejects_depth_tensor_as_labels(tmp_path, capsys):
+    # float depths cast to uint16 would read as labels and give no detections
+    out_dir = tmp_path / "scenes"
+    assert run(["synth", "--out-dir", str(out_dir), "--seed", "3"]) == 0
+    prefix = str(out_dir / "scene_0000")
+    k_path = tmp_path / "k.json"
+    _write_json(k_path, K_JSON)
+    out = tmp_path / "dets.json"
+    assert run(["vote", "--labels", prefix + "_depth.pft",
+                "--field", prefix + "_field.pft",
+                "--intrinsics", str(k_path), "--out", str(out)]) == 1
+    assert "posevote: error: labels must be integers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_synth_random_below_one_exits_2(tmp_path, count, capsys):
     out_dir = tmp_path / "scenes"
@@ -340,6 +355,8 @@ _BELOW_LEAST = [
     (["pipeline", "--out", "{d}/p.json"], "--jobs", "0"),
     (["pipeline", "--out", "{d}/p.json"], "--hypotheses", "0"),
     (_REFINE_ARGV, "--hypotheses", "0"),
+    (_REFINE_ARGV, "--class-id", "0"),
+    (_REFINE_ARGV, "--class-id", "-1"),
 ]
 
 

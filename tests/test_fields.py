@@ -56,6 +56,19 @@ def test_label_map_validation():
     lm = LabelMap(np.array([[0, 1], [2, 0]]))
     assert lm.class_ids() == [1, 2]
     assert lm.width == 2 and lm.height == 2
+    lm = LabelMap(np.array([[0, 65535]]))
+    assert lm.labels.dtype == np.uint16 and lm.class_ids() == [65535]
+
+
+# a uint16 cast would turn each into a plausible label: 1.7 -> 1,
+# -1 -> 65535, 70000 -> 4464, NaN -> 0
+@pytest.mark.parametrize("bad", [np.array([[1.7]]), np.array([[np.nan]]),
+                                 np.array([[-1]]), np.array([[70000]]),
+                                 np.array([[True]])],
+                         ids=["fraction", "nan", "negative", "above-uint16", "bool"])
+def test_label_map_rejects_values_it_cannot_hold(bad):
+    with pytest.raises(FieldError):
+        LabelMap(np.pad(bad, ((0, 1), (0, 1))))
 
 
 def test_depth_map_validation():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                Pose, backproject_center, model_diameter,
@@ -9,6 +10,7 @@ from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                quat_from_axis_angle, quat_multiply,
                                quat_to_rotation, random_quat,
                                rotation_angle_between)
+from posevote.synth import default_registry, make_primitive_model
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=240.0)
 
@@ -238,7 +240,57 @@ def test_object_model_rejects_out_of_range_faces():
         ObjectModel(class_id=1, name="t", points=pts, faces=[[0, 1, 3]])
 
 
-def test_nearest_neighbors_ties_pick_lowest_index():
+def _reference_nearest_neighbors(query, targets):
+    """The dense search: one distance matrix, ties -> lowest index."""
+    d = cdist(query, targets)
+    idx = np.argmin(d, axis=1)
+    return d[np.arange(idx.size), idx], idx
+
+
+def _pose_pairs(rng, n):
+    """n random pose pairs and n near-converged ones (about 0.5 degrees
+    and 1 mm apart)."""
+    for _ in range(n):
+        yield (Pose(random_quat(rng), rng.uniform(-0.2, 0.2, 3)),
+               Pose(random_quat(rng), rng.uniform(-0.2, 0.2, 3)))
+    for _ in range(n):
+        est = Pose(random_quat(rng), rng.uniform(-0.2, 0.2, 3))
+        dq = quat_from_axis_angle(rng.standard_normal(3),
+                                  math.radians(rng.uniform(0.0, 0.5)))
+        yield est, Pose(quat_multiply(est.quaternion, dq),
+                        est.translation + rng.uniform(-1e-3, 1e-3, 3))
+
+
+@pytest.mark.parametrize("model", [*default_registry().values(),
+                                   make_primitive_model("bar_2fold", scale=0.1,
+                                                        n_points=320)],
+                         ids=lambda m: f"{m.name}-{m.points.shape[0]}")
+def test_nearest_neighbors_matches_dense_reference(model):
+    # the same distances and the same gathered points as the dense search;
+    # an index may differ only between exact duplicates
+    rng = np.random.default_rng(14)
+    for est, gt in _pose_pairs(rng, 10):
+        for query, targets in ((est.transform(model.points),
+                                gt.transform(model.points)),
+                               (model.points @ est.rotation_matrix().T,
+                                model.points @ gt.rotation_matrix().T)):
+            dist, idx = nearest_neighbors(query, targets)
+            ref_dist, ref_idx = _reference_nearest_neighbors(query, targets)
+            assert np.array_equal(dist, ref_dist)
+            assert np.array_equal(targets[idx], targets[ref_idx])
+
+
+def test_nearest_neighbors_ties_pick_a_nearest_target():
     targets = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
     dist, idx = nearest_neighbors(np.zeros((1, 3)), targets)
-    assert idx[0] == 0 and dist[0] == 1.0
+    assert dist[0] == 1.0
+    assert np.linalg.norm(targets[idx[0]]) == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["query", "targets"])
+def test_nearest_neighbors_rejects_non_finite(where, bad):
+    points = {"query": np.zeros((4, 3)), "targets": np.eye(3)}
+    points[where][1, 2] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        nearest_neighbors(points["query"], points["targets"])

@@ -90,7 +90,7 @@ def test_sloss_zero_under_bar_180():
     assert ploss(q_est, q_gt, m).value > 1e-6
 
 
-def test_sloss_uses_kdtree_above_brute_force_limit():
+def test_sloss_matches_oracle_on_2500_points():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((2500, 3)) * 0.05
     m = ObjectModel(class_id=1, name="big", points=pts)

@@ -52,7 +52,6 @@ def test_pure_translation_offset():
 def test_add_matches_oracle():
     rng = np.random.default_rng(2)
     small = make_primitive_model("cube", scale=0.1, n_points=96)
-    # above the brute-force limit: add_s takes the k-d tree branch
     large = ObjectModel(class_id=1, name="large",
                         points=rng.standard_normal((2500, 3)) * 0.05)
     for m, trials in ((small, 50), (large, 3)):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -156,6 +158,18 @@ def test_icp_params_validation():
         IcpParams(max_iterations=0)
     with pytest.raises((IcpError, ValueError)):
         IcpParams(n_hypotheses=0)
+
+
+# each would otherwise fail late: inf and NaN in range(), a negative or NaN
+# seed inside numpy
+@pytest.mark.parametrize("setting", [
+    {"max_iterations": math.inf}, {"max_iterations": math.nan},
+    {"n_hypotheses": math.inf}, {"n_hypotheses": math.nan}, {"rng_seed": -1},
+    {"rng_seed": math.nan},
+], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+def test_icp_params_rejects_non_finite_or_negative(setting):
+    with pytest.raises(ValueError):
+        IcpParams(**setting)
 
 
 def test_label_shape_mismatch_raises_icp_error():

@@ -615,6 +615,18 @@ def test_noise_spec_validation():
         NoiseSpec(label_flip_rate=1.0)
 
 
+# a NaN sigma would switch its noise off while the run summary records NaN,
+# and a negative or fractional seed would fail late, inside numpy
+@pytest.mark.parametrize("setting", [
+    {"rotation_sigma_deg": math.nan}, {"rotation_sigma_deg": math.inf},
+    {"direction_sigma": math.nan}, {"depth_sigma": math.inf},
+    {"depth_sigma": math.nan}, {"rng_seed": -1}, {"rng_seed": 1.5},
+], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
+def test_noise_spec_rejects_non_finite_or_negative(setting):
+    with pytest.raises(SynthError):
+        NoiseSpec(**setting)
+
+
 # scenes ---------------------------------------------------------------------
 
 

@@ -72,6 +72,15 @@ def test_votes_stop_at_max_ray_length():
     assert grid.scores[30, 60] == 0
 
 
+@pytest.mark.parametrize("max_ray_length", [0, -1, 0.5])
+def test_cast_votes_rejects_max_ray_length_below_one_or_fractional(max_ray_length):
+    # none can be honoured: 0 would read as unset (the whole ray), -1 would
+    # vote on no cell and 0.5 on two
+    labels, fld = _field_with_pixels(20, 20, 1, [(2, 10)], (17, 10))
+    with pytest.raises(VotingError, match="max_ray_length"):
+        cast_votes(labels, fld, 1, max_ray_length=max_ray_length)
+
+
 def test_votes_stop_at_border():
     labels, fld = _field_with_pixels(100, 100, 1, [(0, 50)], (99, 50))
     grid = cast_votes(labels, fld, 1)
