@@ -22,10 +22,15 @@ class GeometryError(ValueError):
 
 
 def normalize_quat(q) -> np.ndarray:
+    """q scaled to unit length; a zero or non-finite norm (a NaN or infinite
+    component, or an overflow) raises GeometryError."""
     q = np.asarray(q, dtype=float)
     n = np.linalg.norm(q)
     if n == 0.0:
         raise GeometryError("cannot normalize an all-zero quaternion")
+    if not math.isfinite(n):
+        raise GeometryError(f"cannot normalize a quaternion of non-finite "
+                            f"norm: {q}")
     return q / n
 
 
@@ -192,18 +197,36 @@ def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     return out
 
 
-def nearest_neighbors(query: np.ndarray, targets: np.ndarray):
-    """(distances, indices) of the closest target to each query point,
-    answered by a k-d tree over the targets.
-
-    Among targets at equal distance the index is the tree's choice, which is
-    deterministic but not always the lowest. Exact duplicates share their
-    coordinates, so targets[indices] holds the same points whichever index
-    the tree picks. A non-finite query or target raises GeometryError.
-    """
-    if not (np.isfinite(query).all() and np.isfinite(targets).all()):
+def _require_finite_points(points: np.ndarray):
+    if not np.isfinite(points).all():
         raise GeometryError("nearest-neighbour points must be finite")
-    return cKDTree(targets).query(query, k=1)
+
+
+class NeighborIndex:
+    """A k-d tree over a fixed set of target points, for closest-point
+    queries against the same targets many times.
+
+    The targets are checked once, when the tree is built, and each query
+    when it is asked; a non-finite point raises GeometryError. Among targets
+    at equal distance the index is the tree's choice, which is deterministic
+    but not always the lowest. Exact duplicates share their coordinates, so
+    targets[indices] holds the same points whichever index the tree picks.
+    """
+
+    def __init__(self, targets: np.ndarray):
+        _require_finite_points(targets)
+        self._tree = cKDTree(targets)
+
+    def query(self, points: np.ndarray):
+        """(distances, indices) of the closest target to each point."""
+        _require_finite_points(points)
+        return self._tree.query(points, k=1)
+
+
+def nearest_neighbors(query: np.ndarray, targets: np.ndarray):
+    """(distances, indices) of the closest target to each query point, with
+    NeighborIndex's tie rule and finite checks."""
+    return NeighborIndex(targets).query(query)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (ObjectModel, nearest_neighbors, normalize_quat,
+from .geometry import (NeighborIndex, ObjectModel, normalize_quat,
                        quat_to_rotation, rotation_angle_between)
 
 
@@ -38,6 +39,26 @@ class LossKind(enum.Enum):
 class LossResult:
     value: float  # meters^2
     gradient: np.ndarray  # (4,) d(value)/d(w,x,y,z), tangent-projected
+
+
+@dataclass(frozen=True)
+class LossTarget:
+    """The ground-truth side of a loss for one q_gt and model, prepared once
+    and reused for any number of estimates."""
+
+    model: ObjectModel
+    q_gt: np.ndarray  # unit (w, x, y, z)
+    points: np.ndarray  # model.points rotated by q_gt, (m, 3)
+    index: NeighborIndex | None  # over points for SLoss; None for PLoss
+
+
+def prepare_target(kind: LossKind, q_gt, model: ObjectModel) -> LossTarget:
+    """The ground truth a loss of this kind compares estimates against; a
+    zero or non-finite q_gt raises GeometryError."""
+    qg = normalize_quat(q_gt)
+    points = model.points @ quat_to_rotation(qg).T
+    index = NeighborIndex(points) if kind is LossKind.SLOSS else None
+    return LossTarget(model=model, q_gt=qg, points=points, index=index)
 
 
 def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
@@ -58,36 +79,55 @@ def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grad - np.dot(grad, q) * q
 
 
-def _loss_impl(q_est, q_gt, model: ObjectModel, matched: bool) -> LossResult:
+def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
+               target: LossTarget | None) -> LossResult:
+    if target is None:
+        target = prepare_target(kind, q_gt, model)
+    elif (target.model is not model
+          or (kind is LossKind.SLOSS and target.index is None)
+          or not np.array_equal(normalize_quat(q_gt), target.q_gt)):
+        raise ValueError("the loss target was prepared for another q_gt, "
+                         "model or loss kind")
     qe = normalize_quat(q_est)
-    qg = normalize_quat(q_gt)
     pts = model.points
     m = pts.shape[0]
     est = pts @ quat_to_rotation(qe).T
-    gt = pts @ quat_to_rotation(qg).T
-    if not matched:
-        gt = gt[nearest_neighbors(est, gt)[1]]
+    gt = target.points
+    if kind is LossKind.SLOSS:
+        gt = gt[target.index.query(est)[1]]
     diff = est - gt
     value = float(np.sum(diff * diff)) / (2.0 * m)
     jac = _rotation_jacobian(qe)
-    grad = np.array([np.sum(diff * (pts @ jac[k].T)) for k in range(4)]) / m
+    grad = np.sum(diff * (pts @ jac.transpose(0, 2, 1)), axis=(1, 2)) / m
     return LossResult(value=value, gradient=_tangent_project(grad, qe))
 
 
-def ploss(q_est, q_gt, model: ObjectModel) -> LossResult:
-    """Mean squared distance between corresponding rotated model points."""
-    return _loss_impl(q_est, q_gt, model, matched=True)
+def ploss(q_est, q_gt, model: ObjectModel, *,
+          target: LossTarget | None = None) -> LossResult:
+    """Mean squared distance between corresponding rotated model points.
+
+    ``target``, from prepare_target for this q_gt and model, saves rotating
+    the ground truth again; one prepared for anything else raises ValueError.
+    """
+    return _loss_impl(LossKind.PLOSS, q_est, q_gt, model, target)
 
 
-def sloss(q_est, q_gt, model: ObjectModel) -> LossResult:
-    """Mean squared distance to the closest rotated ground-truth point."""
-    return _loss_impl(q_est, q_gt, model, matched=False)
+def sloss(q_est, q_gt, model: ObjectModel, *,
+          target: LossTarget | None = None) -> LossResult:
+    """Mean squared distance to the closest rotated ground-truth point.
+
+    ``target``, from prepare_target(LossKind.SLOSS, q_gt, model), saves
+    rotating and indexing the ground truth again; one prepared for anything
+    else raises ValueError.
+    """
+    return _loss_impl(LossKind.SLOSS, q_est, q_gt, model, target)
 
 
-def evaluate_loss(kind: LossKind, q_est, q_gt, model) -> LossResult:
+def evaluate_loss(kind: LossKind, q_est, q_gt, model, *,
+                  target: LossTarget | None = None) -> LossResult:
     """The loss of the given kind, with its gradient."""
-    return ploss(q_est, q_gt, model) if kind is LossKind.PLOSS \
-        else sloss(q_est, q_gt, model)
+    return ploss(q_est, q_gt, model, target=target) if kind is LossKind.PLOSS \
+        else sloss(q_est, q_gt, model, target=target)
 
 
 def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> float:
@@ -96,15 +136,16 @@ def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> floa
     finite-difference component magnitude.
     """
     qe = normalize_quat(q_est)
-    analytic = evaluate_loss(kind, qe, q_gt, model).gradient
+    target = prepare_target(kind, q_gt, model)
+    analytic = evaluate_loss(kind, qe, q_gt, model, target=target).gradient
     fd = np.zeros(4)
     for k in range(4):
         qp = qe.copy()
         qp[k] += _FD_STEP
         qm = qe.copy()
         qm[k] -= _FD_STEP
-        fp = evaluate_loss(kind, qp, q_gt, model).value
-        fm = evaluate_loss(kind, qm, q_gt, model).value
+        fp = evaluate_loss(kind, qp, q_gt, model, target=target).value
+        fm = evaluate_loss(kind, qm, q_gt, model, target=target).value
         fd[k] = (fp - fm) / (2.0 * _FD_STEP)
     fd = _tangent_project(fd, qe)
     scale = max(float(np.max(np.abs(fd))), 1e-12)
@@ -118,15 +159,24 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     Each step moves a fixed (decaying) arc length along the negative
     gradient direction, q <- normalize(q - (lr / sqrt(t+1)) * g / ||g||),
     which makes the trajectory independent of the loss magnitude and hence
-    of model scale. Descent stops early at stationary points. Returns
-    [(q_final, angle_error_deg)].
+    of model scale. Descent stops early at stationary points. The ground
+    truth is prepared once for every start and step. Returns
+    [(q_final, angle_error_deg)]. ``steps`` must be an integer >= 0 and
+    ``lr`` finite and > 0 (ValueError); a zero or non-finite quaternion
+    raises GeometryError.
     """
+    if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
+            or steps < 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     qg = normalize_quat(q_gt)
+    target = prepare_target(kind, qg, model)
     results = []
     for q0 in inits:
         q = normalize_quat(q0)
         for t in range(steps):
-            g = evaluate_loss(kind, q, qg, model).gradient
+            g = evaluate_loss(kind, q, qg, model, target=target).gradient
             ng = float(np.linalg.norm(g))
             if ng < 1e-15:
                 break

@@ -180,6 +180,8 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
             xi = np.linalg.solve(jtj + damp * np.eye(6), jtr)
         except np.linalg.LinAlgError:
             break
+        if not np.isfinite(xi).all():
+            break  # near-singular: no step to take, as for LinAlgError
         step = 1.0
         accepted = None
         for _ in range(_MAX_HALVINGS):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
-                               Pose, backproject_center, model_diameter,
-                               nearest_neighbors, normalize_quat, project,
+from posevote.geometry import (CameraIntrinsics, GeometryError, NeighborIndex,
+                               ObjectModel, Pose, backproject_center,
+                               model_diameter, nearest_neighbors,
+                               normalize_quat, project,
                                quat_from_axis_angle, quat_multiply,
                                quat_to_rotation, random_quat,
                                rotation_angle_between)
@@ -61,6 +62,27 @@ def test_quat_from_axis_angle():
 def test_normalize_quat_rejects_zero():
     with pytest.raises(GeometryError):
         normalize_quat(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_quaternions_reject_non_finite_components(bad):
+    # NaN used to pass through, and rotation_angle_between read it as 0 deg
+    q = np.array([0.5, bad, 0.5, 0.5])
+    with pytest.raises(GeometryError, match="non-finite"):
+        normalize_quat(q)
+    with pytest.raises(GeometryError, match="non-finite"):
+        Pose(q, np.zeros(3))
+    with pytest.raises(GeometryError, match="non-finite"):
+        rotation_angle_between(q, [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(GeometryError, match="non-finite"):
+        rotation_angle_between([1.0, 0.0, 0.0, 0.0], q)
+
+
+def test_normalize_quat_rejects_an_overflowing_norm():
+    # finite components whose norm overflows used to normalize to all zeros
+    with np.errstate(over="ignore"), pytest.raises(GeometryError,
+                                                   match="non-finite"):
+        normalize_quat(np.full(4, 1e300))
 
 
 def test_rotation_angle_between():
@@ -294,3 +316,17 @@ def test_nearest_neighbors_rejects_non_finite(where, bad):
     points[where][1, 2] = bad
     with pytest.raises(GeometryError, match="finite"):
         nearest_neighbors(points["query"], points["targets"])
+    with pytest.raises(GeometryError, match="finite"):
+        NeighborIndex(points["targets"]).query(points["query"])
+
+
+def test_neighbor_index_answers_every_query_as_nearest_neighbors():
+    rng = np.random.default_rng(15)
+    targets = rng.standard_normal((200, 3))
+    index = NeighborIndex(targets)
+    for _ in range(5):
+        query = rng.standard_normal((50, 3))
+        dist, idx = index.query(query)
+        ref_dist, ref_idx = nearest_neighbors(query, targets)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(idx, ref_idx)

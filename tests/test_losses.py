@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from posevote.geometry import (ObjectModel, quat_from_axis_angle,
-                               quat_multiply, quat_to_rotation, random_quat)
-from posevote.losses import (LossKind, loss_gradient_check, optimize_rotation,
-                             ploss, sloss)
-from posevote.synth import make_primitive_model
+from posevote import losses
+from posevote.geometry import (GeometryError, ObjectModel, nearest_neighbors,
+                               normalize_quat, quat_from_axis_angle,
+                               quat_multiply, quat_to_rotation, random_quat,
+                               rotation_angle_between)
+from posevote.losses import (LossKind, _rotation_jacobian, _tangent_project,
+                             evaluate_loss, loss_gradient_check,
+                             optimize_rotation, ploss, prepare_target, sloss)
+from posevote.synth import PRIMITIVE_KINDS, make_primitive_model
 
 
 def brute_ploss(q_est, q_gt, pts):
@@ -141,3 +145,159 @@ def test_optimize_rotation_zero_steps_identity():
     results = optimize_rotation(m, q_gt, LossKind.PLOSS, inits, steps=0)
     for (q, _), q0 in zip(results, inits):
         assert np.allclose(q, q0 / np.linalg.norm(q0))
+
+
+def _reference_loss(kind, q_est, q_gt, model):
+    """(value, gradient) as every call computed them before the ground truth
+    could be prepared once: q_gt rotated, and for SLoss searched by a fresh
+    k-d tree, on each call, and one matmul per quaternion component."""
+    qe = normalize_quat(q_est)
+    qg = normalize_quat(q_gt)
+    pts = model.points
+    m = pts.shape[0]
+    est = pts @ quat_to_rotation(qe).T
+    gt = pts @ quat_to_rotation(qg).T
+    if kind is LossKind.SLOSS:
+        gt = gt[nearest_neighbors(est, gt)[1]]
+    diff = est - gt
+    value = float(np.sum(diff * diff)) / (2.0 * m)
+    jac = _rotation_jacobian(qe)
+    grad = np.array([np.sum(diff * (pts @ jac[k].T)) for k in range(4)]) / m
+    return value, _tangent_project(grad, qe)
+
+
+def _reference_optimize_rotation(model, q_gt, kind, inits, steps, lr=0.03):
+    """The descent with the ground truth rebuilt on every step."""
+    qg = normalize_quat(q_gt)
+    results = []
+    for q0 in inits:
+        q = normalize_quat(q0)
+        for t in range(steps):
+            g = _reference_loss(kind, q, qg, model)[1]
+            ng = float(np.linalg.norm(g))
+            if ng < 1e-15:
+                break
+            q = normalize_quat(q - (lr / math.sqrt(t + 1)) * g / ng)
+        results.append((q, rotation_angle_between(q, qg)))
+    return results
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("model_kind", PRIMITIVE_KINDS)
+def test_optimize_rotation_matches_per_step_reference(model_kind, kind):
+    m = make_primitive_model(model_kind, scale=0.1, n_points=320)
+    rng = np.random.default_rng(20)
+    q_gt = random_quat(rng)
+    # random starts, one at the ground truth (a stationary point) and its
+    # antipode, and one 10 degrees off
+    inits = [random_quat(rng), random_quat(rng), q_gt, -q_gt,
+             quat_multiply(quat_from_axis_angle([1.0, 2.0, 3.0],
+                                                math.radians(10)), q_gt)]
+    for steps in (0, 1, 60):
+        got = optimize_rotation(m, q_gt, kind, inits, steps=steps)
+        ref = _reference_optimize_rotation(m, q_gt, kind, inits, steps)
+        for (q, angle), (ref_q, ref_angle) in zip(got, ref, strict=True):
+            assert np.array_equal(q, ref_q)
+            assert angle == ref_angle
+
+
+@pytest.mark.parametrize("model_kind", PRIMITIVE_KINDS)
+def test_prepared_target_gives_bit_equal_losses(model_kind):
+    m = make_primitive_model(model_kind, scale=0.1, n_points=320)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        q_est, q_gt = random_quat(rng), random_quat(rng) * 3.0
+        shape_target = prepare_target(LossKind.SLOSS, q_gt, m)
+        for kind, fn in ((LossKind.PLOSS, ploss), (LossKind.SLOSS, sloss)):
+            ref_value, ref_grad = _reference_loss(kind, q_est, q_gt, m)
+            targets = (None, prepare_target(kind, q_gt, m), shape_target)
+            for target in targets:
+                res = fn(q_est, q_gt, m, target=target)
+                assert res.value == ref_value
+                assert np.array_equal(res.gradient, ref_grad)
+                res = evaluate_loss(kind, q_est, q_gt, m, target=target)
+                assert res.value == ref_value
+                assert np.array_equal(res.gradient, ref_grad)
+
+
+def test_loss_gradient_check_prepares_its_target_once(monkeypatch):
+    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
+    rng = np.random.default_rng(22)
+    q_gt = random_quat(rng)
+    q_est = quat_multiply(quat_from_axis_angle([0.0, 1.0, 1.0], 0.05), q_gt)
+    prepared = []
+
+    def counting(*args):
+        prepared.append(args)
+        return prepare_target(*args)
+
+    monkeypatch.setattr(losses, "prepare_target", counting)
+    for kind in LossKind:
+        prepared.clear()
+        got = loss_gradient_check(kind, q_est, q_gt, m)
+        assert len(prepared) == 1
+        # the same figure from nine per-call reference evaluations
+        qe = normalize_quat(q_est)
+        fd = np.zeros(4)
+        for k in range(4):
+            step = np.zeros(4)
+            step[k] = losses._FD_STEP
+            fd[k] = (_reference_loss(kind, qe + step, q_gt, m)[0]
+                     - _reference_loss(kind, qe - step, q_gt, m)[0]) \
+                / (2.0 * losses._FD_STEP)
+        fd = _tangent_project(fd, qe)
+        err = np.abs(_reference_loss(kind, qe, q_gt, m)[1] - fd)
+        assert got == float(np.max(err) / max(float(np.max(np.abs(fd))), 1e-12))
+
+
+def test_mismatched_target_raises():
+    cube = make_primitive_model("cube", scale=0.1, n_points=150)
+    bar = make_primitive_model("bar_2fold", scale=0.1, n_points=150)
+    rng = np.random.default_rng(23)
+    q_est, q_gt = random_quat(rng), random_quat(rng)
+    with pytest.raises(ValueError, match="prepared for another"):
+        sloss(q_est, q_gt, bar, target=prepare_target(LossKind.SLOSS, q_gt, cube))
+    with pytest.raises(ValueError, match="prepared for another"):
+        ploss(q_est, q_gt, cube,
+              target=prepare_target(LossKind.PLOSS, random_quat(rng), cube))
+    with pytest.raises(ValueError, match="prepared for another"):
+        sloss(q_est, q_gt, cube, target=prepare_target(LossKind.PLOSS, q_gt, cube))
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+def test_losses_reject_non_finite_quaternions(bad):
+    m = make_primitive_model("cube", scale=0.1, n_points=150)
+    good = np.array([1.0, 0.0, 0.0, 0.0])
+    q = np.array([0.5, 0.5, bad, 0.5])
+    for fn in (ploss, sloss):
+        with pytest.raises(GeometryError, match="non-finite"):
+            fn(q, good, m)
+        with pytest.raises(GeometryError, match="non-finite"):
+            fn(good, q, m)
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE)
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+def test_optimize_rotation_rejects_non_finite_quaternions(kind, bad):
+    # a NaN start used to come back as a NaN quaternion scored 0.0 degrees
+    m = make_primitive_model("cube", scale=0.1, n_points=150)
+    good = np.array([1.0, 0.0, 0.0, 0.0])
+    q = np.array([0.5, 0.5, bad, 0.5])
+    with pytest.raises(GeometryError, match="non-finite"):
+        optimize_rotation(m, good, kind, [good, q], steps=2)
+    with pytest.raises(GeometryError, match="non-finite"):
+        optimize_rotation(m, q, kind, [good], steps=2)
+
+
+@pytest.mark.parametrize("setting", [
+    {"steps": -1}, {"steps": 1.5}, {"steps": True}, {"steps": "3"},
+    {"lr": 0.0}, {"lr": -0.03}, {"lr": math.nan}, {"lr": math.inf},
+    {"lr": "0.03"}])
+def test_optimize_rotation_rejects_bad_settings(setting):
+    m = make_primitive_model("cube", scale=0.1, n_points=150)
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        optimize_rotation(m, q, LossKind.PLOSS, [q], **setting)

@@ -100,6 +100,19 @@ def test_min_mask_pixels_suffice():
     assert res.inlier_fraction == 1.0
 
 
+def test_non_finite_solve_ends_icp_at_the_initial_pose(monkeypatch):
+    # a NaN step used to reach Pose; it now ends the iteration as a
+    # LinAlgError does, and the initial pose comes back unchanged
+    rng = np.random.default_rng(1)
+    depth, labels, pose = _scene(4, 2)
+    init = perturbed_pose(pose, 5.0, 0.01, rng)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(6, np.nan))
+    res = icp_refine(depth, labels, 4, MODELS[4], init, K)
+    assert res.pose is init
+    assert res.iterations == 1
+    assert len(res.objective_trace) == 1
+
+
 def test_objective_trace_non_increasing():
     rng = np.random.default_rng(3)
     depth, labels, pose = _scene(4, 4)
