@@ -22,9 +22,11 @@ class GeometryError(ValueError):
 
 
 def normalize_quat(q) -> np.ndarray:
-    """q scaled to unit length; a zero or non-finite norm (a NaN or infinite
-    component, or an overflow) raises GeometryError."""
+    """q scaled to unit length; GeometryError for a q not of 4 components or
+    of zero or non-finite norm (a NaN or infinite component, or overflow)."""
     q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise GeometryError(f"a quaternion has 4 components, got shape {q.shape}")
     n = np.linalg.norm(q)
     if n == 0.0:
         raise GeometryError("cannot normalize an all-zero quaternion")
@@ -221,12 +223,6 @@ class NeighborIndex:
         """(distances, indices) of the closest target to each point."""
         _require_finite_points(points)
         return self._tree.query(points, k=1)
-
-
-def nearest_neighbors(query: np.ndarray, targets: np.ndarray):
-    """(distances, indices) of the closest target to each query point, with
-    NeighborIndex's tie rule and finite checks."""
-    return NeighborIndex(targets).query(query)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (CameraIntrinsics, ObjectModel, Pose, nearest_neighbors,
-                       project)
+from .geometry import CameraIntrinsics, NeighborIndex, ObjectModel, Pose, project
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
 AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
@@ -32,7 +31,7 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
     """Mean closest-point distance between the transformed model points."""
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
-    dmin, _ = nearest_neighbors(est, gt)
+    dmin, _ = NeighborIndex(gt).query(est)
     return float(np.mean(dmin))
 
 
@@ -63,13 +62,16 @@ class AccuracyCurve:
 
 def accuracy_curve(distances, max_threshold: float, n_steps: int = 1000) -> AccuracyCurve:
     """Fraction of distances strictly below each of n_steps uniform thresholds
-    in (0, max_threshold].
+    in (0, max_threshold], for a finite max_threshold > 0 and n_steps >= 1.
     """
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("accuracy curve needs at least one distance")
-    if max_threshold <= 0:
-        raise ValueError("max_threshold must be positive")
+    if not (np.isfinite(max_threshold) and max_threshold > 0):
+        raise ValueError(f"max_threshold must be finite and positive, "
+                         f"got {max_threshold!r}")
+    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     thresholds = np.linspace(max_threshold / n_steps, max_threshold, n_steps)
     accuracy = np.mean(d[None, :] < thresholds[:, None], axis=1)
     return AccuracyCurve(thresholds=thresholds, accuracy=accuracy,

@@ -37,12 +37,13 @@ class PipelineConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     refine: bool = False
     icp: IcpParams = field(default_factory=lambda: IcpParams(n_hypotheses=1))
-    max_threshold: float = AUC_CAP_M
     jobs: int = 1
+    max_threshold = AUC_CAP_M  # the AUC cap, a constant rather than a field
 
     def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
+        counts = (self.scenes, self.jobs)
+        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+            raise ValueError("scenes and jobs must be integers of at least 1")
 
 
 @dataclass
@@ -204,7 +205,7 @@ def run_pipeline(cfg: PipelineConfig,
         "noise": {
             "direction_sigma_rad": cfg.noise.direction_sigma,
             "depth_sigma_m": cfg.noise.depth_sigma,
-            "label_flip_rate": cfg.noise.label_flip_rate,
+            "label_flip_rate": 0.0,  # the key stays; labels are never flipped
             "rotation_sigma_deg": cfg.noise.rotation_sigma_deg,
         },
         "refined": cfg.refine,

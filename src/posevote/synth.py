@@ -47,7 +47,6 @@ class Scene:
 class NoiseSpec:
     direction_sigma: float = 0.0  # radians of angular jitter on (nx, ny)
     depth_sigma: float = 0.0  # meters on Tz planes
-    label_flip_rate: float = 0.0
     rotation_sigma_deg: float = 0.0  # simulated rotation-regression error
     rng_seed: int = 0
 
@@ -55,8 +54,6 @@ class NoiseSpec:
         sigmas = (self.direction_sigma, self.depth_sigma, self.rotation_sigma_deg)
         if not all(math.isfinite(s) and s >= 0 for s in sigmas):
             raise SynthError("noise sigmas must be finite and non-negative")
-        if not 0 <= self.label_flip_rate < 1:
-            raise SynthError("label_flip_rate must be in [0, 1)")
         if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
             raise SynthError("rng_seed must be a non-negative integer")
 
@@ -496,18 +493,15 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 
 def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
     """Noise-injected copies of a field and label map, seeded and
-    deterministic. Directions get angular jitter, Tz planes Gaussian noise,
-    and labels flip to a random other class with the configured rate.
-    Zero-direction (center) pixels stay zero; unit norms are preserved.
+    deterministic. Directions get angular jitter and Tz planes Gaussian
+    noise; the labels are copied unchanged. Zero-direction (center) pixels
+    stay zero; unit norms are preserved.
     """
     rng = np.random.default_rng(spec.rng_seed)
     out = fld.copy()
     for cid in out.class_ids():
         pl = out.planes[cid]
-        mask = (labels.labels == cid)
-        ys, xs = np.nonzero(mask)
-        if xs.size == 0:
-            continue
+        ys, xs = np.nonzero(labels.labels == cid)
         if spec.direction_sigma > 0:
             ang = rng.normal(0.0, spec.direction_sigma, xs.size)
             ca, sa = np.cos(ang), np.sin(ang)
@@ -517,24 +511,7 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
             pl[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
         if spec.depth_sigma > 0:
             pl[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma, xs.size).astype(np.float32)
-    new_labels = labels.labels.copy()
-    if spec.label_flip_rate > 0:
-        ys, xs = np.nonzero(labels.labels != 0)
-        flip = rng.random(xs.size) < spec.label_flip_rate
-        fy, fx = ys[flip], xs[flip]
-        if fy.size:
-            class_ids = sorted(set(out.class_ids()) | set(labels.class_ids()))
-            choices = np.array(class_ids, dtype=np.uint16)
-            picks = choices[rng.integers(0, len(choices), fy.size)]
-            cur = new_labels[fy, fx]
-            same = picks == cur
-            if len(class_ids) > 1:
-                while same.any():
-                    picks[same] = choices[rng.integers(0, len(choices),
-                                                       int(same.sum()))]
-                    same = picks == cur
-            new_labels[fy, fx] = picks
-    return out, LabelMap(labels=new_labels)
+    return out, LabelMap(labels=labels.labels.copy())
 
 
 # ---------------------------------------------------------------------------

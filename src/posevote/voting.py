@@ -192,19 +192,15 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
         raise VotingError("max_ray_length must be None or an integer of at "
                           f"least 1, got {max_ray_length!r}")
     h, w = labels.height, labels.width
-    grid = np.zeros((h, w), dtype=np.int64)
     xs, ys, nx, ny = _class_rays(labels, fld, class_id)
     max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
     n_steps = int(max_len / _RAY_STEP) + 1
-    if xs.size == 0:
-        return VoteGrid(grid, (xs, ys, nx, ny))
-
     last = _exit_steps(xs, ys, nx, ny, w, h, n_steps) - 1
     ex = _round_cells(xs, nx, last)
     ey = _round_cells(ys, ny, last)
     along_x = np.abs(ey - ys) <= np.abs(ex - xs)  # y is the minor axis
-    grid += _run_votes(*(a[along_x] for a in (ys, ny, ey, xs, nx, ex)), (h, w))
-    grid += _run_votes(*(a[~along_x] for a in (xs, nx, ex, ys, ny, ey)), (w, h)).T
+    grid = (_run_votes(*(a[along_x] for a in (ys, ny, ey, xs, nx, ex)), (h, w))
+            + _run_votes(*(a[~along_x] for a in (xs, nx, ex, ys, ny, ey)), (w, h)).T)
     return VoteGrid(grid, (xs, ys, nx, ny))
 
 
@@ -218,8 +214,6 @@ def find_centers(grid: VoteGrid,
     by lowest row-major index.
     """
     ys, xs = np.nonzero(grid.scores > max(10, int(0.1 * class_pixel_count)))
-    if ys.size == 0:
-        return []
     scores = grid.scores[ys, xs]
     order = np.lexsort((ys * grid.scores.shape[1] + xs, -scores))
     accepted: list[tuple[np.ndarray, int]] = []

@@ -1,29 +1,33 @@
 """The benchmark's tracer rebinds program names from outside (see
-bench/tracing.py). Installing it here makes a rename or deletion of any of
-those names, or of a parameter its counters read, fail this test rather
-than a benchmark run."""
+bench/tracing.py), and its workloads call the program (bench/workloads.py).
+Installing the tracer and running one op of each workload here makes a
+rename or deletion of any name they use, or of a parameter the tracer's
+counters read, fail these tests rather than a benchmark run."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from posevote import losses, pipeline, refine, voting
 from posevote.refine import IcpParams
 from posevote.synth import NoiseSpec, default_registry, make_primitive_model
 
-_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  _BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_counts_every_layer_and_restores_every_name():
-    tracing = _load_tracing()
+    tracing = _load_bench("tracing")
     modules = (pipeline, refine, voting, losses)
     before = [dict(vars(m)) for m in modules]
     models = default_registry()
@@ -53,3 +57,17 @@ def test_tracer_counts_every_layer_and_restores_every_name():
     assert metrics["synth.render_full.icp.covered_px"] > 0
     assert metrics["refine.iterations"] > 0
     assert metrics["losses.sloss.calls"] == 3
+
+
+@pytest.mark.parametrize("name", ["detect_clean", "refine_noisy", "sloss_histogram"])
+def test_workload_runs_its_first_op_end_to_end(name):
+    workload = _load_bench("workloads").WORKLOADS[name]
+    runner = workload(0, workload.build_models())
+    key = runner.key(0)
+    results = {key: runner.op(key)}
+    sha256 = re.compile("[0-9a-f]{64}")
+    assert sha256.fullmatch(runner.digest(results[key]))
+    assert sha256.fullmatch(runner.run_digest(results))
+    assert sorted(q[0] for q in runner.quality(results)) == sorted(workload.EXPECTED)
+    if len(workload.POOL) == 1:  # the op covered the whole pool
+        assert runner.quality_problems(results) == []

@@ -6,8 +6,7 @@ from scipy.spatial.distance import cdist
 
 from posevote.geometry import (CameraIntrinsics, GeometryError, NeighborIndex,
                                ObjectModel, Pose, backproject_center,
-                               model_diameter, nearest_neighbors,
-                               normalize_quat, project,
+                               model_diameter, normalize_quat, project,
                                quat_from_axis_angle, quat_multiply,
                                quat_to_rotation, random_quat,
                                rotation_angle_between)
@@ -200,6 +199,19 @@ def test_pose_from_dict_rejects_non_finite():
         Pose.from_dict({**good, "translation_m": [0.0, math.inf, 1.0]})
 
 
+# checked where it is normalized, before any rotation unpacks it
+@pytest.mark.parametrize("quat", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+                                  [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["3", "5", "2x2"])
+def test_pose_rejects_quaternion_not_of_4_components(quat):
+    with pytest.raises(GeometryError, match="quaternion has 4 components"):
+        Pose(np.array(quat), np.zeros(3))
+    with pytest.raises(GeometryError, match="quaternion has 4 components"):
+        Pose.from_dict({"quaternion_wxyz": quat, "translation_m": [0, 0, 1]})
+    with pytest.raises(GeometryError, match="quaternion has 4 components"):
+        quat_to_rotation(quat)
+
+
 def test_intrinsics_dict_round_trip():
     assert CameraIntrinsics.from_dict(K.to_dict()) == K
 
@@ -296,7 +308,7 @@ def test_nearest_neighbors_matches_dense_reference(model):
                                 gt.transform(model.points)),
                                (model.points @ est.rotation_matrix().T,
                                 model.points @ gt.rotation_matrix().T)):
-            dist, idx = nearest_neighbors(query, targets)
+            dist, idx = NeighborIndex(targets).query(query)
             ref_dist, ref_idx = _reference_nearest_neighbors(query, targets)
             assert np.array_equal(dist, ref_dist)
             assert np.array_equal(targets[idx], targets[ref_idx])
@@ -304,7 +316,7 @@ def test_nearest_neighbors_matches_dense_reference(model):
 
 def test_nearest_neighbors_ties_pick_a_nearest_target():
     targets = np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]])
-    dist, idx = nearest_neighbors(np.zeros((1, 3)), targets)
+    dist, idx = NeighborIndex(targets).query(np.zeros((1, 3)))
     assert dist[0] == 1.0
     assert np.linalg.norm(targets[idx[0]]) == 1.0
 
@@ -315,18 +327,16 @@ def test_nearest_neighbors_rejects_non_finite(where, bad):
     points = {"query": np.zeros((4, 3)), "targets": np.eye(3)}
     points[where][1, 2] = bad
     with pytest.raises(GeometryError, match="finite"):
-        nearest_neighbors(points["query"], points["targets"])
-    with pytest.raises(GeometryError, match="finite"):
         NeighborIndex(points["targets"]).query(points["query"])
 
 
-def test_neighbor_index_answers_every_query_as_nearest_neighbors():
+def test_reused_neighbor_index_answers_as_fresh_ones():
     rng = np.random.default_rng(15)
     targets = rng.standard_normal((200, 3))
     index = NeighborIndex(targets)
     for _ in range(5):
         query = rng.standard_normal((50, 3))
         dist, idx = index.query(query)
-        ref_dist, ref_idx = nearest_neighbors(query, targets)
+        ref_dist, ref_idx = NeighborIndex(targets).query(query)
         assert np.array_equal(dist, ref_dist)
         assert np.array_equal(idx, ref_idx)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from posevote import losses
-from posevote.geometry import (GeometryError, ObjectModel, nearest_neighbors,
+from posevote.geometry import (GeometryError, NeighborIndex, ObjectModel,
                                normalize_quat, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat,
                                rotation_angle_between)
@@ -158,7 +158,7 @@ def _reference_loss(kind, q_est, q_gt, model):
     est = pts @ quat_to_rotation(qe).T
     gt = pts @ quat_to_rotation(qg).T
     if kind is LossKind.SLOSS:
-        gt = gt[nearest_neighbors(est, gt)[1]]
+        gt = gt[NeighborIndex(gt).query(est)[1]]
     diff = est - gt
     value = float(np.sum(diff * diff)) / (2.0 * m)
     jac = _rotation_jacobian(qe)

@@ -145,6 +145,25 @@ def test_accuracy_curve_monotone():
     assert np.all(np.diff(c.accuracy) >= 0)
 
 
+# a NaN or infinite cap would give an AUC of NaN, and n_steps=0 divide by zero
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_accuracy_curve_rejects_cap_not_finite_and_positive(cap):
+    with pytest.raises(ValueError, match="max_threshold"):
+        accuracy_curve([0.05], cap)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, "10"])
+def test_accuracy_curve_rejects_steps_not_an_integer_of_at_least_1(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        accuracy_curve([0.05], 0.10, n_steps=n_steps)
+
+
+def test_accuracy_curve_takes_one_step():
+    c = accuracy_curve([0.05, 0.2], 0.10, n_steps=np.int64(1))
+    assert c.thresholds.tolist() == [0.10]
+    assert c.accuracy.tolist() == [0.5]
+
+
 def test_auc_perfect_and_failures():
     assert auc(accuracy_curve([0.0] * 5, 0.10)) == pytest.approx(100.0)
     assert auc(accuracy_curve([0.5] * 5, 0.10)) == pytest.approx(0.0)

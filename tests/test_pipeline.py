@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from posevote import cli, pipeline
+from posevote.metrics import AUC_CAP_M
 from posevote.pipeline import PipelineConfig, run_pipeline
 from posevote.refine import IcpError, IcpParams
 from posevote.synth import NoiseSpec, default_registry
@@ -37,10 +38,23 @@ def test_jobs_parallel_matches_serial():
     assert s1 == s4
 
 
-@pytest.mark.parametrize("jobs", [0, -1])
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, None])
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValueError):
         PipelineConfig(jobs=jobs)
+
+
+# rejected when the config is built, not after the run or inside range()
+@pytest.mark.parametrize("scenes", [0, -1, 2.5, "3"])
+def test_scenes_not_an_integer_of_at_least_one_rejected(scenes):
+    with pytest.raises(ValueError, match="scenes and jobs must be integers"):
+        PipelineConfig(scenes=scenes)
+
+
+def test_auc_cap_is_a_constant_not_a_setting():
+    assert PipelineConfig.max_threshold == PipelineConfig().max_threshold == AUC_CAP_M
+    with pytest.raises(TypeError):
+        PipelineConfig(max_threshold=0.2)
 
 
 def test_min_visibility_filter():
@@ -68,6 +82,10 @@ def test_summary_records_rotation_noise():
     assert s1["noise"]["rotation_sigma_deg"] == 25.0
     assert s2["noise"]["rotation_sigma_deg"] == 0.0
     assert s1["noise"] != s2["noise"]
+    # keys kept for readers of earlier summaries: labels are never flipped,
+    # and the AUC cap is fixed
+    assert s1["noise"]["label_flip_rate"] == s2["noise"]["label_flip_rate"] == 0.0
+    assert s1["max_threshold_m"] == s2["max_threshold_m"] == 0.1
 
 
 def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):

@@ -588,31 +588,38 @@ def test_perturb_direction_sigma_statistics():
     assert abs(np.std(ang) - 0.1) < 0.005
 
 
-def test_perturb_label_flip_rate():
-    fld, labels = _noisy_setup()
-    _, out_labels = perturb(fld, labels, NoiseSpec(label_flip_rate=0.2,
-                                                   rng_seed=0))
-    mask = labels.labels == 1
-    assert mask.sum() > 2000
-    flipped = np.mean(out_labels.labels[mask] != 1)
-    assert abs(flipped - 0.2) < 0.02
-
-
 def test_perturb_deterministic():
     fld, labels = _noisy_setup()
-    spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01,
-                     label_flip_rate=0.1, rng_seed=42)
+    spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01, rng_seed=42)
     f1, l1 = perturb(fld, labels, spec)
     f2, l2 = perturb(fld, labels, spec)
     assert np.array_equal(f1.plane(1), f2.plane(1))
     assert np.array_equal(l1.labels, l2.labels)
+    # noise never touches the labels, and each call returns its own copy
+    assert np.array_equal(l1.labels, labels.labels)
+    assert not np.shares_memory(l1.labels, labels.labels)
+
+
+def test_perturb_class_without_pixels_draws_nothing():
+    # a plane whose class labels no pixel draws size-0 noise, which leaves
+    # the generator where it was, so the other classes' noise is unchanged
+    fld, labels = _noisy_setup()
+    padded = fld.copy()
+    padded.plane(2)  # sorts between the two labeled classes
+    spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01, rng_seed=42)
+    want, _ = perturb(fld, labels, spec)
+    got, _ = perturb(padded, labels, spec)
+    assert got.class_ids() == [1, 2, 3]
+    assert not got.plane(2).any()
+    for cid in (1, 3):
+        assert np.array_equal(got.plane(cid), want.plane(cid))
 
 
 def test_noise_spec_validation():
     with pytest.raises(SynthError):
         NoiseSpec(direction_sigma=-0.1)
-    with pytest.raises(SynthError):
-        NoiseSpec(label_flip_rate=1.0)
+    with pytest.raises(TypeError):  # labels are never flipped
+        NoiseSpec(label_flip_rate=0.1)
 
 
 # a NaN sigma would switch its noise off while the run summary records NaN,
