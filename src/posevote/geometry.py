@@ -149,14 +149,19 @@ def backproject_center(c, tz: float, intrinsics: CameraIntrinsics) -> np.ndarray
 
 @dataclass
 class Pose:
-    """Rigid transform: unit quaternion (w, x, y, z) + translation, meters."""
+    """Rigid transform: unit quaternion (w, x, y, z) + translation, meters.
+    A translation that is not 3 finite numbers raises GeometryError."""
 
     quaternion: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
         self.quaternion = normalize_quat(self.quaternion)
-        self.translation = np.asarray(self.translation, dtype=float).reshape(3)
+        t = np.asarray(self.translation, dtype=float)
+        if t.size != 3 or not np.isfinite(t).all():
+            raise GeometryError(
+                f"a translation is 3 finite numbers, got {t.tolist()}")
+        self.translation = t.reshape(3)
 
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_rotation(self.quaternion)
@@ -176,11 +181,8 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
-        q = np.array(d["quaternion_wxyz"], dtype=float)
-        t = np.array(d["translation_m"], dtype=float)
-        if not (np.isfinite(q).all() and np.isfinite(t).all()):
-            raise GeometryError("pose values must be finite")
-        return cls(q, t)
+        return cls(np.array(d["quaternion_wxyz"], dtype=float),
+                   np.array(d["translation_m"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +225,89 @@ class NeighborIndex:
         """(distances, indices) of the closest target to each point."""
         _require_finite_points(points)
         return self._tree.query(points, k=1)
+
+    def nearest(self, points: np.ndarray) -> np.ndarray:
+        """Indices of the closest target to each point."""
+        return self.query(points)[1]
+
+    def tracker(self) -> NeighborTracker:
+        """A NeighborTracker over these targets, for one moving point set."""
+        return NeighborTracker(self._tree)
+
+
+_REACH_MARGIN = 1e-9  # of the second distance, for rounding in the distances
+
+
+class NeighborTracker:
+    """Closest-target indices for one point set that moves a little between
+    calls, as it does along a descent: a cached k-d tree search (Nüchter,
+    Lingemann and Hertzberg, 3DIM 2007) that stays exact.
+
+    Each point keeps the target its last query found, where it was then,
+    and a reach: half the gap from that target's distance to the closest
+    target with other coordinates, less 1e-9 of the latter for rounding. By
+    the triangle inequality no target with other coordinates can be closest
+    to a point that has moved less than its reach, so only points that moved
+    farther are queried again. targets[nearest(points)] is thus bit-equal to
+    what a fresh NeighborIndex query gathers, though an index may name
+    another exact duplicate. A point without a positive reach (an exact tie
+    between distinct targets, or no distinct second target) is queried on
+    every call. Every call checks that the points are finite.
+    """
+
+    def __init__(self, tree: cKDTree):
+        self._tree = tree
+        self._bits = tree.data.view(np.int64)  # exact duplicates share them
+        self._at = None  # (m, 3) where each point was last queried
+        self._nearest = None  # (m,) the closest target found there
+        self._reach2 = None  # (m,) squared reach, -inf for none
+
+    def nearest(self, points: np.ndarray) -> np.ndarray:
+        """Indices of the closest target to each point."""
+        _require_finite_points(points)
+        if self._at is None or self._at.shape != points.shape:
+            self._at = np.empty(points.shape)
+            self._nearest = np.empty(points.shape[0], dtype=np.intp)
+            self._reach2 = np.empty(points.shape[0])
+            stale = np.arange(points.shape[0])
+        else:
+            moved = points - self._at
+            stale = np.flatnonzero(
+                ~(np.einsum("ij,ij->i", moved, moved) < self._reach2))
+        if stale.size:
+            self._at[stale] = points[stale]
+            self._nearest[stale], self._reach2[stale] = \
+                self._search(points[stale])
+        return self._nearest.copy()
+
+    def _search(self, points: np.ndarray):
+        """(indices, squared reaches) of the closest target to each point.
+
+        The query asks for k = 2 neighbours, and k doubles for the points
+        whose k neighbours all share the closest one's coordinates."""
+        tree = self._tree
+        nearest = np.empty(points.shape[0], dtype=np.intp)
+        reach = np.full(points.shape[0], -np.inf)
+        todo = np.arange(points.shape[0])
+        k = min(2, tree.n)
+        while todo.size:
+            dist, idx = (a.reshape(todo.size, k)
+                         for a in tree.query(points[todo], k=k))
+            other = (self._bits[idx] != self._bits[idx[:, :1]]).any(axis=2)
+            found = other.any(axis=1)
+            d2 = dist[np.arange(todo.size), other.argmax(axis=1)]
+            nearest[todo] = idx[:, 0]
+            reach[todo[found]] = (0.5 * (d2 - dist[:, 0])
+                                  - _REACH_MARGIN * d2)[found]
+            if k == tree.n:
+                break
+            todo = todo[~found]
+            k = min(2 * k, tree.n)
+        tied = ~(reach > 0)
+        if tied.any():
+            # queried on every call, so they take a fresh query's choice
+            nearest[tied] = tree.query(points[tied], k=1)[1]
+        return nearest, np.where(tied, -np.inf, reach * reach)
 
 
 # ---------------------------------------------------------------------------

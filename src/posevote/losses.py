@@ -19,12 +19,12 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (NeighborIndex, ObjectModel, normalize_quat,
-                       quat_to_rotation, rotation_angle_between)
+from .geometry import (NeighborIndex, NeighborTracker, ObjectModel,
+                       normalize_quat, quat_to_rotation, rotation_angle_between)
 
 
 _FD_STEP = 1e-5  # quaternion component step of the gradient check
@@ -44,12 +44,16 @@ class LossResult:
 @dataclass(frozen=True)
 class LossTarget:
     """The ground-truth side of a loss for one q_gt and model, prepared once
-    and reused for any number of estimates."""
+    and reused for any number of estimates.
+
+    For SLoss, ``index`` searches ``points``: a NeighborIndex answers every
+    query afresh, and a NeighborTracker (one per descent) re-queries only the
+    correspondences that can have changed since its last call."""
 
     model: ObjectModel
     q_gt: np.ndarray  # unit (w, x, y, z)
     points: np.ndarray  # model.points rotated by q_gt, (m, 3)
-    index: NeighborIndex | None  # over points for SLoss; None for PLoss
+    index: NeighborIndex | NeighborTracker | None  # None for PLoss
 
 
 def prepare_target(kind: LossKind, q_gt, model: ObjectModel) -> LossTarget:
@@ -94,7 +98,7 @@ def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
     est = pts @ quat_to_rotation(qe).T
     gt = target.points
     if kind is LossKind.SLOSS:
-        gt = gt[target.index.query(est)[1]]
+        gt = gt[target.index.nearest(est)]
     diff = est - gt
     value = float(np.sum(diff * diff)) / (2.0 * m)
     jac = _rotation_jacobian(qe)
@@ -160,7 +164,9 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     gradient direction, q <- normalize(q - (lr / sqrt(t+1)) * g / ||g||),
     which makes the trajectory independent of the loss magnitude and hence
     of model scale. Descent stops early at stationary points. The ground
-    truth is prepared once for every start and step. Returns
+    truth is prepared once for every start and step; an SLoss descent
+    tracks its correspondences, so each step re-queries only the points
+    whose closest ground-truth point can have changed. Returns
     [(q_final, angle_error_deg)]. ``steps`` must be an integer >= 0 and
     ``lr`` finite and > 0 (ValueError); a zero or non-finite quaternion
     raises GeometryError.
@@ -174,9 +180,11 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     target = prepare_target(kind, qg, model)
     results = []
     for q0 in inits:
+        start = target if target.index is None \
+            else replace(target, index=target.index.tracker())
         q = normalize_quat(q0)
         for t in range(steps):
-            g = evaluate_loss(kind, q, qg, model, target=target).gradient
+            g = evaluate_loss(kind, q, qg, model, target=start).gradient
             ng = float(np.linalg.norm(g))
             if ng < 1e-15:
                 break

@@ -44,6 +44,8 @@ class PipelineConfig:
         counts = (self.scenes, self.jobs)
         if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
             raise ValueError("scenes and jobs must be integers of at least 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass

@@ -522,6 +522,22 @@ def test_pose_of_wrong_size_names_the_file(tmp_path, cmd, quat, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["loss", "eval"])
+def test_translation_of_wrong_size_names_the_file(tmp_path, cmd, capsys):
+    model = tmp_path / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    _write_json(good, _pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0]))
+    _write_json(bad, _pose_entry(1, [1, 0, 0, 0], [0, 0]))
+    inputs = (["--pose-est", str(bad), "--pose-gt", str(good), "--kind", "sloss"]
+              if cmd == "loss" else ["--gt", str(good), "--est", str(bad)])
+    out = tmp_path / "out.json"
+    assert run([cmd, "--model", str(model), "--out", str(out)] + inputs) == 1
+    assert (f"posevote: error: {bad}: a translation is 3 finite numbers, "
+            f"got [0.0, 0.0]" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def _scene_json(**changes):
     scene = {"intrinsics": K_JSON, "width": 160, "height": 120,
              "instances": [_pose_entry(1, [1, 0, 0, 0], [0, 0, 0.8])]}

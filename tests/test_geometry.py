@@ -199,6 +199,17 @@ def test_pose_from_dict_rejects_non_finite():
         Pose.from_dict({**good, "translation_m": [0.0, math.inf, 1.0]})
 
 
+# checked where the pose is built, as its quaternion is
+@pytest.mark.parametrize("trans", [[0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                   [0.0, math.nan, 1.0], [-math.inf, 0.0, 1.0]],
+                         ids=["2", "4", "nan", "inf"])
+def test_pose_rejects_translation_not_of_3_finite_numbers(trans):
+    with pytest.raises(GeometryError, match="translation is 3 finite numbers"):
+        Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array(trans))
+    with pytest.raises(GeometryError, match="translation is 3 finite numbers"):
+        Pose.from_dict({"quaternion_wxyz": [1, 0, 0, 0], "translation_m": trans})
+
+
 # checked where it is normalized, before any rotation unpacks it
 @pytest.mark.parametrize("quat", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
                                   [[1.0, 0.0], [0.0, 0.0]]],
@@ -328,6 +339,38 @@ def test_nearest_neighbors_rejects_non_finite(where, bad):
     points[where][1, 2] = bad
     with pytest.raises(GeometryError, match="finite"):
         NeighborIndex(points["targets"]).query(points["query"])
+
+
+def test_neighbor_tracker_gathers_what_fresh_queries_gather():
+    # targets on a coarse grid repeat and tie often; the points take steps
+    # from 1e-9 to 1e-2 and sometimes jump back onto the grid
+    rng = np.random.default_rng(16)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        targets = rng.integers(-3, 4, (n, 3)) * 0.01
+        if trial % 3 == 0:
+            targets = rng.standard_normal((n, 3))
+        index = NeighborIndex(targets)
+        tracker = index.tracker()
+        points = rng.integers(-3, 4, (25, 3)) * 0.005
+        for step in range(20):
+            points = points + rng.standard_normal(points.shape) \
+                * 10.0 ** rng.integers(-9, -1)
+            if step % 7 == 3:
+                points[:5] = rng.integers(-3, 4, (5, 3)) * 0.005
+            got = targets[tracker.nearest(points)]
+            assert np.array_equal(got.view(np.int64),
+                                  targets[index.nearest(points)].view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_neighbor_tracker_checks_every_call(bad):
+    tracker = NeighborIndex(np.eye(3)).tracker()
+    points = np.zeros((4, 3))
+    tracker.nearest(points)
+    points[1, 2] = bad
+    with pytest.raises(GeometryError, match="finite"):
+        tracker.nearest(points)
 
 
 def test_reused_neighbor_index_answers_as_fresh_ones():

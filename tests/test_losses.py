@@ -1,9 +1,13 @@
+import contextlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
-from posevote import losses
+from posevote import geometry, losses
 from posevote.geometry import (GeometryError, NeighborIndex, ObjectModel,
                                normalize_quat, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat,
@@ -199,6 +203,139 @@ def test_optimize_rotation_matches_per_step_reference(model_kind, kind):
         for (q, angle), (ref_q, ref_angle) in zip(got, ref, strict=True):
             assert np.array_equal(q, ref_q)
             assert angle == ref_angle
+
+
+@contextlib.contextmanager
+def _tree_queries():
+    """The (points, k) of every k-d tree query made by a tree built inside
+    the block."""
+    queries = []
+
+    class Counting(geometry.cKDTree):
+        def query(self, x, k=1, **kwargs):
+            queries.append((np.array(x), k))
+            return super().query(x, k=k, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "cKDTree", Counting)
+        yield queries
+
+
+def _point_queries(queries):
+    return sum(len(x) for x, _ in queries)
+
+
+def test_optimize_rotation_matches_per_step_reference_on_acceptance_4_schedule():
+    # acceptance 4's model, ground truth and schedule; late steps move far
+    # less than the point spacing, so most correspondences stay cached
+    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
+    rng = np.random.default_rng(104)
+    q_gt = random_quat(rng)
+    inits = [random_quat(rng) for _ in range(5)]
+    with _tree_queries() as queries:
+        got = optimize_rotation(m, q_gt, LossKind.SLOSS, inits, steps=500,
+                                lr=0.03)
+    assert _point_queries(queries) < 500 * 320
+    ref = _reference_optimize_rotation(m, q_gt, LossKind.SLOSS, inits, 500)
+    for (q, angle), (ref_q, ref_angle) in zip(got, ref, strict=True):
+        assert np.array_equal(q, ref_q)
+        assert angle == ref_angle
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tiny_steps_keep_correspondences_cached(seed):
+    # at lr 1e-7 no point moves 1e-7 m in the whole descent, so after the
+    # first step only a point whose two closest targets are that nearly tied
+    # may be queried again (twice a step at most: k = 2, then k = 1 for a tie)
+    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
+    rng = np.random.default_rng(seed)
+    q_gt, q0 = random_quat(rng), random_quat(rng)
+    steps, lr = 20, 1e-7
+    # the bar repeats no point, so the second closest target is distinct
+    d = np.sort(cdist(m.points @ quat_to_rotation(q0).T,
+                      m.points @ quat_to_rotation(q_gt).T), axis=1)
+    reach = 0.5 * (d[:, 1] - d[:, 0]) - 1e-9 * d[:, 1]
+    path = 2.0 * sum(lr / math.sqrt(t + 1) for t in range(steps))
+    near = int(np.sum(reach <= path * np.linalg.norm(m.points, axis=1) + 1e-12))
+    with _tree_queries() as first:
+        optimize_rotation(m, q_gt, LossKind.SLOSS, [q0], steps=1, lr=lr)
+    with _tree_queries() as queries:
+        (q, angle), = optimize_rotation(m, q_gt, LossKind.SLOSS, [q0],
+                                        steps=steps, lr=lr)
+    later = _point_queries(queries) - _point_queries(first)
+    assert 0 <= later <= 2 * (steps - 1) * near
+    (ref_q, ref_angle), = _reference_optimize_rotation(
+        m, q_gt, LossKind.SLOSS, [q0], steps, lr=lr)
+    assert np.array_equal(q, ref_q)
+    assert angle == ref_angle
+
+
+def test_cube_duplicates_widen_the_query():
+    # the cube's edge samples repeat, so a point's two closest targets can
+    # share coordinates; k doubles until a target with other coordinates
+    # gives the gap
+    m = make_primitive_model("cube", scale=0.1, n_points=320)
+    assert len(np.unique(m.points, axis=0)) < len(m.points)
+    rng = np.random.default_rng(24)
+    q_gt = random_quat(rng)
+    inits = [random_quat(rng) for _ in range(3)]
+    with _tree_queries() as queries:
+        got = optimize_rotation(m, q_gt, LossKind.SLOSS, inits, steps=100)
+    assert max(k for _, k in queries) > 2
+    assert _point_queries(queries) < 3 * 100 * len(m.points)
+    ref = _reference_optimize_rotation(m, q_gt, LossKind.SLOSS, inits, 100)
+    for (q, angle), (ref_q, ref_angle) in zip(got, ref, strict=True):
+        assert np.array_equal(q, ref_q)
+        assert angle == ref_angle
+
+
+def test_point_midway_between_two_targets_is_queried_every_step():
+    # q_gt turns the model half a turn about x, so the estimate of the first
+    # point, on the z axis, sits exactly midway between the other two
+    # targets for every turn about z; the other two points stay cached
+    m = ObjectModel(class_id=1, name="three", points=np.array(
+        [[0.0, 0.0, 0.05], [0.05, 0.0, -0.05], [-0.05, 0.0, -0.05]]))
+    q_gt = np.array([0.0, 1.0, 0.0, 0.0])
+    with _tree_queries() as queries:
+        shared = prepare_target(LossKind.SLOSS, q_gt, m)
+        tracked = replace(shared, index=shared.index.tracker())
+        for t in range(6):
+            q_est = quat_from_axis_angle([0.0, 0.0, 1.0], 0.01 * t)
+            est = m.points @ quat_to_rotation(q_est).T
+            d = np.linalg.norm(shared.points - est[0], axis=1)
+            assert d[1] == d[2] < d[0]
+            queries.clear()
+            res = sloss(q_est, q_gt, m, target=tracked)
+            # the tied point takes a fresh k = 1 query's choice each time
+            assert np.array_equal(queries[-1][0], est[:1])
+            assert queries[-1][1] == 1
+            assert _point_queries(queries) == (4 if t == 0 else 2)
+            ref_value, ref_grad = _reference_loss(LossKind.SLOSS, q_est, q_gt, m)
+            assert res.value == ref_value
+            assert np.array_equal(res.gradient, ref_grad)
+
+
+def test_target_shared_by_a_descent_stays_stateless(monkeypatch):
+    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
+    rng = np.random.default_rng(25)
+    q_gt = random_quat(rng)
+    prepared = []
+
+    def keeping(*args):
+        prepared.append(prepare_target(*args))
+        return prepared[-1]
+
+    monkeypatch.setattr(losses, "prepare_target", keeping)
+    (q, _), = optimize_rotation(m, q_gt, LossKind.SLOSS, [random_quat(rng)],
+                                steps=60)
+    target, = prepared
+    assert isinstance(target.index, NeighborIndex)
+    for q_est in (q, random_quat(rng)):
+        res = sloss(q_est, q_gt, m, target=target)
+        fresh = sloss(q_est, q_gt, m)
+        assert res.value == fresh.value
+        assert np.array_equal(res.gradient, fresh.gradient)
 
 
 @pytest.mark.parametrize("model_kind", PRIMITIVE_KINDS)

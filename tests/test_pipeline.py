@@ -51,6 +51,13 @@ def test_scenes_not_an_integer_of_at_least_one_rejected(scenes):
         PipelineConfig(scenes=scenes)
 
 
+# rejected when the config is built, not inside numpy once the pool runs
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", None])
+def test_seed_not_an_integer_of_at_least_zero_rejected(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        PipelineConfig(scenes=1, seed=seed)
+
+
 def test_auc_cap_is_a_constant_not_a_setting():
     assert PipelineConfig.max_threshold == PipelineConfig().max_threshold == AUC_CAP_M
     with pytest.raises(TypeError):

@@ -345,7 +345,10 @@ def test_coincident_instances_keep_the_earlier_one():
 
 def test_render_rejects_non_finite_pose():
     models = default_registry()
-    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, np.nan, 0.9]))
+    # Pose rejects a NaN translation when it is built; one set afterwards
+    # still reaches the render's own check
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
+    pose.translation = np.array([0.0, np.nan, 0.9])
     with pytest.raises(SynthError, match="non-finite"):
         render_full(_lone_scene(1, pose), models)
 
