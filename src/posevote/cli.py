@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: synth, vote, loss, histogram, eval, refine, pipeline. All
-outputs are JSON/CSV written atomically (temp file + rename), carry the seed
-they were produced with, and are bit-identical across repeated runs with the
-same arguments.
+Subcommands: synth, vote, loss, histogram, eval, refine, pipeline, make-model.
+All outputs are JSON/CSV written atomically (temp file + rename), bit-identical
+across repeated runs with the same arguments. Only the commands that draw
+random numbers take --seed; synth, refine and pipeline record it in their JSON.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import pipeline as pipeline_mod
 from .fields import CenterField, DepthMap, LabelMap
-from .geometry import CameraIntrinsics, Pose, rotation_angle_between
+from .geometry import (CameraIntrinsics, Pose, is_finite_real, is_int_at_least,
+                       rotation_angle_between)
 from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
 from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
                       reprojection_error)
@@ -102,20 +103,15 @@ def _poses(data) -> list[tuple[int, Pose]]:
     return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in entries]
 
 
-def _frame_size(desc: dict, key: str) -> int:
-    value = desc[key]
-    if type(value) is not int or value < 1:  # a JSON float or bool is no size
-        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
-    return value
-
-
 def _scene(desc) -> Scene:
     intr = CameraIntrinsics.from_dict(desc["intrinsics"])
     instances = [(int(inst["class_id"]), Pose.from_dict(inst))
                  for inst in desc["instances"]]
+    for key in ("width", "height"):
+        if not is_int_at_least(desc[key], 1):  # a JSON float or bool is no size
+            raise ValueError(f"{key!r} must be a positive integer, got {desc[key]!r}")
     return Scene(instances=instances, intrinsics=intr,
-                 width=_frame_size(desc, "width"),
-                 height=_frame_size(desc, "height"))
+                 width=desc["width"], height=desc["height"])
 
 
 def load_intrinsics(path: str) -> CameraIntrinsics:
@@ -153,25 +149,19 @@ def _icp_from_args(args) -> IcpParams:
 # subcommands
 
 
-def _int_at_least(text: str, low: int) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}") from None
-    if n < low:
-        raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-    return n
-
-
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _non_negative_int(text: str) -> int:
-    """A count that may be zero, or a seed for numpy's generators, which
-    take no negative value."""
-    return _int_at_least(text, 0)
+def _int_at_least(low: int):
+    """The parser type of an integer of at least `low`; a seed is at least 0,
+    since numpy's generators take no negative one."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if not is_int_at_least(n, low):
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+    return parse
 
 
 def _positive_float(text: str) -> float:
@@ -180,7 +170,7 @@ def _positive_float(text: str) -> float:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number, got {text!r}") from None
-    if not (math.isfinite(x) and x > 0):
+    if not (is_finite_real(x) and x > 0):
         raise argparse.ArgumentTypeError(
             f"must be positive and finite, got {text}")
     return x
@@ -228,8 +218,7 @@ def cmd_vote(args) -> int:
     fld = CenterField.from_tensor(load_tensor(args.field))
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
-    out = {"seed": args.seed, "detections": [d.to_dict() for d in detections]}
-    _emit(args.out, out)
+    _emit(args.out, {"detections": [d.to_dict() for d in detections]})
     return 0
 
 
@@ -282,7 +271,6 @@ def cmd_eval(args) -> int:
             row["reproj_px"] = reprojection_error(est, gt, model, intr)
         rows.append(row)
     summary = {
-        "seed": args.seed,
         "frames": len(rows),
         "auc_add": auc(accuracy_curve([r["add_m"] for r in rows], AUC_CAP_M)),
         "auc_adds": auc(accuracy_curve([r["add_s_m"] for r in rows], AUC_CAP_M)),
@@ -347,9 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("synth", help="render synthetic scenes to tensor files")
     s.add_argument("--out-dir", required=True)
-    s.add_argument("--random", type=_positive_int, default=1, metavar="N")
+    s.add_argument("--random", type=_int_at_least(1), default=1, metavar="N")
     s.add_argument("--scene", help="scene description JSON (instead of random)")
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
     s.set_defaults(func=cmd_synth)
 
@@ -357,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--labels", required=True)
     s.add_argument("--field", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_vote)
 
@@ -373,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rotation-error histogram from loss descent")
     s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
     s.add_argument("--model-kind", choices=PRIMITIVE_KINDS, default="bar_2fold")
-    s.add_argument("--inits", type=_positive_int, default=200)
-    s.add_argument("--steps", type=_non_negative_int, default=500)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--inits", type=_int_at_least(1), default=200)
+    s.add_argument("--steps", type=_int_at_least(0), default=500)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_histogram)
 
@@ -384,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--est", required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--intrinsics")
-    s.add_argument("--seed", type=_non_negative_int, default=0)
     s.add_argument("--out")
     s.add_argument("--out-csv")
     s.set_defaults(func=cmd_eval)
@@ -392,31 +378,31 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("refine", help="multi-hypothesis ICP refinement")
     s.add_argument("--depth", required=True)
     s.add_argument("--labels", required=True)
-    s.add_argument("--class-id", type=_positive_int, required=True)
+    s.add_argument("--class-id", type=_int_at_least(1), required=True)
     s.add_argument("--model", required=True)
     s.add_argument("--init", required=True)
     s.add_argument("--intrinsics", required=True)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--out")
-    s.add_argument("--hypotheses", type=_positive_int, default=1)
+    s.add_argument("--hypotheses", type=_int_at_least(1), default=1)
     s.set_defaults(func=cmd_refine)
 
     s = sub.add_parser("pipeline",
                        help="synth -> detect -> (refine) -> eval, end to end")
-    s.add_argument("--scenes", type=_positive_int, default=20)
-    s.add_argument("--seed", type=_non_negative_int, default=0)
+    s.add_argument("--scenes", type=_int_at_least(1), default=20)
+    s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--refine", action="store_true")
-    s.add_argument("--jobs", type=_positive_int, default=1)
+    s.add_argument("--jobs", type=_int_at_least(1), default=1)
     s.add_argument("--out")
     s.add_argument("--csv")
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")
-    s.add_argument("--hypotheses", type=_positive_int, default=1)
+    s.add_argument("--hypotheses", type=_int_at_least(1), default=1)
     s.set_defaults(func=cmd_pipeline)
 
     s = sub.add_parser("make-model", help="write a primitive model PLY")
     s.add_argument("--kind", required=True, choices=PRIMITIVE_KINDS)
     s.add_argument("--scale", type=_positive_float, default=0.1)
-    s.add_argument("--points", type=_positive_int, default=500)
+    s.add_argument("--points", type=_int_at_least(1), default=500)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_make_model)
     return p

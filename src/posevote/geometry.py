@@ -7,6 +7,7 @@ API boundaries, radians internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,18 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 class GeometryError(ValueError):
     pass
+
+
+def is_int_at_least(value, low: int) -> bool:
+    """A Python or numpy integer, not a bool, of at least `low`."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low)
+
+
+def is_finite_real(value) -> bool:
+    """A real number, not a bool, that is finite."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +116,7 @@ class CameraIntrinsics:
     py: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.px, self.py)):
+        if not all(is_finite_real(v) for v in (self.fx, self.fy, self.px, self.py)):
             raise GeometryError("intrinsics must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError("focal lengths must be positive")
@@ -349,7 +362,7 @@ class ObjectModel:
     diameter: float = field(init=False)
 
     def __post_init__(self):
-        if self.class_id <= 0:
+        if not is_int_at_least(self.class_id, 1):
             raise GeometryError("class_id must be a positive integer")
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if self.points.shape[0] == 0:

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import (NeighborIndex, NeighborTracker, ObjectModel,
-                       normalize_quat, quat_to_rotation, rotation_angle_between)
+                       is_finite_real, is_int_at_least, normalize_quat,
+                       quat_to_rotation, rotation_angle_between)
 
 
 _FD_STEP = 1e-5  # quaternion component step of the gradient check
@@ -171,10 +171,9 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     ``lr`` finite and > 0 (ValueError); a zero or non-finite quaternion
     raises GeometryError.
     """
-    if (isinstance(steps, bool) or not isinstance(steps, numbers.Integral)
-            or steps < 0):
+    if not is_int_at_least(steps, 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0):
+    if not (is_finite_real(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     qg = normalize_quat(q_gt)
     target = prepare_target(kind, qg, model)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, NeighborIndex, ObjectModel, Pose, project
+from .geometry import (CameraIntrinsics, NeighborIndex, ObjectModel, Pose,
+                       is_finite_real, is_int_at_least, project)
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
 AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
@@ -67,10 +68,10 @@ def accuracy_curve(distances, max_threshold: float, n_steps: int = 1000) -> Accu
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
         raise ValueError("accuracy curve needs at least one distance")
-    if not (np.isfinite(max_threshold) and max_threshold > 0):
+    if not (is_finite_real(max_threshold) and max_threshold > 0):
         raise ValueError(f"max_threshold must be finite and positive, "
                          f"got {max_threshold!r}")
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
+    if not is_int_at_least(n_steps, 1):
         raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
     thresholds = np.linspace(max_threshold / n_steps, max_threshold, n_steps)
     accuracy = np.mean(d[None, :] < thresholds[:, None], axis=1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .fields import CenterField, DepthMap, LabelMap
-from .geometry import ObjectModel, Pose, rotation_angle_between
+from .geometry import ObjectModel, Pose, is_int_at_least, rotation_angle_between
 from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
                       reprojection_error)
 from .refine import IcpError, IcpParams, multi_hypothesis_refine
@@ -41,10 +41,9 @@ class PipelineConfig:
     max_threshold = AUC_CAP_M  # the AUC cap, a constant rather than a field
 
     def __post_init__(self):
-        counts = (self.scenes, self.jobs)
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+        if not all(is_int_at_least(n, 1) for n in (self.scenes, self.jobs)):
             raise ValueError("scenes and jobs must be integers of at least 1")
-        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+        if not is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
@@ -207,7 +206,6 @@ def run_pipeline(cfg: PipelineConfig,
         "noise": {
             "direction_sigma_rad": cfg.noise.direction_sigma,
             "depth_sigma_m": cfg.noise.depth_sigma,
-            "label_flip_rate": 0.0,  # the key stays; labels are never flipped
             "rotation_sigma_deg": cfg.noise.rotation_sigma_deg,
         },
         "refined": cfg.refine,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import DepthMap, LabelMap
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, cross_rows,
-                       quat_from_axis_angle, quat_multiply)
+                       is_int_at_least, quat_from_axis_angle, quat_multiply)
 from .synth import RangeImage, Scene, render_full
 
 _MIN_MASK_PIXELS = 50
@@ -47,10 +47,10 @@ class IcpParams:
 
     def __post_init__(self):
         counts = (self.max_iterations, self.n_hypotheses)
-        if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in counts):
+        if not all(is_int_at_least(n, 1) for n in counts):
             raise ValueError("max_iterations and n_hypotheses must be "
                              "integers of at least 1")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+        if not is_int_at_least(self.rng_seed, 0):
             raise ValueError("rng_seed must be a non-negative integer")
 
 

@@ -25,8 +25,8 @@ from scipy.spatial import ConvexHull
 
 from .fields import CenterField, LabelMap, directions_to_center
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, backproject_center,
-                       cross_rows, project, quat_from_axis_angle,
-                       quat_multiply, random_quat)
+                       cross_rows, is_finite_real, is_int_at_least, project,
+                       quat_from_axis_angle, quat_multiply, random_quat)
 
 
 class SynthError(ValueError):
@@ -52,9 +52,9 @@ class NoiseSpec:
 
     def __post_init__(self):
         sigmas = (self.direction_sigma, self.depth_sigma, self.rotation_sigma_deg)
-        if not all(math.isfinite(s) and s >= 0 for s in sigmas):
+        if not all(is_finite_real(s) and s >= 0 for s in sigmas):
             raise SynthError("noise sigmas must be finite and non-negative")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+        if not is_int_at_least(self.rng_seed, 0):
             raise SynthError("rng_seed must be a non-negative integer")
 
 
@@ -195,9 +195,9 @@ def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
     asymmetric_blob: deformed ellipsoid point cloud, trivial symmetry group.
     cylinder: capped cylinder mesh with discrete n-fold axial symmetry.
     """
-    if not (math.isfinite(scale) and scale > 0):
+    if not (is_finite_real(scale) and scale > 0):
         raise SynthError(f"scale must be positive and finite, got {scale}")
-    if n_points < 1:
+    if not is_int_at_least(n_points, 1):
         raise SynthError(f"n_points must be at least 1, got {n_points}")
     if kind == "cube":
         k = max(2, round(math.sqrt(max(n_points, 24) / 6)))

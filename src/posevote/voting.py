@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import CenterField, LabelMap
-from .geometry import CameraIntrinsics, backproject_center
+from .geometry import CameraIntrinsics, backproject_center, is_int_at_least
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
 # Run boundaries accumulated at once; a ray with more is its own chunk.
@@ -187,8 +187,7 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
     max_ray_length is None (the frame diagonal) or an integer of at least 1;
     any other value raises VotingError.
     """
-    if max_ray_length is not None and not (
-            isinstance(max_ray_length, (int, np.integer)) and max_ray_length >= 1):
+    if max_ray_length is not None and not is_int_at_least(max_ray_length, 1):
         raise VotingError("max_ray_length must be None or an integer of at "
                           f"least 1, got {max_ray_length!r}")
     h, w = labels.height, labels.width

@@ -65,11 +65,16 @@ _REMOVED_FLAGS = [
       "--model", "m", "--init", "i", "--intrinsics", "k"],
      ["--icp-iters", "5"]),
     (["pipeline"], ["--min-visibility", "0.5"]),
+    # voting and evaluation draw no random numbers
+    (["vote", "--labels", "l", "--field", "f", "--intrinsics", "k"],
+     ["--seed", "0"]),
+    (["eval", "--gt", "g", "--est", "e", "--model", "m"], ["--seed", "0"]),
 ]
 
 
 @pytest.mark.parametrize("base, flag", _REMOVED_FLAGS,
-                         ids=[b[0] for b, _ in _REMOVED_FLAGS])
+                         ids=[b[0] if f[0] != "--seed" else f"{b[0]}--seed"
+                              for b, f in _REMOVED_FLAGS])
 def test_removed_flag_exits_2(base, flag, capsys):
     parser = build_parser()
     parser.parse_args(base)
@@ -193,11 +198,7 @@ def test_make_model_points_below_one_exits_2(tmp_path, count, capsys):
 # one command line per subcommand that takes --seed, writing into {d}
 _SEEDED = [
     ["synth", "--out-dir", "{d}/scenes", "--random", "1"],
-    ["vote", "--labels", "l", "--field", "f", "--intrinsics", "k",
-     "--out", "{d}/v.json"],
     ["histogram", "--kind", "sloss", "--inits", "2", "--out", "{d}/h.csv"],
-    ["eval", "--gt", "g", "--est", "e", "--model", "m", "--out", "{d}/e.json",
-     "--out-csv", "{d}/e.csv"],
     ["refine", "--depth", "d", "--labels", "l", "--class-id", "1",
      "--model", "m", "--init", "i", "--intrinsics", "k", "--out", "{d}/r.json"],
     ["pipeline", "--scenes", "1", "--out", "{d}/p.json", "--csv", "{d}/p.csv"],
@@ -552,7 +553,10 @@ def _scene_json(**changes):
     (_scene_json(width=64.7), "'width' must be a positive integer, got 64.7"),
     (_scene_json(height=120.0), "'height' must be a positive integer, got 120.0"),
     (_scene_json(height=True), "'height' must be a positive integer, got True"),
-], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool"])
+    (_scene_json(intrinsics={**K_JSON, "fx": True}), "intrinsics must be finite"),
+    (_scene_json(intrinsics={**K_JSON, "py": "120"}), "intrinsics must be finite"),
+], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool",
+        "bool-focal-length", "string-principal-point"])
 def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys):
     path = tmp_path / "scene.json"
     _write_json(path, scene)

@@ -277,6 +277,12 @@ def test_object_model_rejects_non_finite_points():
         ObjectModel(class_id=1, name="t", points=pts)
 
 
+@pytest.mark.parametrize("class_id", [1.5, True, "1"])
+def test_object_model_rejects_class_id_not_a_positive_integer(class_id):
+    with pytest.raises(GeometryError, match="class_id must be a positive integer"):
+        ObjectModel(class_id=class_id, name="t", points=np.eye(3))
+
+
 def test_object_model_rejects_out_of_range_faces():
     pts = np.eye(3)
     with pytest.raises(GeometryError):  # -1 used to wrap to the last vertex

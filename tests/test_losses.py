@@ -432,7 +432,7 @@ def test_optimize_rotation_rejects_non_finite_quaternions(kind, bad):
 @pytest.mark.parametrize("setting", [
     {"steps": -1}, {"steps": 1.5}, {"steps": True}, {"steps": "3"},
     {"lr": 0.0}, {"lr": -0.03}, {"lr": math.nan}, {"lr": math.inf},
-    {"lr": "0.03"}])
+    {"lr": "0.03"}, {"lr": True}])
 def test_optimize_rotation_rejects_bad_settings(setting):
     m = make_primitive_model("cube", scale=0.1, n_points=150)
     q = np.array([1.0, 0.0, 0.0, 0.0])

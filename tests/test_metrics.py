@@ -146,13 +146,13 @@ def test_accuracy_curve_monotone():
 
 
 # a NaN or infinite cap would give an AUC of NaN, and n_steps=0 divide by zero
-@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -0.1, "x", True])
 def test_accuracy_curve_rejects_cap_not_finite_and_positive(cap):
     with pytest.raises(ValueError, match="max_threshold"):
         accuracy_curve([0.05], cap)
 
 
-@pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, "10"])
+@pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, "10", True])
 def test_accuracy_curve_rejects_steps_not_an_integer_of_at_least_1(n_steps):
     with pytest.raises(ValueError, match="n_steps"):
         accuracy_curve([0.05], 0.10, n_steps=n_steps)

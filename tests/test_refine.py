@@ -178,7 +178,8 @@ def test_icp_params_validation():
 @pytest.mark.parametrize("setting", [
     {"max_iterations": math.inf}, {"max_iterations": math.nan},
     {"n_hypotheses": math.inf}, {"n_hypotheses": math.nan}, {"rng_seed": -1},
-    {"rng_seed": math.nan},
+    {"rng_seed": math.nan}, {"max_iterations": True}, {"n_hypotheses": True},
+    {"rng_seed": True},
 ], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
 def test_icp_params_rejects_non_finite_or_negative(setting):
     with pytest.raises(ValueError):

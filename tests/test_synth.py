@@ -67,7 +67,7 @@ def test_unknown_kind_rejected():
 
 
 @pytest.mark.parametrize("kind", synth.PRIMITIVE_KINDS)
-@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, True, "x"])
 def test_non_finite_or_zero_scale_rejected(kind, scale):
     with pytest.raises(SynthError, match="scale must be positive and finite"):
         make_primitive_model(kind, scale=scale)
@@ -75,7 +75,7 @@ def test_non_finite_or_zero_scale_rejected(kind, scale):
 
 @pytest.mark.parametrize("kind", ["cube", "bar_2fold", "asymmetric_blob",
                                   "cylinder"])
-@pytest.mark.parametrize("n_points", [0, -5])
+@pytest.mark.parametrize("n_points", [0, -5, 2.5, 40.7, True, "5"])
 def test_point_count_below_one_rejected(kind, n_points):
     with pytest.raises(SynthError, match="n_points"):
         make_primitive_model(kind, n_points=n_points)
@@ -631,6 +631,7 @@ def test_noise_spec_validation():
     {"rotation_sigma_deg": math.nan}, {"rotation_sigma_deg": math.inf},
     {"direction_sigma": math.nan}, {"depth_sigma": math.inf},
     {"depth_sigma": math.nan}, {"rng_seed": -1}, {"rng_seed": 1.5},
+    {"depth_sigma": True}, {"depth_sigma": "a"}, {"rng_seed": True},
 ], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
 def test_noise_spec_rejects_non_finite_or_negative(setting):
     with pytest.raises(SynthError):

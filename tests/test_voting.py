@@ -72,7 +72,7 @@ def test_votes_stop_at_max_ray_length():
     assert grid.scores[30, 60] == 0
 
 
-@pytest.mark.parametrize("max_ray_length", [0, -1, 0.5])
+@pytest.mark.parametrize("max_ray_length", [0, -1, 0.5, True])
 def test_cast_votes_rejects_max_ray_length_below_one_or_fractional(max_ray_length):
     # none can be honoured: 0 would read as unset (the whole ray), -1 would
     # vote on no cell and 0.5 on two
