@@ -96,16 +96,24 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _poses(data) -> list[tuple[int, Pose]]:
+def _class_id(cid):
+    if not is_int_at_least(cid, 1):  # a JSON float, bool or string is no id
+        raise ValueError(f"'class_id' must be a positive integer, got {cid!r}")
+    return cid
+
+
+def _poses(data) -> list[Pose]:
     entries = [data] if isinstance(data, dict) else data
     if not (isinstance(entries, list) and all(isinstance(d, dict) for d in entries)):
         raise ValueError("expected a pose object or a list of pose objects")
-    return [(int(d.get("class_id", 0)), Pose.from_dict(d)) for d in entries]
+    for d in entries:
+        _class_id(d.get("class_id", 1))
+    return [Pose.from_dict(d) for d in entries]
 
 
 def _scene(desc) -> Scene:
     intr = CameraIntrinsics.from_dict(desc["intrinsics"])
-    instances = [(int(inst["class_id"]), Pose.from_dict(inst))
+    instances = [(_class_id(inst["class_id"]), Pose.from_dict(inst))
                  for inst in desc["instances"]]
     for key in ("width", "height"):
         if not is_int_at_least(desc[key], 1):  # a JSON float or bool is no size
@@ -118,7 +126,7 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
     return _read_json(path, CameraIntrinsics.from_dict)
 
 
-def load_poses(path: str) -> list[tuple[int, Pose]]:
+def load_poses(path: str) -> list[Pose]:
     return _read_json(path, _poses)
 
 
@@ -127,7 +135,7 @@ def _load_pose(path: str) -> Pose:
     poses = load_poses(path)
     if len(poses) != 1:
         raise ValueError(f"{path} holds {len(poses)} poses, expected 1")
-    return poses[0][1]
+    return poses[0]
 
 
 _NOISE_PRESETS = {
@@ -262,7 +270,7 @@ def cmd_eval(args) -> int:
                          f"{len(gt_poses)} and {len(est_poses)}")
     intr = load_intrinsics(args.intrinsics) if args.intrinsics else None
     rows = []
-    for i, ((_, gt), (_, est)) in enumerate(zip(gt_poses, est_poses)):
+    for i, (gt, est) in enumerate(zip(gt_poses, est_poses)):
         a = add(est, gt, model)
         s = add_s(est, gt, model)
         row = {"frame": i, "add_m": a, "add_s_m": s,

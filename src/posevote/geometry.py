@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,9 +26,9 @@ def is_int_at_least(value, low: int) -> bool:
 
 
 def is_finite_real(value) -> bool:
-    """A real number, not a bool, that is finite."""
+    """A real number, not a bool, that is finite as a float."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,9 @@ def cross_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
     return out
 
 
+_REACH_MARGIN = 1e-9  # of the second distance, for rounding in the distances
+
+
 def _require_finite_points(points: np.ndarray):
     if not np.isfinite(points).all():
         raise GeometryError("nearest-neighbour points must be finite")
@@ -223,16 +227,22 @@ class NeighborIndex:
     """A k-d tree over a fixed set of target points, for closest-point
     queries against the same targets many times.
 
-    The targets are checked once, when the tree is built, and each query
-    when it is asked; a non-finite point raises GeometryError. Among targets
-    at equal distance the index is the tree's choice, which is deterministic
-    but not always the lowest. Exact duplicates share their coordinates, so
-    targets[indices] holds the same points whichever index the tree picks.
+    The targets are checked once, when the tree is built, and the points of
+    every call when it is made; a non-finite point raises GeometryError.
+    Among targets at equal distance the index is the tree's choice, which is
+    deterministic but not always the lowest. Exact duplicates share their
+    coordinates, so targets[indices] holds the same points whichever index
+    the tree picks. ``query`` is stateless; ``nearest`` remembers the
+    correspondences of its last call, so an index is not for concurrent use.
     """
 
     def __init__(self, targets: np.ndarray):
         _require_finite_points(targets)
         self._tree = cKDTree(targets)
+        self._bits = self._tree.data.view(np.int64)  # exact duplicates share them
+        self._at = None  # (m, 3) where each point was last searched for
+        self._nearest = None  # (m,) the closest target found there
+        self._reach2 = None  # (m,) squared reach, -inf for none
 
     def query(self, points: np.ndarray):
         """(distances, indices) of the closest target to each point."""
@@ -240,43 +250,22 @@ class NeighborIndex:
         return self._tree.query(points, k=1)
 
     def nearest(self, points: np.ndarray) -> np.ndarray:
-        """Indices of the closest target to each point."""
-        return self.query(points)[1]
+        """Indices of the closest target to each point, by a cached k-d
+        tree search (Nüchter, Lingemann and Hertzberg, 3DIM 2007) that is
+        exact for any sequence of calls and cheapest when the points move a
+        little between calls, as along a descent.
 
-    def tracker(self) -> NeighborTracker:
-        """A NeighborTracker over these targets, for one moving point set."""
-        return NeighborTracker(self._tree)
-
-
-_REACH_MARGIN = 1e-9  # of the second distance, for rounding in the distances
-
-
-class NeighborTracker:
-    """Closest-target indices for one point set that moves a little between
-    calls, as it does along a descent: a cached k-d tree search (Nüchter,
-    Lingemann and Hertzberg, 3DIM 2007) that stays exact.
-
-    Each point keeps the target its last query found, where it was then,
-    and a reach: half the gap from that target's distance to the closest
-    target with other coordinates, less 1e-9 of the latter for rounding. By
-    the triangle inequality no target with other coordinates can be closest
-    to a point that has moved less than its reach, so only points that moved
-    farther are queried again. targets[nearest(points)] is thus bit-equal to
-    what a fresh NeighborIndex query gathers, though an index may name
-    another exact duplicate. A point without a positive reach (an exact tie
-    between distinct targets, or no distinct second target) is queried on
-    every call. Every call checks that the points are finite.
-    """
-
-    def __init__(self, tree: cKDTree):
-        self._tree = tree
-        self._bits = tree.data.view(np.int64)  # exact duplicates share them
-        self._at = None  # (m, 3) where each point was last queried
-        self._nearest = None  # (m,) the closest target found there
-        self._reach2 = None  # (m,) squared reach, -inf for none
-
-    def nearest(self, points: np.ndarray) -> np.ndarray:
-        """Indices of the closest target to each point."""
+        Each point keeps where it was last searched for, the target found
+        and a reach: half the gap from that target's distance to the closest
+        target with other coordinates, less 1e-9 of the latter for rounding.
+        By the triangle inequality no other coordinates can be closest to a
+        point that has moved less than its reach, so only the points that
+        moved farther (all of them when their number changes) are searched
+        again. targets[nearest(points)] is bit-equal to what ``query``
+        gathers, though an index may name another exact duplicate. A point
+        without a positive reach (an exact tie, or no distinct second
+        target) is searched on every call.
+        """
         _require_finite_points(points)
         if self._at is None or self._at.shape != points.shape:
             self._at = np.empty(points.shape)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (NeighborIndex, NeighborTracker, ObjectModel,
-                       is_finite_real, is_int_at_least, normalize_quat,
-                       quat_to_rotation, rotation_angle_between)
+from .geometry import (NeighborIndex, ObjectModel, is_finite_real,
+                       is_int_at_least, normalize_quat, quat_to_rotation,
+                       rotation_angle_between)
 
 
 _FD_STEP = 1e-5  # quaternion component step of the gradient check
@@ -46,14 +46,14 @@ class LossTarget:
     """The ground-truth side of a loss for one q_gt and model, prepared once
     and reused for any number of estimates.
 
-    For SLoss, ``index`` searches ``points``: a NeighborIndex answers every
-    query afresh, and a NeighborTracker (one per descent) re-queries only the
-    correspondences that can have changed since its last call."""
+    For SLoss, ``index`` searches ``points`` and remembers its last
+    correspondences (NeighborIndex.nearest), so a target is not for
+    concurrent use."""
 
     model: ObjectModel
     q_gt: np.ndarray  # unit (w, x, y, z)
     points: np.ndarray  # model.points rotated by q_gt, (m, 3)
-    index: NeighborIndex | NeighborTracker | None  # None for PLoss
+    index: NeighborIndex | None  # None for PLoss
 
 
 def prepare_target(kind: LossKind, q_gt, model: ObjectModel) -> LossTarget:
@@ -72,11 +72,10 @@ def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
     derivatives taken along renormalized perturbations.
     """
     w, x, y, z = q
-    dw = 2.0 * np.array([[w, -z, y], [z, w, -x], [-y, x, w]])
-    dx = 2.0 * np.array([[x, y, z], [y, -x, -w], [z, w, -x]])
-    dy = 2.0 * np.array([[-y, x, w], [x, y, z], [-w, z, -y]])
-    dz = 2.0 * np.array([[-z, -w, x], [w, -z, y], [x, y, z]])
-    return np.stack([dw, dx, dy, dz])
+    return 2.0 * np.array([[[w, -z, y], [z, w, -x], [-y, x, w]],
+                           [[x, y, z], [y, -x, -w], [z, w, -x]],
+                           [[-y, x, w], [x, y, z], [-w, z, -y]],
+                           [[-z, -w, x], [w, -z, y], [x, y, z]]])
 
 
 def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -121,8 +120,8 @@ def sloss(q_est, q_gt, model: ObjectModel, *,
     """Mean squared distance to the closest rotated ground-truth point.
 
     ``target``, from prepare_target(LossKind.SLOSS, q_gt, model), saves
-    rotating and indexing the ground truth again; one prepared for anything
-    else raises ValueError.
+    rotating, indexing and matching the ground truth again (it keeps its
+    last correspondences); one prepared for anything else raises ValueError.
     """
     return _loss_impl(LossKind.SLOSS, q_est, q_gt, model, target)
 
@@ -164,9 +163,9 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     gradient direction, q <- normalize(q - (lr / sqrt(t+1)) * g / ||g||),
     which makes the trajectory independent of the loss magnitude and hence
     of model scale. Descent stops early at stationary points. The ground
-    truth is prepared once for every start and step; an SLoss descent
-    tracks its correspondences, so each step re-queries only the points
-    whose closest ground-truth point can have changed. Returns
+    truth is prepared once for every start and step; for SLoss it tracks
+    its correspondences, so each step re-queries only the points whose
+    closest ground-truth point can have changed. Returns
     [(q_final, angle_error_deg)]. ``steps`` must be an integer >= 0 and
     ``lr`` finite and > 0 (ValueError); a zero or non-finite quaternion
     raises GeometryError.
@@ -179,11 +178,9 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     target = prepare_target(kind, qg, model)
     results = []
     for q0 in inits:
-        start = target if target.index is None \
-            else replace(target, index=target.index.tracker())
         q = normalize_quat(q0)
         for t in range(steps):
-            g = evaluate_loss(kind, q, qg, model, target=start).gradient
+            g = evaluate_loss(kind, q, qg, model, target=target).gradient
             ng = float(np.linalg.norm(g))
             if ng < 1e-15:
                 break

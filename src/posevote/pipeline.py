@@ -36,7 +36,7 @@ class PipelineConfig:
     seed: int = 0
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     refine: bool = False
-    icp: IcpParams = field(default_factory=lambda: IcpParams(n_hypotheses=1))
+    icp: IcpParams = field(default_factory=IcpParams)
     jobs: int = 1
     max_threshold = AUC_CAP_M  # the AUC cap, a constant rather than a field
 

@@ -42,7 +42,7 @@ class IcpParams:
     are constants."""
 
     max_iterations: int = 100
-    n_hypotheses: int = 8
+    n_hypotheses: int = 1
     rng_seed: int = 0
 
     def __post_init__(self):

@@ -432,7 +432,8 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
     """Z-buffer render returning depth/label/instance/normal buffers of the
-    scene's window, or of the whole frame when it has none."""
+    scene's window, or of the whole frame when it has none. Each model must
+    be keyed by its own class id (SynthError)."""
     x0, y0, w, h = scene.window or (0, 0, scene.width, scene.height)
     if scene.window and not (0 <= x0 and 0 <= y0 and 1 <= w and 1 <= h
                              and x0 + w <= scene.width
@@ -446,6 +447,9 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
         if pose.translation[2] <= 0:
             raise SynthError("instance depth Tz must be positive")
         model = models[cid]
+        if model.class_id != cid:  # the label map and the field agree
+            raise SynthError(f"model {model.name!r} has class id "
+                             f"{model.class_id}, not its key {cid}")
         if model.faces is None or not model.faces.size:
             raise SynthError(f"model {model.name!r} has no faces to render")
         pts_cam = model.points @ pose.rotation_matrix().T + pose.translation

@@ -491,6 +491,10 @@ def test_intrinsics_missing_key_names_file_and_key(tmp_path, capsys):
     ({"class_id": 1, "quaternion_wxyz": [1, 0, 0, 0]}, "missing key 'translation_m'"),
     (5, "expected a pose object or a list of pose objects"),
     ([5], "expected a pose object or a list of pose objects"),
+    ([_pose_entry(1.5, [1, 0, 0, 0], [0, 0, 1.0])],
+     "'class_id' must be a positive integer, got 1.5"),
+    (_pose_entry(True, [1, 0, 0, 0], [0, 0, 1.0]),
+     "'class_id' must be a positive integer, got True"),
 ])
 def test_pose_file_errors_name_the_file(tmp_path, content, message, capsys):
     model = tmp_path / "cube.ply"
@@ -503,6 +507,17 @@ def test_pose_file_errors_name_the_file(tmp_path, content, message, capsys):
                 "--model", str(model), "--out", str(out)]) == 1
     assert f"posevote: error: {bad}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pose_file_may_omit_class_id(tmp_path):
+    model = tmp_path / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+    poses = tmp_path / "poses.json"
+    _write_json(poses, {"quaternion_wxyz": [1, 0, 0, 0], "translation_m": [0, 0, 1.0]})
+    out = tmp_path / "summary.json"
+    assert run(["eval", "--gt", str(poses), "--est", str(poses),
+                "--model", str(model), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["frames"] == 1
 
 
 # the error names the file, as for every other bad value in a pose file
@@ -555,8 +570,12 @@ def _scene_json(**changes):
     (_scene_json(height=True), "'height' must be a positive integer, got True"),
     (_scene_json(intrinsics={**K_JSON, "fx": True}), "intrinsics must be finite"),
     (_scene_json(intrinsics={**K_JSON, "py": "120"}), "intrinsics must be finite"),
+    *((_scene_json(instances=[_pose_entry(cid, [1, 0, 0, 0], [0, 0, 0.8])]),
+       f"'class_id' must be a positive integer, got {cid!r}")
+      for cid in (1.5, True, "1", 0)),
 ], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool",
-        "bool-focal-length", "string-principal-point"])
+        "bool-focal-length", "string-principal-point", "fractional-class-id",
+        "bool-class-id", "string-class-id", "zero-class-id"])
 def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys):
     path = tmp_path / "scene.json"
     _write_json(path, scene)

@@ -357,26 +357,25 @@ def test_neighbor_tracker_gathers_what_fresh_queries_gather():
         if trial % 3 == 0:
             targets = rng.standard_normal((n, 3))
         index = NeighborIndex(targets)
-        tracker = index.tracker()
         points = rng.integers(-3, 4, (25, 3)) * 0.005
         for step in range(20):
             points = points + rng.standard_normal(points.shape) \
                 * 10.0 ** rng.integers(-9, -1)
             if step % 7 == 3:
                 points[:5] = rng.integers(-3, 4, (5, 3)) * 0.005
-            got = targets[tracker.nearest(points)]
-            assert np.array_equal(got.view(np.int64),
-                                  targets[index.nearest(points)].view(np.int64))
+            got = targets[index.nearest(points)]
+            fresh = targets[NeighborIndex(targets).query(points)[1]]
+            assert np.array_equal(got.view(np.int64), fresh.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_neighbor_tracker_checks_every_call(bad):
-    tracker = NeighborIndex(np.eye(3)).tracker()
+    index = NeighborIndex(np.eye(3))
     points = np.zeros((4, 3))
-    tracker.nearest(points)
+    index.nearest(points)
     points[1, 2] = bad
     with pytest.raises(GeometryError, match="finite"):
-        tracker.nearest(points)
+        index.nearest(points)
 
 
 def test_reused_neighbor_index_answers_as_fresh_ones():

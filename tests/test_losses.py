@@ -1,6 +1,5 @@
 import contextlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -299,14 +298,13 @@ def test_point_midway_between_two_targets_is_queried_every_step():
     q_gt = np.array([0.0, 1.0, 0.0, 0.0])
     with _tree_queries() as queries:
         shared = prepare_target(LossKind.SLOSS, q_gt, m)
-        tracked = replace(shared, index=shared.index.tracker())
         for t in range(6):
             q_est = quat_from_axis_angle([0.0, 0.0, 1.0], 0.01 * t)
             est = m.points @ quat_to_rotation(q_est).T
             d = np.linalg.norm(shared.points - est[0], axis=1)
             assert d[1] == d[2] < d[0]
             queries.clear()
-            res = sloss(q_est, q_gt, m, target=tracked)
+            res = sloss(q_est, q_gt, m, target=shared)
             # the tied point takes a fresh k = 1 query's choice each time
             assert np.array_equal(queries[-1][0], est[:1])
             assert queries[-1][1] == 1
@@ -316,7 +314,7 @@ def test_point_midway_between_two_targets_is_queried_every_step():
             assert np.array_equal(res.gradient, ref_grad)
 
 
-def test_target_shared_by_a_descent_stays_stateless(monkeypatch):
+def test_target_shared_by_a_descent_answers_as_fresh_ones(monkeypatch):
     m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
     rng = np.random.default_rng(25)
     q_gt = random_quat(rng)
@@ -371,8 +369,12 @@ def test_loss_gradient_check_prepares_its_target_once(monkeypatch):
     monkeypatch.setattr(losses, "prepare_target", counting)
     for kind in LossKind:
         prepared.clear()
-        got = loss_gradient_check(kind, q_est, q_gt, m)
+        with _tree_queries() as queries:
+            got = loss_gradient_check(kind, q_est, q_gt, m)
         assert len(prepared) == 1
+        # the nine evaluations share the target's correspondences
+        if kind is LossKind.SLOSS:
+            assert _point_queries(queries) < 9 * 320
         # the same figure from nine per-call reference evaluations
         qe = normalize_quat(q_est)
         fd = np.zeros(4)
@@ -432,7 +434,7 @@ def test_optimize_rotation_rejects_non_finite_quaternions(kind, bad):
 @pytest.mark.parametrize("setting", [
     {"steps": -1}, {"steps": 1.5}, {"steps": True}, {"steps": "3"},
     {"lr": 0.0}, {"lr": -0.03}, {"lr": math.nan}, {"lr": math.inf},
-    {"lr": "0.03"}, {"lr": True}])
+    {"lr": "0.03"}, {"lr": True}, {"lr": 10**400}])
 def test_optimize_rotation_rejects_bad_settings(setting):
     m = make_primitive_model("cube", scale=0.1, n_points=150)
     q = np.array([1.0, 0.0, 0.0, 0.0])

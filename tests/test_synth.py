@@ -343,6 +343,15 @@ def test_coincident_instances_keep_the_earlier_one():
     assert np.all(r.label[covered] == 1)
 
 
+def test_render_rejects_model_keyed_by_another_class_id():
+    # the label map would hold the model's id and the field the key, so
+    # voting would find no detection
+    cube = make_primitive_model("cube", scale=0.1, n_points=600, class_id=1)
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
+    with pytest.raises(SynthError, match="class id 1, not its key 2"):
+        render_full(_lone_scene(2, pose), {2: cube})
+
+
 def test_render_rejects_non_finite_pose():
     models = default_registry()
     # Pose rejects a NaN translation when it is built; one set afterwards
@@ -632,6 +641,7 @@ def test_noise_spec_validation():
     {"direction_sigma": math.nan}, {"depth_sigma": math.inf},
     {"depth_sigma": math.nan}, {"rng_seed": -1}, {"rng_seed": 1.5},
     {"depth_sigma": True}, {"depth_sigma": "a"}, {"rng_seed": True},
+    pytest.param({"depth_sigma": 10**400}, id="depth_sigma=10**400"),
 ], ids=lambda d: "{}={}".format(*next(iter(d.items()))))
 def test_noise_spec_rejects_non_finite_or_negative(setting):
     with pytest.raises(SynthError):
