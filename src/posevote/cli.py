@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: synth, vote, loss, histogram, eval, refine, pipeline, make-model.
-All outputs are JSON/CSV written atomically (temp file + rename), bit-identical
-across repeated runs with the same arguments. Only the commands that draw
-random numbers take --seed; synth, refine and pipeline record it in their JSON.
+JSON and CSV outputs are written atomically (temp file + rename); synth's
+.pft tensors and make-model's PLY are written in place. Every output is
+bit-identical across repeated runs with the same arguments. Only the
+commands that draw random numbers take --seed; synth, refine and pipeline
+record it in their JSON.
 """
 
 from __future__ import annotations

@@ -229,17 +229,20 @@ class NeighborIndex:
 
     The targets are checked once, when the tree is built, and the points of
     every call when it is made; a non-finite point raises GeometryError.
-    Among targets at equal distance the index is the tree's choice, which is
-    deterministic but not always the lowest. Exact duplicates share their
-    coordinates, so targets[indices] holds the same points whichever index
-    the tree picks. ``query`` is stateless; ``nearest`` remembers the
+    The tree holds each distinct target once (compared bit for bit, so -0.0
+    and 0.0 differ), and an index names its first occurrence: among exact
+    duplicates it is the lowest. Among distinct targets at equal distance
+    the index is the tree's choice, which is deterministic but not always
+    the lowest. ``query`` is stateless; ``nearest`` remembers the
     correspondences of its last call, so an index is not for concurrent use.
     """
 
     def __init__(self, targets: np.ndarray):
         _require_finite_points(targets)
-        self._tree = cKDTree(targets)
-        self._bits = self._tree.data.view(np.int64)  # exact duplicates share them
+        rows = np.ascontiguousarray(targets, dtype=float)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        self._first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
+        self._tree = cKDTree(rows[self._first])
         self._at = None  # (m, 3) where each point was last searched for
         self._nearest = None  # (m,) the closest target found there
         self._reach2 = None  # (m,) squared reach, -inf for none
@@ -247,7 +250,8 @@ class NeighborIndex:
     def query(self, points: np.ndarray):
         """(distances, indices) of the closest target to each point."""
         _require_finite_points(points)
-        return self._tree.query(points, k=1)
+        dist, idx = self._tree.query(points, k=1)
+        return dist, self._first[idx]
 
     def nearest(self, points: np.ndarray) -> np.ndarray:
         """Indices of the closest target to each point, by a cached k-d
@@ -256,15 +260,13 @@ class NeighborIndex:
         little between calls, as along a descent.
 
         Each point keeps where it was last searched for, the target found
-        and a reach: half the gap from that target's distance to the closest
-        target with other coordinates, less 1e-9 of the latter for rounding.
-        By the triangle inequality no other coordinates can be closest to a
-        point that has moved less than its reach, so only the points that
-        moved farther (all of them when their number changes) are searched
-        again. targets[nearest(points)] is bit-equal to what ``query``
-        gathers, though an index may name another exact duplicate. A point
-        without a positive reach (an exact tie, or no distinct second
-        target) is searched on every call.
+        and a reach: half the gap from that target's distance to the second
+        closest one's, less 1e-9 of the latter for rounding. By the triangle
+        inequality no other target can be closest to a point that has moved
+        less than its reach, so only the points that moved farther (all of
+        them when their number changes) are searched again, and every call
+        returns what ``query`` returns. A point without a positive reach (an
+        exact tie, or a single distinct target) is searched on every call.
         """
         _require_finite_points(points)
         if self._at is None or self._at.shape != points.shape:
@@ -283,33 +285,17 @@ class NeighborIndex:
         return self._nearest.copy()
 
     def _search(self, points: np.ndarray):
-        """(indices, squared reaches) of the closest target to each point.
-
-        The query asks for k = 2 neighbours, and k doubles for the points
-        whose k neighbours all share the closest one's coordinates."""
-        tree = self._tree
-        nearest = np.empty(points.shape[0], dtype=np.intp)
-        reach = np.full(points.shape[0], -np.inf)
-        todo = np.arange(points.shape[0])
-        k = min(2, tree.n)
-        while todo.size:
-            dist, idx = (a.reshape(todo.size, k)
-                         for a in tree.query(points[todo], k=k))
-            other = (self._bits[idx] != self._bits[idx[:, :1]]).any(axis=2)
-            found = other.any(axis=1)
-            d2 = dist[np.arange(todo.size), other.argmax(axis=1)]
-            nearest[todo] = idx[:, 0]
-            reach[todo[found]] = (0.5 * (d2 - dist[:, 0])
-                                  - _REACH_MARGIN * d2)[found]
-            if k == tree.n:
-                break
-            todo = todo[~found]
-            k = min(2 * k, tree.n)
+        """(indices, squared reaches) of the closest target to each point,
+        from one query for its two closest targets."""
+        k = min(2, self._tree.n)
+        dist, idx = (a.reshape(-1, k) for a in self._tree.query(points, k=k))
+        nearest = idx[:, 0]
+        reach = 0.5 * (dist[:, -1] - dist[:, 0]) - _REACH_MARGIN * dist[:, -1]
         tied = ~(reach > 0)
         if tied.any():
             # queried on every call, so they take a fresh query's choice
-            nearest[tied] = tree.query(points[tied], k=1)[1]
-        return nearest, np.where(tied, -np.inf, reach * reach)
+            nearest[tied] = self._tree.query(points[tied], k=1)[1]
+        return self._first[nearest], np.where(tied, -np.inf, reach * reach)
 
 
 # ---------------------------------------------------------------------------

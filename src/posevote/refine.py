@@ -116,9 +116,7 @@ def _associate(raster: RangeImage, flat, rays, obs_pts, reject: float):
 
 
 def _apply_increment(pose: Pose, omega: np.ndarray, dt: np.ndarray) -> Pose:
-    angle = float(np.linalg.norm(omega))
-    dq = quat_from_axis_angle(omega if angle > 0 else np.array([1.0, 0, 0]),
-                              angle)
+    dq = quat_from_axis_angle(omega, float(np.linalg.norm(omega)))
     dr = Pose(dq, dt)
     return Pose(quat_multiply(dq, pose.quaternion),
                 dr.rotation_matrix() @ pose.translation + dt)

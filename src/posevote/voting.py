@@ -59,8 +59,12 @@ class Detection:
 def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
     """Pixels of a class with a nonzero predicted direction (xs, ys, nx, ny).
 
-    Raises VotingError if a labeled pixel's direction is NaN or infinite.
+    Raises VotingError if the field's frame is not the label map's, or if a
+    labeled pixel's direction is NaN or infinite.
     """
+    if (fld.height, fld.width) != labels.labels.shape:
+        raise VotingError(f"center field shape {(fld.height, fld.width)} "
+                          f"differs from label map shape {labels.labels.shape}")
     if not fld.has_class(class_id):
         raise VotingError(f"field has no plane for class {class_id}")
     ys, xs = np.nonzero(labels.labels == class_id)

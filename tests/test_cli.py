@@ -95,13 +95,17 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
 
 
-def test_vote_rejects_non_finite_field(tmp_path, capsys):
+def _vote_on_square(tmp_path, field_shape=(20, 30), nan=False):
+    """Runs `vote` on a 20x30 label map holding a class-1 square, with a
+    field of the given frame whose square points along +x; (exit code,
+    output path)."""
     labels = np.zeros((20, 30), dtype=np.uint16)
     labels[5:15, 5:15] = 1
-    field = np.zeros((1, 3, 20, 30), dtype=np.float32)
+    field = np.zeros((1, 3, *field_shape), dtype=np.float32)
     field[0, 0, 5:15, 5:15] = 1.0
     field[0, 2, 5:15, 5:15] = 1.0
-    field[0, 2, 10, 10] = np.nan
+    if nan:
+        field[0, 2, 10, 10] = np.nan
     save_tensor(tmp_path / "l.pft", labels)
     save_tensor(tmp_path / "f.pft", field)
     _write_json(tmp_path / "k.json", K_JSON)
@@ -109,8 +113,21 @@ def test_vote_rejects_non_finite_field(tmp_path, capsys):
     rc = run(["vote", "--labels", str(tmp_path / "l.pft"),
               "--field", str(tmp_path / "f.pft"),
               "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)])
+    return rc, out
+
+
+def test_vote_rejects_non_finite_field(tmp_path, capsys):
+    rc, out = _vote_on_square(tmp_path, nan=True)
     assert rc == 1
     assert "posevote: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vote_rejects_field_of_another_frame(tmp_path, capsys):
+    rc, out = _vote_on_square(tmp_path, field_shape=(40, 60))
+    assert rc == 1
+    assert ("posevote: error: center field shape (40, 60) differs from label "
+            "map shape (20, 30)") in capsys.readouterr().err
     assert not out.exists()
 
 

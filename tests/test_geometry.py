@@ -317,8 +317,9 @@ def _pose_pairs(rng, n):
                                                         n_points=320)],
                          ids=lambda m: f"{m.name}-{m.points.shape[0]}")
 def test_nearest_neighbors_matches_dense_reference(model):
-    # the same distances and the same gathered points as the dense search;
-    # an index may differ only between exact duplicates
+    # the same distances and the same gathered points as the dense search,
+    # and the same index wherever no distinct target ties the closest
+    # distance: among exact duplicates it is the lowest
     rng = np.random.default_rng(14)
     for est, gt in _pose_pairs(rng, 10):
         for query, targets in ((est.transform(model.points),
@@ -329,6 +330,10 @@ def test_nearest_neighbors_matches_dense_reference(model):
             ref_dist, ref_idx = _reference_nearest_neighbors(query, targets)
             assert np.array_equal(dist, ref_dist)
             assert np.array_equal(targets[idx], targets[ref_idx])
+            d = cdist(query, targets)
+            tied = ((d == ref_dist[:, None])
+                    & (targets != targets[ref_idx][:, None]).any(axis=2)).any(axis=1)
+            assert np.array_equal(idx[~tied], ref_idx[~tied])
 
 
 def test_nearest_neighbors_ties_pick_a_nearest_target():

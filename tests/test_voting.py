@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -79,6 +80,19 @@ def test_cast_votes_rejects_max_ray_length_below_one_or_fractional(max_ray_lengt
     labels, fld = _field_with_pixels(20, 20, 1, [(2, 10)], (17, 10))
     with pytest.raises(VotingError, match="max_ray_length"):
         cast_votes(labels, fld, 1, max_ray_length=max_ray_length)
+
+
+@pytest.mark.parametrize("field_size", [(64, 48), (16, 12)],
+                         ids=["larger", "smaller"])
+def test_cast_votes_rejects_field_of_another_frame(field_size):
+    # the field's planes are indexed with label pixels, so both must share
+    # one frame
+    labels, _ = _field_with_pixels(32, 24, 1, [(5, 5), (20, 15)], (16, 12))
+    _, fld = _field_with_pixels(*field_size, 1, [(2, 2), (10, 8)], (8, 6))
+    w, h = field_size
+    with pytest.raises(VotingError, match=re.escape(
+            f"center field shape {(h, w)} differs from label map shape (24, 32)")):
+        cast_votes(labels, fld, 1)
 
 
 def test_votes_stop_at_border():
