@@ -86,12 +86,18 @@ def quat_from_axis_angle(axis, angle_rad: float) -> np.ndarray:
     return np.concatenate([[math.cos(half)], math.sin(half) * axis / n])
 
 
+def random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform random unit vector in n dimensions: normalized standard
+    normals, drawn again while their norm is below 1e-12."""
+    v = rng.standard_normal(n)
+    while np.linalg.norm(v) < 1e-12:
+        v = rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
 def random_quat(rng: np.random.Generator) -> np.ndarray:
     """Uniform random unit quaternion (uniform on SO(3) up to sign)."""
-    q = rng.standard_normal(4)
-    while np.linalg.norm(q) < 1e-12:
-        q = rng.standard_normal(4)
-    return q / np.linalg.norm(q)
+    return random_unit(rng, 4)
 
 
 def rotation_angle_between(q1, q2) -> float:
@@ -184,14 +190,12 @@ class Pose:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return points @ self.rotation_matrix().T + self.translation
 
-    def to_dict(self, class_id: int | None = None) -> dict:
-        d = {
+    def to_dict(self, class_id: int) -> dict:
+        return {
             "quaternion_wxyz": [float(v) for v in self.quaternion],
             "translation_m": [float(v) for v in self.translation],
+            "class_id": int(class_id),
         }
-        if class_id is not None:
-            d["class_id"] = int(class_id)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":

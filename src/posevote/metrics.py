@@ -14,12 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .geometry import (CameraIntrinsics, NeighborIndex, ObjectModel, Pose,
-                       is_finite_real, is_int_at_least, project)
+from .geometry import (CameraIntrinsics, ObjectModel, Pose, is_finite_real,
+                       project)
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
 AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
+_AUC_STEPS = 1000  # uniform thresholds in an accuracy curve
 
 
 def add(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
@@ -32,8 +34,7 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
     """Mean closest-point distance between the transformed model points."""
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
-    dmin, _ = NeighborIndex(gt).query(est)
-    return float(np.mean(dmin))
+    return float(np.mean(cKDTree(gt).query(est)[0]))
 
 
 def reprojection_error(pose_est: Pose, pose_gt: Pose, model: ObjectModel,
@@ -61,9 +62,9 @@ class AccuracyCurve:
         return float(self.thresholds[-1])
 
 
-def accuracy_curve(distances, max_threshold: float, n_steps: int = 1000) -> AccuracyCurve:
-    """Fraction of distances strictly below each of n_steps uniform thresholds
-    in (0, max_threshold], for a finite max_threshold > 0 and n_steps >= 1.
+def accuracy_curve(distances, max_threshold: float) -> AccuracyCurve:
+    """Fraction of distances strictly below each of _AUC_STEPS uniform
+    thresholds in (0, max_threshold], for a finite max_threshold > 0.
     """
     d = np.asarray(distances, dtype=float)
     if d.size == 0:
@@ -71,9 +72,8 @@ def accuracy_curve(distances, max_threshold: float, n_steps: int = 1000) -> Accu
     if not (is_finite_real(max_threshold) and max_threshold > 0):
         raise ValueError(f"max_threshold must be finite and positive, "
                          f"got {max_threshold!r}")
-    if not is_int_at_least(n_steps, 1):
-        raise ValueError(f"n_steps must be an integer of at least 1, got {n_steps!r}")
-    thresholds = np.linspace(max_threshold / n_steps, max_threshold, n_steps)
+    thresholds = np.linspace(max_threshold / _AUC_STEPS, max_threshold,
+                             _AUC_STEPS)
     accuracy = np.mean(d[None, :] < thresholds[:, None], axis=1)
     return AccuracyCurve(thresholds=thresholds, accuracy=accuracy,
                          accuracy_at_zero=float(np.mean(d <= 0.0)))

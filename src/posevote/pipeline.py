@@ -2,10 +2,11 @@
 
 The renderer plays the role of the dense predictor; detection recovers each
 instance's translation from center voting, the rotation estimate is the
-ground-truth rotation (rotation regression is an external component), and
-optional ICP refinement corrects the full 6-dof pose against the rendered
-depth. Instances below the visibility cutoff are excluded from scoring;
-missed detections count as failures at every threshold.
+ground-truth rotation plus simulated regression error (rotation regression
+is an external component), and optional ICP refinement corrects the full
+6-dof pose against the rendered depth. Instances below the visibility cutoff
+are excluded from scoring; missed detections count as failures at every
+threshold.
 """
 
 from __future__ import annotations
@@ -103,13 +104,13 @@ def _match_detections(truths, detections):
 
 @dataclass
 class Frame:
-    """One rendered scene with the noisy label map and center field that
+    """One rendered scene with the label map and noisy center field that
     stand in for the network's output."""
 
     raster: RangeImage
     truths: list[InstanceTruth]
     fld: CenterField  # perturbed
-    labels: LabelMap  # perturbed
+    labels: LabelMap  # the rendered labels, unchanged
     noise: NoiseSpec  # the run's noise, seeded for this scene
 
 

@@ -1,10 +1,10 @@
-"""ASCII PLY mesh I/O (vertices x y z [nx ny nz], optional triangle faces)."""
+"""ASCII PLY mesh I/O: vertex points x y z and optional triangle faces."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GeometryError, ObjectModel
+from .geometry import ObjectModel
 
 
 class PlyError(ValueError):
@@ -22,10 +22,11 @@ def _numbers(tokens, kind, line: str) -> list:
 def load_ply(path):
     """Parse an ASCII PLY file.
 
-    Returns (points, normals, faces); normals/faces are None when absent. A
-    declared face element with a count of 0 gives a (0, 3) faces array.
-    Only the x y z [nx ny nz] vertex layout and triangle faces whose indices
-    name a vertex are accepted.
+    Returns (points, faces); faces is None when absent, and a declared face
+    element with a count of 0 gives a (0, 3) faces array. The vertex
+    properties must start with x y z; any after those (normals, colours) are
+    skipped, but each vertex row must hold a value for every one. Only
+    triangle faces whose indices name a vertex are accepted.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -80,10 +81,9 @@ def load_ply(path):
     if not fmt_seen:
         raise PlyError("missing format line")
 
-    has_normals = vertex_props[:6] == ["x", "y", "z", "nx", "ny", "nz"]
-    if not has_normals and vertex_props[:3] != ["x", "y", "z"]:
+    if vertex_props[:3] != ["x", "y", "z"]:
         raise PlyError(f"unsupported vertex layout: {vertex_props}")
-    n_cols = 6 if has_normals else 3
+    n_cols = len(vertex_props)
 
     body = [ln for ln in lines[i:] if ln]
     if len(body) < n_vertices + n_faces:
@@ -94,10 +94,8 @@ def load_ply(path):
         tokens = line.split()
         if len(tokens) < n_cols:
             raise PlyError(f"vertex row has fewer than {n_cols} values: {line}")
-        rows.append(_numbers(tokens[:n_cols], float, line))
-    vdata = np.array(rows, dtype=float).reshape(n_vertices, n_cols)
-    points = vdata[:, :3]
-    normals = vdata[:, 3:6] if has_normals else None
+        rows.append(_numbers(tokens[:3], float, line))
+    points = np.array(rows, dtype=float).reshape(n_vertices, 3)
 
     faces = None
     if has_faces:
@@ -110,41 +108,29 @@ def load_ply(path):
                 raise PlyError(f"face index out of range: {line}")
             rows.append(row[1:])
         faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
-    return points, normals, faces
+    return points, faces
 
 
-def save_ply(path, points, normals=None, faces=None):
+def save_ply(path, points, faces=None):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {points.shape[0]}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
-        if normals is not None:
-            f.write("property float nx\nproperty float ny\nproperty float nz\n")
         if faces is not None:
             faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
             f.write(f"element face {faces.shape[0]}\n")
             f.write("property list uchar int vertex_indices\n")
         f.write("end_header\n")
-        if normals is not None:
-            normals = np.asarray(normals, dtype=float).reshape(-1, 3)
-            for p, n in zip(points, normals):
-                f.write("%.9g %.9g %.9g %.9g %.9g %.9g\n" % (*p, *n))
-        else:
-            for p in points:
-                f.write("%.9g %.9g %.9g\n" % tuple(p))
+        for p in points:
+            f.write("%.9g %.9g %.9g\n" % tuple(p))
         if faces is not None:
             for tri in faces:
                 f.write("3 %d %d %d\n" % tuple(tri))
 
 
 def load_model(path, class_id: int) -> ObjectModel:
-    """ObjectModel from a PLY file. Vertex normals, when present, must be
-    unit length; they are checked and then dropped, as nothing uses them."""
-    points, normals, faces = load_ply(path)
-    if normals is not None:
-        norms = np.linalg.norm(normals, axis=1)
-        if not np.all(np.abs(norms - 1.0) <= 1e-6):
-            raise GeometryError("model normals must be unit length")
+    """ObjectModel from a PLY file's points and faces."""
+    points, faces = load_ply(path)
     return ObjectModel(class_id=class_id, name=str(path),
                        points=points, faces=faces)

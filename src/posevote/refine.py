@@ -21,7 +21,8 @@ import numpy as np
 
 from .fields import DepthMap, LabelMap
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, cross_rows,
-                       is_int_at_least, quat_from_axis_angle, quat_multiply)
+                       is_int_at_least, quat_from_axis_angle, quat_multiply,
+                       random_unit)
 from .synth import RangeImage, Scene, render_full
 
 _MIN_MASK_PIXELS = 50
@@ -207,13 +208,9 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
 
 
 def _random_perturbation(pose: Pose, rng: np.random.Generator) -> Pose:
-    axis = rng.standard_normal(3)
-    while np.linalg.norm(axis) < 1e-12:
-        axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
+    axis = random_unit(rng, 3)
     angle = abs(rng.normal(0.0, math.radians(_PERTURB_ROT_SIGMA_DEG)))
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
+    direction = random_unit(rng, 3)
     magnitude = abs(rng.normal(0.0, _PERTURB_TRANS_SIGMA_M))
     dq = quat_from_axis_angle(axis, angle)
     return Pose(quat_multiply(dq, pose.quaternion),
@@ -223,12 +220,11 @@ def _random_perturbation(pose: Pose, rng: np.random.Generator) -> Pose:
 def multi_hypothesis_refine(observed: DepthMap, labels: LabelMap, class_id: int,
                             model: ObjectModel, init: Pose,
                             intrinsics: CameraIntrinsics,
-                            params: IcpParams | None = None) -> RefineResult:
+                            params: IcpParams) -> RefineResult:
     """Refine the initial pose plus seeded random perturbations of it and
     return the result with the best alignment score (coverage minus
     normalized residual). Deterministic for a fixed rng_seed.
     """
-    params = params or IcpParams()
     rng = np.random.default_rng(params.rng_seed)
     hypotheses = [init]
     for _ in range(params.n_hypotheses - 1):

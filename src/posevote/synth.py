@@ -26,7 +26,8 @@ from scipy.spatial import ConvexHull
 from .fields import CenterField, LabelMap, directions_to_center
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, backproject_center,
                        cross_rows, is_finite_real, is_int_at_least, project,
-                       quat_from_axis_angle, quat_multiply, random_quat)
+                       quat_from_axis_angle, quat_multiply, random_quat,
+                       random_unit)
 
 
 class SynthError(ValueError):
@@ -573,9 +574,6 @@ def perturbed_pose(pose: Pose, rot_deg: float, trans_m: float,
                    rng: np.random.Generator) -> Pose:
     """Pose composed with a random rotation (fixed angle, random axis) and a
     random translation offset of fixed magnitude."""
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    dq = quat_from_axis_angle(axis, math.radians(rot_deg))
-    dt = rng.standard_normal(3)
-    dt = dt / np.linalg.norm(dt) * trans_m
+    dq = quat_from_axis_angle(random_unit(rng, 3), math.radians(rot_deg))
+    dt = random_unit(rng, 3) * trans_m
     return Pose(quat_multiply(dq, pose.quaternion), pose.translation + dt)

@@ -320,7 +320,7 @@ def _refine_args(tmp_path, faces=True):
     run(["make-model", "--kind", kind, "--out", str(model),
          "--scale", str(scales[inst["class_id"]]), "--points", "600"])
     if not faces:
-        points, _, _ = load_ply(model)
+        points, _ = load_ply(model)
         save_ply(model, points)
     init = tmp_path / "init.json"
     _write_json(init, [_pose_entry(inst["class_id"], inst["quaternion_wxyz"],

@@ -192,7 +192,7 @@ def test_pose_dict_round_trip():
 
 
 def test_pose_from_dict_rejects_non_finite():
-    good = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)).to_dict()
+    good = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)).to_dict(class_id=1)
     with pytest.raises(GeometryError):
         Pose.from_dict({**good, "quaternion_wxyz": [math.nan, 0.0, 0.0, 1.0]})
     with pytest.raises(GeometryError):

@@ -145,23 +145,11 @@ def test_accuracy_curve_monotone():
     assert np.all(np.diff(c.accuracy) >= 0)
 
 
-# a NaN or infinite cap would give an AUC of NaN, and n_steps=0 divide by zero
+# a NaN or infinite cap would give an AUC of NaN
 @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 0.0, -0.1, "x", True])
 def test_accuracy_curve_rejects_cap_not_finite_and_positive(cap):
     with pytest.raises(ValueError, match="max_threshold"):
         accuracy_curve([0.05], cap)
-
-
-@pytest.mark.parametrize("n_steps", [0, -1, 2.5, 10.0, "10", True])
-def test_accuracy_curve_rejects_steps_not_an_integer_of_at_least_1(n_steps):
-    with pytest.raises(ValueError, match="n_steps"):
-        accuracy_curve([0.05], 0.10, n_steps=n_steps)
-
-
-def test_accuracy_curve_takes_one_step():
-    c = accuracy_curve([0.05, 0.2], 0.10, n_steps=np.int64(1))
-    assert c.thresholds.tolist() == [0.10]
-    assert c.accuracy.tolist() == [0.5]
 
 
 def test_auc_perfect_and_failures():
@@ -177,7 +165,7 @@ def test_auc_resolution_convergence():
     rng = np.random.default_rng(8)
     d = rng.uniform(0, 0.15, 50)
     exact = float(np.mean(np.clip((0.10 - d) / 0.10, 0, None))) * 100
-    got = auc(accuracy_curve(d, 0.10, n_steps=100000))
+    got = auc(accuracy_curve(d, 0.10))
     assert got == pytest.approx(exact, abs=0.01)
 
 

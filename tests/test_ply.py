@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posevote.geometry import GeometryError
 from posevote.ply import PlyError, load_model, load_ply, save_ply
 
 
@@ -10,20 +9,18 @@ def test_round_trip_points_only(tmp_path):
     pts = np.random.default_rng(0).standard_normal((20, 3))
     p = tmp_path / "m.ply"
     save_ply(p, pts)
-    pts2, normals, faces = load_ply(p)
+    pts2, faces = load_ply(p)
     assert np.allclose(pts, pts2)
-    assert normals is None and faces is None
+    assert faces is None
 
 
-def test_round_trip_with_normals_and_faces(tmp_path):
+def test_round_trip_with_faces(tmp_path):
     pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    normals = np.tile([0.0, 0.0, 1.0], (3, 1))
     faces = np.array([[0, 1, 2]])
     p = tmp_path / "m.ply"
-    save_ply(p, pts, normals=normals, faces=faces)
-    pts2, normals2, faces2 = load_ply(p)
+    save_ply(p, pts, faces=faces)
+    pts2, faces2 = load_ply(p)
     assert np.allclose(pts, pts2)
-    assert np.allclose(normals, normals2)
     assert np.array_equal(faces, faces2)
 
 
@@ -32,7 +29,7 @@ def test_zero_face_element_loads_as_empty_faces(tmp_path):
     p.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
                  "property float y\nproperty float z\nelement face 0\n"
                  "property list uchar int vertex_indices\nend_header\n0 0 0\n")
-    _, _, faces = load_ply(p)
+    _, faces = load_ply(p)
     assert faces.shape == (0, 3) and faces.dtype == np.int64
     first = p.read_bytes()
     save_ply(p, *load_ply(p))
@@ -93,21 +90,11 @@ def test_rejects_bare_format_line(tmp_path):
         load_ply(p)
 
 
-def test_load_model_checks_then_drops_normals(tmp_path):
-    pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
-    p = tmp_path / "m.ply"
-    save_ply(p, pts, normals=np.tile([0.0, 0.0, 1.0], (3, 1)), faces=[[0, 1, 2]])
-    m = load_model(p, class_id=2)
-    assert np.array_equal(m.faces, [[0, 1, 2]])
-    assert not hasattr(m, "normals")
-    save_ply(p, pts, normals=np.tile([0.0, 0.0, 2.0], (3, 1)))
-    with pytest.raises(GeometryError):
-        load_model(p, class_id=2)
-
-
 _XYZ_HEADER = ("ply\nformat ascii 1.0\nelement vertex {nv}\nproperty float x\n"
                "property float y\nproperty float z\n{faces}end_header\n")
 _FACE_HEADER = "element face 1\nproperty list uchar int vertex_indices\n"
+_NORMAL_AND_RED = ("property float nx\nproperty float ny\nproperty float nz\n"
+                   "property uchar red\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -119,6 +106,27 @@ def test_malformed_numbers_raise_ply_error(tmp_path, text):
     p = tmp_path / "m.ply"
     p.write_text(text)
     with pytest.raises(PlyError):
+        load_ply(p)
+
+
+def test_vertex_properties_after_xyz_are_skipped(tmp_path):
+    # nothing reads normals, so a zero or non-unit one loads like any other
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(nv=3, faces=_NORMAL_AND_RED + _FACE_HEADER)
+                 + "0 0 0 0 0 0 255\n1 0 0 0 0 2 0\n0 1 0 0 0 1 9\n3 0 1 2\n")
+    points, faces = load_ply(p)
+    assert points.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
+    assert faces.tolist() == [[0, 1, 2]]
+    m = load_model(p, class_id=2)
+    assert np.array_equal(m.points, points) and np.array_equal(m.faces, faces)
+
+
+def test_vertex_row_missing_a_declared_property_raises(tmp_path):
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(
+        nv=2, faces="property uchar red\nproperty uchar green\n"
+        "property uchar blue\n") + "0 0 0 1 2 3\n1 0 0\n")
+    with pytest.raises(PlyError, match="fewer than 6 values"):
         load_ply(p)
 
 
@@ -155,42 +163,41 @@ _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _meshes(draw):
-    """(points, normals or None, faces or None); faces, when present, are
-    triangles over existing vertices, possibly none."""
+    """(points, faces or None); faces, when present, are triangles over
+    existing vertices, possibly none."""
     n = draw(st.integers(0, 6))
     points = np.array(draw(st.lists(st.tuples(_FINITE, _FINITE, _FINITE),
                                     min_size=n, max_size=n)),
                       dtype=float).reshape(n, 3)
-    normals = None
-    if draw(st.booleans()):
-        normals = np.array(draw(st.lists(
-            st.tuples(_FINITE, _FINITE, _FINITE), min_size=n, max_size=n)),
-            dtype=float).reshape(n, 3)
     faces = None
     if draw(st.booleans()):
         idx = st.integers(0, max(n - 1, 0))
         faces = np.array(draw(st.lists(st.tuples(idx, idx, idx),
                                        max_size=5 if n else 0)),
                          dtype=np.int64).reshape(-1, 3)
-    return points, normals, faces
+    return points, faces
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_meshes())
 def test_save_load_save_is_byte_identical(tmp_path, mesh):
-    points, normals, faces = mesh
+    points, faces = mesh
     p = tmp_path / "m.ply"
-    save_ply(p, points, normals=normals, faces=faces)
+    save_ply(p, points, faces=faces)
     first = p.read_bytes()
     save_ply(p, *load_ply(p))
     assert p.read_bytes() == first
 
 
 def _valid_ply(path):
+    """Five vertices, each with a normal and a colour after x y z, and two
+    faces, so damage can land in skipped properties too."""
     pts = np.random.default_rng(0).standard_normal((5, 3))
-    save_ply(path, pts, normals=np.tile([0.0, 0.0, 1.0], (5, 1)),
-             faces=[[0, 1, 2], [2, 3, 4]])
+    header = _NORMAL_AND_RED + _FACE_HEADER.replace("face 1", "face 2")
+    path.write_text(_XYZ_HEADER.format(nv=5, faces=header)
+                    + "".join("%.9g %.9g %.9g 0 0 1 200\n" % tuple(q) for q in pts)
+                    + "3 0 1 2\n3 2 3 4\n")
     return path.read_bytes()
 
 
