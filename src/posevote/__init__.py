@@ -14,13 +14,12 @@ from .geometry import (CameraIntrinsics, GeometryError, ObjectModel, Pose,
 from .losses import (LossKind, LossResult, loss_gradient_check,
                      optimize_rotation, ploss, sloss)
 from .metrics import (AccuracyCurve, accuracy_curve, add, add_s, auc,
-                      is_correct, reprojection_error)
+                      is_correct, pose_scores, reprojection_error)
 from .ply import load_model, load_ply, save_ply
 from .refine import IcpError, IcpParams, RefineResult, icp_refine, multi_hypothesis_refine
 from .synth import (NoiseSpec, RangeImage, Scene, SynthError, default_registry,
                     ground_truth_fields, make_primitive_model, perturb,
                     random_scene)
-from .tensorio import load_tensor, save_tensor
 from .voting import (Detection, VoteGrid, VotingError, cast_votes,
                      collect_inliers, detect, estimate_translation, find_centers)
 

@@ -2,7 +2,7 @@
 
 Subcommands: synth, vote, loss, histogram, eval, refine, pipeline, make-model.
 JSON and CSV outputs are written atomically (temp file + rename); synth's
-.pft tensors and make-model's PLY are written in place. Every output is
+.npy arrays and make-model's PLY are written in place. Every output is
 bit-identical across repeated runs with the same arguments. Only the
 commands that draw random numbers take --seed; synth, refine and pipeline
 record it in their JSON.
@@ -24,13 +24,12 @@ from .fields import CenterField, DepthMap, LabelMap
 from .geometry import (CameraIntrinsics, Pose, is_finite_real, is_int_at_least,
                        rotation_angle_between)
 from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
-from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
+from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
 from .ply import load_model, save_ply
 from .refine import IcpParams, multi_hypothesis_refine
 from .synth import (PRIMITIVE_KINDS, NoiseSpec, Scene, default_registry,
                     make_primitive_model, random_quat, random_scene, scene_seed)
-from .tensorio import load_tensor, save_tensor
 from .voting import detect
 
 
@@ -96,6 +95,19 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _load_array(path: str) -> np.ndarray:
+    """The array a .npy file holds. Any failure to read it raises ValueError
+    naming the file; numpy raises several kinds for a damaged one."""
+    try:
+        array = np.load(path, allow_pickle=False)
+        if not isinstance(array, np.ndarray):  # an .npz archive
+            array.close()
+            raise ValueError("not a .npy array file")
+    except Exception as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return array
 
 
 def _class_id(cid):
@@ -197,9 +209,9 @@ def cmd_synth(args) -> int:
                  else random_scene(scene_seed(args.seed, i), models))
         frame = pipeline_mod.synth_frame(scene, i, noise, models)
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
-        save_tensor(prefix + "_labels.pft", frame.labels.labels)
-        save_tensor(prefix + "_depth.pft", frame.raster.depth.astype(np.float32))
-        save_tensor(prefix + "_field.pft", frame.fld.to_tensor(max(models)))
+        np.save(prefix + "_labels.npy", frame.labels.labels)
+        np.save(prefix + "_depth.npy", frame.raster.depth.astype(np.float32))
+        np.save(prefix + "_field.npy", frame.fld.to_tensor(max(models)))
         gt = {
             "seed": args.seed,
             "scene": i,
@@ -224,8 +236,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_vote(args) -> int:
-    labels = LabelMap(labels=load_tensor(args.labels))
-    fld = CenterField.from_tensor(load_tensor(args.field))
+    labels = LabelMap(labels=_load_array(args.labels))
+    fld = CenterField.from_tensor(_load_array(args.field))
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     _emit(args.out, {"detections": [d.to_dict() for d in detections]})
@@ -282,9 +294,8 @@ def cmd_eval(args) -> int:
         rows.append(row)
     summary = {
         "frames": len(rows),
-        "auc_add": auc(accuracy_curve([r["add_m"] for r in rows], AUC_CAP_M)),
-        "auc_adds": auc(accuracy_curve([r["add_s_m"] for r in rows], AUC_CAP_M)),
-        "accuracy_10pct_diameter": float(np.mean([r["correct"] for r in rows])),
+        **pose_scores([r["add_m"] for r in rows], [r["add_s_m"] for r in rows],
+                      [r["correct"] for r in rows]),
         "max_threshold_m": AUC_CAP_M,
     }
     if args.out_csv:
@@ -294,8 +305,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    observed = DepthMap(depth=load_tensor(args.depth))
-    labels = LabelMap(labels=load_tensor(args.labels))
+    observed = DepthMap(depth=_load_array(args.depth))
+    labels = LabelMap(labels=_load_array(args.labels))
     model = load_model(args.model, class_id=args.class_id)
     init = _load_pose(args.init)
     intr = load_intrinsics(args.intrinsics)

@@ -57,7 +57,11 @@ class DepthMap:
     depth: np.ndarray
 
     def __post_init__(self):
-        self.depth = np.asarray(self.depth, dtype=np.float32)
+        depth = np.asarray(self.depth)
+        # an integer depth (in millimetres, say) would silently read as meters
+        if not np.issubdtype(depth.dtype, np.floating):
+            raise FieldError(f"depths must be floating point, got {depth.dtype}")
+        self.depth = depth.astype(np.float32, copy=False)
         if self.depth.ndim != 2:
             raise FieldError("depth must be 2-D")
         if not np.isfinite(self.depth).all():
@@ -108,6 +112,8 @@ class CenterField:
     def from_tensor(cls, tensor: np.ndarray) -> "CenterField":
         if tensor.ndim != 4 or tensor.shape[1] != 3:
             raise FieldError("field tensor must have shape (classes, 3, h, w)")
+        if not np.issubdtype(tensor.dtype, np.floating):
+            raise FieldError(f"field tensor must be floating point, got {tensor.dtype}")
         if not np.isfinite(tensor).all():
             raise FieldError("field tensor values must be finite")
         n, _, h, w = tensor.shape

@@ -89,3 +89,13 @@ def auc(curve: AccuracyCurve) -> float:
     ts = np.concatenate([[0.0], curve.thresholds])
     acc = np.concatenate([[curve.accuracy_at_zero], curve.accuracy])
     return float(100.0 * np.trapezoid(acc, ts) / curve.max_threshold)
+
+
+def pose_scores(adds, add_ss, correct) -> dict:
+    """The pooled scores of a set of instances: the ADD and ADD-S AUCs
+    (capped at AUC_CAP_M) and the fraction of correct poses."""
+    return {
+        "auc_add": auc(accuracy_curve(adds, AUC_CAP_M)),
+        "auc_adds": auc(accuracy_curve(add_ss, AUC_CAP_M)),
+        "accuracy_10pct_diameter": float(np.mean(correct)),
+    }

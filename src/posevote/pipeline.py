@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import CenterField, DepthMap, LabelMap
 from .geometry import ObjectModel, Pose, is_int_at_least, rotation_angle_between
-from .metrics import (AUC_CAP_M, accuracy_curve, add, add_s, auc, is_correct,
+from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
 from .refine import IcpError, IcpParams, multi_hypothesis_refine
 from .synth import (InstanceTruth, NoiseSpec, RangeImage, Scene,
@@ -184,10 +184,6 @@ def run_pipeline(cfg: PipelineConfig,
     records = [r for scene in per_scene for r in scene]
     if not records:
         raise RuntimeError("pipeline produced no evaluable instances")
-    adds = [r.add for r in records]
-    add_ss = [r.add_s for r in records]
-    curve_add = accuracy_curve(adds, cfg.max_threshold)
-    curve_adds = accuracy_curve(add_ss, cfg.max_threshold)
     finite = [r for r in records if r.detected]
     summary = {
         "seed": cfg.seed,
@@ -195,9 +191,8 @@ def run_pipeline(cfg: PipelineConfig,
         "instances_evaluated": len(records),
         "instances_detected": len(finite),
         "detection_rate": len(finite) / len(records),
-        "auc_add": auc(curve_add),
-        "auc_adds": auc(curve_adds),
-        "accuracy_10pct_diameter": float(np.mean([r.correct for r in records])),
+        **pose_scores([r.add for r in records], [r.add_s for r in records],
+                      [r.correct for r in records]),
         "mean_add_s_m": (float(np.mean([r.add_s for r in finite]))
                          if finite else None),
         "mean_center_error_px": (float(np.mean([r.center_error_px

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posevote.cli import build_parser, run
 from posevote.ply import load_ply, save_ply
-from posevote.tensorio import load_tensor, save_tensor
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
 
@@ -95,6 +95,16 @@ def test_readme_cli_examples_parse():
         parser.parse_args(argv)
 
 
+def test_readme_module_table_matches_src():
+    root = Path(__file__).resolve().parents[1]
+    table = re.search(r"## Layout\n+(.*?)\n\n", (root / "README.md").read_text(),
+                      re.S).group(1)
+    named = {m for row in table.splitlines()[2:]
+             for m in re.findall(r"`posevote\.(\w+)`", row.split("|")[1])}
+    modules = {p.stem for p in (root / "src" / "posevote").glob("*.py")}
+    assert named == modules - {"__init__", "__main__"}
+
+
 def _vote_on_square(tmp_path, field_shape=(20, 30), nan=False):
     """Runs `vote` on a 20x30 label map holding a class-1 square, with a
     field of the given frame whose square points along +x; (exit code,
@@ -106,12 +116,12 @@ def _vote_on_square(tmp_path, field_shape=(20, 30), nan=False):
     field[0, 2, 5:15, 5:15] = 1.0
     if nan:
         field[0, 2, 10, 10] = np.nan
-    save_tensor(tmp_path / "l.pft", labels)
-    save_tensor(tmp_path / "f.pft", field)
+    np.save(tmp_path / "l.npy", labels)
+    np.save(tmp_path / "f.npy", field)
     _write_json(tmp_path / "k.json", K_JSON)
     out = tmp_path / "dets.json"
-    rc = run(["vote", "--labels", str(tmp_path / "l.pft"),
-              "--field", str(tmp_path / "f.pft"),
+    rc = run(["vote", "--labels", str(tmp_path / "l.npy"),
+              "--field", str(tmp_path / "f.npy"),
               "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)])
     return rc, out
 
@@ -132,10 +142,12 @@ def test_vote_rejects_field_of_another_frame(tmp_path, capsys):
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
-    rc = run(["vote", "--labels", str(tmp_path / "nope.pft"),
-              "--field", str(tmp_path / "nope2.pft"),
+    rc = run(["vote", "--labels", str(tmp_path / "nope.npy"),
+              "--field", str(tmp_path / "nope2.npy"),
               "--intrinsics", str(tmp_path / "k.json")])
     assert rc == 1
+    assert (f"posevote: error: {tmp_path / 'nope.npy'}: "
+            in capsys.readouterr().err)
 
 
 def test_make_model_and_loss(tmp_path, capsys):
@@ -161,8 +173,8 @@ def test_synth_vote_end_to_end(tmp_path):
     k_path = tmp_path / "k.json"
     _write_json(k_path, gt["intrinsics"])
     out = tmp_path / "dets.json"
-    rc = run(["vote", "--labels", prefix + "_labels.pft",
-              "--field", prefix + "_field.pft",
+    rc = run(["vote", "--labels", prefix + "_labels.npy",
+              "--field", prefix + "_field.npy",
               "--intrinsics", str(k_path), "--out", str(out)])
     assert rc == 0
     dets = json.loads(out.read_text())["detections"]
@@ -183,8 +195,8 @@ def test_vote_rejects_depth_tensor_as_labels(tmp_path, capsys):
     k_path = tmp_path / "k.json"
     _write_json(k_path, K_JSON)
     out = tmp_path / "dets.json"
-    assert run(["vote", "--labels", prefix + "_depth.pft",
-                "--field", prefix + "_field.pft",
+    assert run(["vote", "--labels", prefix + "_depth.npy",
+                "--field", prefix + "_field.npy",
                 "--intrinsics", str(k_path), "--out", str(out)]) == 1
     assert "posevote: error: labels must be integers" in capsys.readouterr().err
     assert not out.exists()
@@ -325,8 +337,8 @@ def _refine_args(tmp_path, faces=True):
     init = tmp_path / "init.json"
     _write_json(init, [_pose_entry(inst["class_id"], inst["quaternion_wxyz"],
                                    inst["translation_m"])])
-    args = ["refine", "--depth", prefix + "_depth.pft",
-            "--labels", prefix + "_labels.pft",
+    args = ["refine", "--depth", prefix + "_depth.npy",
+            "--labels", prefix + "_labels.npy",
             "--class-id", str(inst["class_id"]),
             "--model", str(model), "--init", str(init),
             "--intrinsics", str(k_path)]
@@ -345,11 +357,23 @@ def test_refine_cli(tmp_path):
 def test_refine_cli_rejects_label_map_of_other_shape(tmp_path, capsys):
     args, _ = _refine_args(tmp_path)
     labels = args[args.index("--labels") + 1]
-    save_tensor(labels, load_tensor(labels)[:200])
+    np.save(labels, np.load(labels, allow_pickle=False)[:200])
     out = tmp_path / "refined.json"
     assert run(args + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "posevote: error: label map shape (200, 320) differs" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--depth", "--labels"])
+def test_refine_cli_on_foreign_array_names_the_file(tmp_path, capsys, flag):
+    args, _ = _refine_args(tmp_path)
+    path = args[args.index(flag) + 1]
+    _npz(path)
+    out = tmp_path / "refined.json"
+    assert run(args + ["--out", str(out)]) == 1
+    assert (f"posevote: error: {path}: not a .npy array file"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -488,10 +512,82 @@ def test_make_model_scale_not_positive_finite_exits_2(tmp_path, scale, capsys):
 
 def _vote_inputs(tmp_path):
     labels = np.zeros((20, 30), dtype=np.uint16)
-    save_tensor(tmp_path / "l.pft", labels)
-    save_tensor(tmp_path / "f.pft", np.zeros((1, 3, 20, 30), dtype=np.float32))
-    return ["vote", "--labels", str(tmp_path / "l.pft"),
-            "--field", str(tmp_path / "f.pft")]
+    np.save(tmp_path / "l.npy", labels)
+    np.save(tmp_path / "f.npy", np.zeros((1, 3, 20, 30), dtype=np.float32))
+    return ["vote", "--labels", str(tmp_path / "l.npy"),
+            "--field", str(tmp_path / "f.npy")]
+
+
+@st.composite
+def _damaged(draw, data: bytes):
+    """`data` cut at a drawn length and with up to 4 bytes overwritten."""
+    out = bytearray(data[:draw(st.integers(0, len(data)))])
+    for _ in range(draw(st.integers(0, 4))):
+        if out:
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(["--labels", "--field"]), data=st.data())
+def test_vote_on_damaged_array_exits_0_or_names_the_file(tmp_path, capsys,
+                                                         flag, data):
+    argv = _vote_inputs(tmp_path)
+    path = argv[argv.index(flag) + 1]
+    with open(path, "rb") as f:
+        damaged = data.draw(_damaged(f.read()))
+    with open(path, "wb") as f:
+        f.write(damaged)
+    _write_json(tmp_path / "k.json", K_JSON)
+    rc = run(argv + ["--intrinsics", str(tmp_path / "k.json")])
+    err = capsys.readouterr().err
+    assert rc in (0, 1)
+    if rc == 1 and f"posevote: error: {path}: " not in err:
+        # only an array numpy reads may fail later, in its reader's check
+        np.load(path, allow_pickle=False)
+        assert err.startswith("posevote: error: ")
+
+
+def _header_only(path, shape):
+    with open(path, "wb") as f:
+        np.lib.format.write_array_header_1_0(
+            f, {"descr": "<f4", "fortran_order": False, "shape": shape})
+
+
+def _npz(path):
+    with open(path, "wb") as f:  # np.savez would append .npz to a name
+        np.savez(f, a=np.zeros(3))
+
+
+_FOREIGN_ARRAYS = {
+    # 2**31 * 2**31 * 4 elements wrap to 0 in int64, which matches the
+    # empty payload and leaves reshape to fail
+    "count_wraps": (lambda p: _header_only(p, (2**31, 2**31, 4)),
+                    "cannot reshape"),
+    # no elements, but a shape numpy cannot hold
+    "empty_but_too_big": (lambda p: _header_only(p, (0, 2**31, 2**31, 4)),
+                          "array is too big"),
+    "npz": (_npz, "not a .npy array file"),
+    "pickled": (lambda p: np.save(p, np.array([{}], dtype=object)),
+                "allow_pickle=False"),
+}
+
+
+@pytest.mark.parametrize("flag", ["--labels", "--field"])
+@pytest.mark.parametrize("name", list(_FOREIGN_ARRAYS))
+def test_vote_on_foreign_array_names_the_file(tmp_path, capsys, name, flag):
+    argv = _vote_inputs(tmp_path)
+    path = argv[argv.index(flag) + 1]
+    write, message = _FOREIGN_ARRAYS[name]
+    write(path)
+    _write_json(tmp_path / "k.json", K_JSON)
+    out = tmp_path / "dets.json"
+    assert run(argv + ["--intrinsics", str(tmp_path / "k.json"),
+                       "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"posevote: error: {path}: ") and message in err
+    assert not out.exists()
 
 
 def test_intrinsics_missing_key_names_file_and_key(tmp_path, capsys):

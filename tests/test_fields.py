@@ -78,6 +78,25 @@ def test_depth_map_validation():
     assert dm.depth.dtype == np.float32
 
 
+# numpy would cast each to float32 (dropping an imaginary part, parsing a
+# string), and an integer depth in millimetres would read as meters
+_NOT_FLOATING = [np.array([[1.5 + 2j]]), np.array([["1.5"]]),
+                 np.array([[True]]), np.array([[1500]], dtype=np.uint16)]
+_NOT_FLOATING_IDS = ["complex", "string", "bool", "uint16"]
+
+
+@pytest.mark.parametrize("bad", _NOT_FLOATING, ids=_NOT_FLOATING_IDS)
+def test_depth_map_rejects_values_that_are_not_floating(bad):
+    with pytest.raises(FieldError, match="floating point"):
+        DepthMap(bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_FLOATING, ids=_NOT_FLOATING_IDS)
+def test_center_field_from_tensor_rejects_values_that_are_not_floating(bad):
+    with pytest.raises(FieldError, match="floating point"):
+        CenterField.from_tensor(np.broadcast_to(bad, (2, 3, 4, 5)))
+
+
 def test_depth_map_rejects_non_finite():
     with pytest.raises(FieldError):
         DepthMap(np.array([[np.nan, 1.0]]))

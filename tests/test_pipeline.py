@@ -8,7 +8,6 @@ from posevote.metrics import AUC_CAP_M
 from posevote.pipeline import PipelineConfig, run_pipeline
 from posevote.refine import IcpError, IcpParams
 from posevote.synth import NoiseSpec, default_registry
-from posevote.tensorio import load_tensor
 from posevote.voting import detect
 
 MODELS = default_registry()
@@ -118,7 +117,14 @@ def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
         prefix = str(tmp_path / f"scene_{i:04d}")
         (labels, fld), = voted
         assert observed
-        assert np.array_equal(load_tensor(prefix + "_labels.pft"), labels)
-        assert np.array_equal(load_tensor(prefix + "_field.pft"), fld)
+        assert _same_array(prefix + "_labels.npy", labels)
+        assert _same_array(prefix + "_field.npy", fld)
         for depth in observed:
-            assert np.array_equal(load_tensor(prefix + "_depth.pft"), depth)
+            assert _same_array(prefix + "_depth.npy", depth)
+
+
+def _same_array(path, expected) -> bool:
+    """Whether the .npy file at path holds `expected`'s dtype, shape and bytes."""
+    a = np.load(path, allow_pickle=False)
+    return (a.dtype == expected.dtype and a.shape == expected.shape
+            and a.tobytes() == expected.tobytes())
