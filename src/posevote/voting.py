@@ -113,16 +113,30 @@ def _round_cells(p: np.ndarray, n: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _run_starts(p, n, j, row) -> np.ndarray:
-    """First step k whose cell _round_cells(p, n, k) reaches row, j >= 1
-    cells from p: where _ray_values reaches row, or falls below row + 1 when
-    n < 0. The real-valued crossing estimates k, which then moves one step
-    at a time until the value at k is past that edge and at k - 1 is not;
-    the value is monotone in k, so this ends at the true first step.
+    """First step k, as floats, whose cell _round_cells(p, n, k) reaches
+    row, j >= 1 cells from p: where _ray_values reaches row, or falls below
+    row + 1 when n < 0.
+
+    The exact value crosses that edge at step t = (2j - 1) / |n|, so
+    k = ceil(t), and lies (k - t)|n| / 2 px past it at step k and
+    (t - k + 1)|n| / 2 px short of it at k - 1. In a frame under 10^4 px
+    each of _ray_values' three roundings is at most 2^-40 px (its values
+    stay below 2^14), and rounding t moves both distances by at most
+    j * 2^-53 px: under 5e-12 px in all. So min(k - t, t - k + 1)|n| > 2e-9
+    (1e-9 px) certifies k. Only the rest take the exact loop: k moves one
+    step at a time until the value at k is past the edge and at k - 1 is
+    not; the value is monotone in k, so this ends at the true first step.
     """
-    up = n > 0
-    edge = row + np.where(up, 0.0, 1.0)
-    k = np.ceil((2 * j - 1) / np.abs(n)).astype(np.int64)
-    at, pt, nt, et, ut, kt = np.arange(k.size), p, n, edge, up, k
+    an = np.abs(n)
+    t = (2 * j - 1) / an
+    k = np.ceil(t)
+    d = k - t
+    np.minimum(d, 1 - d, out=d)
+    d *= an
+    at = np.flatnonzero(d <= 2e-9)
+    pt, nt, kt = p[at], n[at], k[at]
+    ut = nt > 0
+    et = row[at] + np.where(ut, 0.0, 1.0)
     while kt.size:
         early = (_ray_values(pt, nt, kt) >= et) != ut
         late = (_ray_values(pt, nt, kt - 1) >= et) == ut
@@ -137,41 +151,53 @@ def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
     rays with minor and major coordinates p, q, directions n, m and cells
     pe, qe at their last step. Each run adds +1 at the low end of its
     major-axis segment and -1 just past its high end to a difference array.
-    Its minor axis is padded by 2 cells on each side for the walk's last
-    steps past the border; segment ends are clipped to the frame, so a
-    segment wholly outside cancels itself.
+    A ray stops at most 2 steps (1 px) past where it leaves
+    [-0.5, size - 0.5), so its cells lie in [-2, size + 1] (-2 only through
+    rounding) and its segment ends in [-2, size + 2]. Padding the minor axis
+    by 2 cells on each side, and the major one by 2 on the left and 3 on the
+    right, keeps every add inside the array, unclipped.
     """
     rows, size = shape
-    diff = np.zeros((rows + 4) * (size + 1), dtype=np.int64)
-
-    def add(row, cell, weight, past):
-        np.add.at(diff, (row + 2) * (size + 1) + np.clip(cell + past, 0, size), weight)
+    width = size + 5
+    diff = np.zeros((rows + 4) * width, dtype=np.int64)
 
     # A run starts at step 0 or at a boundary k, and ends at step k - 1 or
     # last. A start adds sign at its cell (past it if sign < 0), an end adds
-    # -sign at its cell (past it if sign > 0).
+    # -sign at its cell (past it if sign > 0); cell c of row r is at flat
+    # index (r + 2) * width + c + 2.
     sign = np.where(m < 0, -1, 1)
-    add(p, q, sign, sign < 0)
-    add(pe, qe, -sign, sign > 0)
+    np.add.at(diff, (p + 2) * width + q + 2 + (m < 0), sign)
+    np.add.at(diff, (pe + 2) * width + qe + 2 + (m >= 0), -sign)
     moves = pe - p
     bounds = np.abs(moves)  # a ray's run boundaries
-    step = np.sign(moves)  # minor cell change from one run to the next
     ends = np.cumsum(bounds)
+    # per ray, in float64 like every per-boundary pass: boundaries before it,
+    # minor cell change per run, and start and end offsets from row * width
+    first = (ends - bounds).astype(float)
+    step = np.sign(moves).astype(float)
+    at_start = 2.0 * width + 2 + (m < 0)
+    at_end = (2 - step) * width + 2 + (m >= 0)
+    rays = (p.astype(float), n, q.astype(float), m, step, sign)
     start = 0
     while start < p.size:
         base = ends[start - 1] if start else 0
         stop = max(start + 1,
                    int(np.searchsorted(ends, base + _VOTE_STEP_BUDGET, side="right")))
-        c = slice(start, stop)
-        count = bounds[c]
-        j = np.arange(1, ends[stop - 1] - base + 1) - np.repeat(ends[c] - count - base, count)
-        pb, nb, qb, mb, db, sb = (np.repeat(a[c], count) for a in (p, n, q, m, step, sign))
-        row = pb + j * db
+        c, count = slice(start, stop), bounds[start:stop]
+        j = np.arange(base + 1.0, ends[stop - 1] + 1.0) - np.repeat(first[c], count)
+        pb, nb, qb, mb, db, sb = (np.repeat(a[c], count) for a in rays)
+        row = db * j
+        row += pb
         k = _run_starts(pb, nb, j, row)
-        add(row, _round_cells(qb, mb, k), sb, sb < 0)
-        add(row - db, _round_cells(qb, mb, k - 1), -sb, sb > 0)
+        row *= width
+        for steps, at, weight in ((k, at_start, sb), (k - 1, at_end, -sb)):
+            index = _ray_values(qb, mb, steps)
+            np.floor(index, out=index)
+            index += row
+            index += np.repeat(at[c], count)
+            np.add.at(diff, index.astype(np.intp), weight)
         start = stop
-    return np.cumsum(diff.reshape(rows + 4, size + 1), axis=1)[2:rows + 2, :size]
+    return np.cumsum(diff.reshape(rows + 4, width), axis=1)[2:rows + 2, 2:size + 2]
 
 
 def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,14 @@ def test_auc_cap_is_a_constant_not_a_setting():
 def test_min_visibility_filter():
     _, records = run_pipeline(PipelineConfig(scenes=6, seed=3), MODELS)
     assert all(r.visibility >= 0.3 for r in records)
+
+
+def test_match_detections_within_25_px():
+    truth = SimpleNamespace(index=0, class_id=1, center=np.array([100.0, 100.0]))
+    far = SimpleNamespace(class_id=1, center=np.array([130.0, 100.0]))
+    near = SimpleNamespace(class_id=1, center=np.array([100.0, 120.0]))
+    assert pipeline._match_detections([truth], [far]) == {}
+    assert pipeline._match_detections([truth], [far, near]) == {0: (20.0, near)}
 
 
 def test_rotation_noise_degrades_then_icp_recovers():

@@ -251,10 +251,11 @@ def test_cast_votes_matches_reference_long_rays(data):
         _assert_matches_reference(*_ray_field(w, h, rays), 1, max_ray_length)
 
 
-def test_cast_votes_matches_reference_on_cell_edges():
-    """Walks that land exactly on cell edges: (3, 4) and (4, 3) normalize to
-    exactly 0.6 and 0.8, so some runs start a step after the real-valued
-    estimate of their first step."""
+def _cell_edge_cases():
+    """Single-ray fields on a 64 x 48 frame, each with and without a max ray
+    length, whose walks land exactly on cell edges: (3, 4) and (4, 3)
+    normalize to exactly 0.6 and 0.8, so some runs start a step after the
+    real-valued estimate of their first step."""
     w, h = 64, 48
     dirs = [(0.6, 0.8), (3.0, 4.0), (0.5, math.sqrt(0.75)), (1e-3, 1.0)]
     for x, y in ((0, 0), (31, 23), (63, 47), (10, 40), (50, 5)):
@@ -262,8 +263,12 @@ def test_cast_votes_matches_reference_on_cell_edges():
             for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 for d in ((sx * dx, sy * dy), (sy * dy, sx * dx)):
                     for max_ray_length in (None, 13):
-                        _assert_matches_reference(*_ray_field(w, h, [(x, y, *d)]), 1,
-                                                  max_ray_length)
+                        yield *_ray_field(w, h, [(x, y, *d)]), max_ray_length
+
+
+def test_cast_votes_matches_reference_on_cell_edges():
+    for labels, fld, max_ray_length in _cell_edge_cases():
+        _assert_matches_reference(labels, fld, 1, max_ray_length)
 
 
 def test_run_starts_matches_step_scan():
@@ -289,6 +294,83 @@ def test_run_starts_matches_step_scan():
     ps, ns, js = np.array(ps), np.array(ns), np.array(js)
     got = voting._run_starts(ps, ns, js, ps + js * np.sign(ns).astype(np.int64))
     assert got.tolist() == want
+
+
+def _ulps_from(x, count):
+    """x moved count representable doubles up (count > 0) or down."""
+    for _ in range(abs(count)):
+        x = np.nextafter(x, math.copysign(math.inf, count))
+    return float(x)
+
+
+def _float32_direction(a, b):
+    """The first component of (a, b) as _class_rays normalizes it."""
+    return float(a) / float(np.hypot(float(a), float(b)))
+
+
+_FRAME_DIAGONAL = 400  # of a 320 x 240 frame
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_starts_matches_step_scan_random(data):
+    """Pixels 0-320, directions a few ulps either side of 3/5, 4/5, 1/2 and
+    1/3 or random float32 pairs, and boundaries up to the frame diagonal:
+    every certified start and every exact-loop start equals a scan of every
+    step of the walk."""
+    near_edge = st.builds(lambda base, sign, ulps: sign * _ulps_from(base, ulps),
+                          st.sampled_from([0.6, 0.8, 0.5, 1 / 3]),
+                          st.sampled_from([1, -1]), st.integers(-4, 4))
+    unit = st.floats(-1, 1, width=32)
+    float32 = st.tuples(unit, unit).filter(lambda ab: np.hypot(*ab) > 1e-6).map(
+        lambda ab: _float32_direction(*ab))
+    triples = data.draw(st.lists(st.tuples(st.integers(0, 320), near_edge | float32,
+                                           st.integers(1, _FRAME_DIAGONAL)),
+                                 min_size=1, max_size=30), label="triples")
+    ks = np.arange(int(_FRAME_DIAGONAL / voting._RAY_STEP) + 1)
+    ps, ns, js, want = [], [], [], []
+    for p, n, j in triples:
+        cells = voting._round_cells(np.full(ks.size, p), np.full(ks.size, n), ks)
+        moved = np.abs(cells.astype(np.int64) - p)
+        if moved[-1] == 0:
+            continue  # the walk never leaves its first row
+        j = 1 + (j - 1) % moved[-1]
+        ps.append(p)
+        ns.append(n)
+        js.append(j)
+        want.append(int(np.argmax(moved >= j)))
+    ps, ns, js = np.array(ps, dtype=np.int64), np.array(ns, dtype=float), np.array(js)
+    got = voting._run_starts(ps, ns, js, ps + js * np.sign(ns).astype(np.int64))
+    assert got.tolist() == want
+
+
+def test_run_starts_sends_cell_edges_to_exact_loop(monkeypatch):
+    """Every run start of the cell-edge walks that its real-valued estimate
+    ceil((2j - 1) / |n|) gets wrong reaches the exact loop, which reads the
+    walk's values through _ray_values."""
+    run_starts, ray_values = voting._run_starts, voting._ray_values
+    calls, sent, inside = [], set(), []
+
+    def spy_starts(p, n, j, row):
+        inside.append(True)
+        k = run_starts(p, n, j, row)
+        inside.pop()
+        calls.append((p, n, np.ceil((2 * j - 1) / np.abs(n)), k))
+        return k
+
+    def spy_values(p, n, k):
+        if inside:
+            sent.update(zip(p.tolist(), n.tolist(), k.tolist()))
+        return ray_values(p, n, k)
+
+    monkeypatch.setattr(voting, "_run_starts", spy_starts)
+    monkeypatch.setattr(voting, "_ray_values", spy_values)
+    for labels, fld, max_ray_length in _cell_edge_cases():
+        cast_votes(labels, fld, 1, max_ray_length)
+    wrong = {(p, n, e) for ps, ns, estimate, k in calls
+             for p, n, e, right in zip(ps.tolist(), ns.tolist(), estimate.tolist(),
+                                       (estimate == k).tolist()) if not right}
+    assert wrong and wrong <= sent
 
 
 def test_cast_votes_on_axis_rays_raises_no_warning():
@@ -331,6 +413,17 @@ def test_find_centers_synthetic_object():
     assert len(found) == 1
     c, score = found[0]
     assert abs(c[0] - center[0]) <= 1 and abs(c[1] - center[1]) <= 1
+
+
+@pytest.mark.parametrize("apart, found", [(15, 1), (20, 1), (21, 2)])
+def test_find_centers_suppresses_peaks_within_nms_radius(apart, found):
+    # two peaks of one class, apart px on the Chebyshev distance: the weaker
+    # is a center only more than 20 px from the stronger
+    scores = np.zeros((60, 80), dtype=np.int64)
+    scores[20, 20] = 50
+    scores[27, 20 + apart] = 40
+    got = find_centers(voting.VoteGrid(scores, rays=()))
+    assert [score for _, score in got] == [50, 40][:found]
 
 
 def test_two_objects_same_class():
@@ -392,6 +485,15 @@ def test_collect_inliers_noise_free_full_set():
     assert list(zip(xs.tolist(), ys.tolist())) == expect
 
 
+def test_collect_inliers_keeps_rays_within_three_px():
+    # rays toward (50, 50.5) along +x from row 48 and along +y from columns
+    # 47 and 54 pass 2.5, 3 and 4 px from it
+    rays = (np.array([10, 47, 54]), np.array([48, 10, 10]),
+            np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0]))
+    grid = voting.VoteGrid(np.zeros((100, 100), dtype=np.int64), rays)
+    assert collect_inliers(np.array([50.0, 50.5]), grid).tolist() == [True, True, False]
+
+
 def test_estimate_translation_principal_point():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
@@ -434,6 +536,19 @@ def test_refine_center_subpixel():
     rays = _inlier_rays([81.0, 63.0], labels, fld)
     c = refine_center(np.array([81.0, 63.0]), *rays)
     assert np.allclose(c, center, atol=1e-6)
+
+
+@pytest.mark.parametrize("offset, refined", [((5.0, 0.0), False), ((-3.0, 4.0), False),
+                                             ((1.0, 0.0), True), ((0.5, -1.0), True)])
+def test_refine_center_keeps_voted_cell_beyond_two_px(offset, refined):
+    # rays aimed exactly at the voted cell plus offset: their least-squares
+    # point replaces the cell only within 2 px of it on both axes
+    voted = np.array([50.0, 50.0])
+    xs = np.array([30, 70, 48, 60, 35])
+    ys = np.array([40, 45, 75, 25, 65])
+    d = directions_to_center(xs, ys, voted + offset)
+    got = refine_center(voted, xs, ys, d[:, 0], d[:, 1])
+    assert np.allclose(got, voted + offset if refined else voted, atol=1e-9)
 
 
 def test_detect_background_only():
