@@ -98,7 +98,7 @@ def _associate(raster: RangeImage, flat, rays, obs_pts, reject: float):
         return None
     # row gathers go through take, which is faster than fancy indexing
     p = rays.take(hit, axis=0) * depth[hit][:, None]
-    n = raster.normals.reshape(-1, 3).take(flat[hit], axis=0)
+    n = raster.face_normals.take(raster.face.ravel().take(flat[hit]), axis=0)
     nd = obs_pts.take(hit, axis=0) - p
     nd *= n
     r = 0.0 + nd[:, 0] + nd[:, 1] + nd[:, 2]  # n . (o - p), added as np.sum does

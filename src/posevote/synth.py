@@ -61,18 +61,28 @@ class NoiseSpec:
 
 @dataclass
 class RangeImage:
-    """Z-buffer render: depth, class label, instance index and unit normal
-    per pixel. Camera-frame points follow from depth and the pixel rays.
+    """Z-buffer render: depth, class label, instance index and winning
+    triangle per pixel. Camera-frame points follow from depth and the pixel
+    rays, and a pixel's unit normal is its triangle's row of `face_normals`
+    (a visibility buffer: normals are looked up only where they are read).
     The buffers hold a window of the frame whose top-left pixel is `origin`;
     buffer pixel (j, i) is frame pixel (origin[1] + j, origin[0] + i)."""
 
     depth: np.ndarray  # (h, w), 0 = empty
     label: np.ndarray  # (h, w) uint16, 0 = background
     instance: np.ndarray  # (h, w) int32, -1 = background
-    normals: np.ndarray  # (h, w, 3), oriented toward the camera
+    face: np.ndarray  # (h, w) int32 row of face_normals, 0 = background
+    # (n, 3) unit normals of the rendered triangles, oriented toward the
+    # camera; row 0 is the zero vector of the background
+    face_normals: np.ndarray
     # per instance index, the window pixels it covers when rendered alone
     coverage: list[int] = field(default_factory=list)
     origin: tuple[int, int] = (0, 0)  # frame (x, y) of buffer pixel (0, 0)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """(h, w, 3) unit normal per pixel, zero on the background."""
+        return self.face_normals[self.face]
 
     @classmethod
     def empty(cls, width: int, height: int,
@@ -80,7 +90,8 @@ class RangeImage:
         return cls(depth=np.zeros((height, width)),
                    label=np.zeros((height, width), dtype=np.uint16),
                    instance=np.full((height, width), -1, dtype=np.int32),
-                   normals=np.zeros((height, width, 3)), origin=origin)
+                   face=np.zeros((height, width), dtype=np.int32),
+                   face_normals=np.zeros((1, 3)), origin=origin)
 
 
 @dataclass
@@ -325,7 +336,8 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
                       intrinsics: CameraIntrinsics, class_id: int, inst: int) -> int:
     """Z-buffer the triangles `faces` of `verts_cam` (camera frame) into the
     window `r` holds and return the number of distinct window pixels they
-    cover.
+    cover. The kept triangles' normals are appended to `r.face_normals`, and
+    each pixel a triangle wins records its row there.
 
     All triangles go through one vectorized pass, in batches of at most
     _FRAGMENT_BUDGET walked pixels; each row of a triangle's bounding box
@@ -364,6 +376,8 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
     n = n[keep] / nn[keep][:, None]
     facing = _rowdot(n, (p0[keep] + p1[keep] + p2[keep]) / 3.0) > 0
     n[facing] = -n[facing]  # orient toward the camera
+    first_face = len(r.face_normals)  # table row of kept triangle 0
+    r.face_normals = np.concatenate([r.face_normals, n])
     safe = np.all((np.abs(tu[keep]) <= _SPAN_MAX_UV)
                   & (np.abs(tv[keep]) <= _SPAN_MAX_UV), axis=1)
     ua, va, du1, dv1, du2, dv2, denom, x0, x1, y0, y1 = (
@@ -387,7 +401,7 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
     # flat views of the window's buffers, which RangeImage.empty makes
     # C-contiguous
     depth, label, instance = r.depth.ravel(), r.label.ravel(), r.instance.ravel()
-    normals = r.normals.reshape(-1, 3)
+    face = r.face.ravel()
     covered = np.zeros(h * w, dtype=bool)
     start = 0
     while start < walk.size:
@@ -427,12 +441,12 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
         depth[at] = zw[win]
         label[at] = class_id
         instance[at] = inst
-        normals[at] = n.take(t[win], axis=0)
+        face[at] = t[win] + first_face
     return int(np.count_nonzero(covered))
 
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
-    """Z-buffer render returning depth/label/instance/normal buffers of the
+    """Z-buffer render returning depth/label/instance/face buffers of the
     scene's window, or of the whole frame when it has none. Each model must
     be keyed by its own class id (SynthError)."""
     x0, y0, w, h = scene.window or (0, 0, scene.width, scene.height)
@@ -466,11 +480,17 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
-    ground-truth Tz. Returns (CenterField, [InstanceTruth]).
+    ground-truth Tz. Returns (CenterField, [InstanceTruth]). The raster must
+    cover the whole frame (SynthError): the field's planes and the occlusion
+    test are in frame coordinates.
     """
+    h, w = raster.depth.shape
+    if raster.origin != (0, 0) or (h, w) != (scene.height, scene.width):
+        raise SynthError(f"ground truth needs a render of the whole "
+                         f"{scene.width}x{scene.height} frame, got a {w}x{h} "
+                         f"window at {raster.origin}")
     fld = CenterField(width=scene.width, height=scene.height)
     truths = []
-    h, w = raster.depth.shape
     for inst, (cid, pose) in enumerate(scene.instances):
         center = project(pose.translation, scene.intrinsics)
         tz = float(pose.translation[2])
@@ -502,20 +522,22 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
     noise; the labels are copied unchanged. Zero-direction (center) pixels
     stay zero; unit norms are preserved.
     """
-    rng = np.random.default_rng(spec.rng_seed)
     out = fld.copy()
-    for cid in out.class_ids():
-        pl = out.planes[cid]
-        ys, xs = np.nonzero(labels.labels == cid)
-        if spec.direction_sigma > 0:
-            ang = rng.normal(0.0, spec.direction_sigma, xs.size)
-            ca, sa = np.cos(ang), np.sin(ang)
-            nx = pl[ys, xs, 0].astype(float)
-            ny = pl[ys, xs, 1].astype(float)
-            pl[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
-            pl[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
-        if spec.depth_sigma > 0:
-            pl[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma, xs.size).astype(np.float32)
+    if spec.direction_sigma > 0 or spec.depth_sigma > 0:  # else no pixel moves
+        rng = np.random.default_rng(spec.rng_seed)
+        for cid in out.class_ids():
+            pl = out.planes[cid]
+            ys, xs = np.nonzero(labels.labels == cid)
+            if spec.direction_sigma > 0:
+                ang = rng.normal(0.0, spec.direction_sigma, xs.size)
+                ca, sa = np.cos(ang), np.sin(ang)
+                nx = pl[ys, xs, 0].astype(float)
+                ny = pl[ys, xs, 1].astype(float)
+                pl[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
+                pl[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
+            if spec.depth_sigma > 0:
+                pl[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
+                                            xs.size).astype(np.float32)
     return out, LabelMap(labels=labels.labels.copy())
 
 

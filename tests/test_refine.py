@@ -154,16 +154,65 @@ def test_multi_hypothesis_escapes_20deg():
     assert np.linalg.norm(res.pose.translation - pose.translation) < 0.005
 
 
+def _result(inlier_fraction, mean_residual, pose=None):
+    if pose is None:
+        pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
+    return RefineResult(pose=pose, mean_residual=mean_residual,
+                        inlier_fraction=inlier_fraction, iterations=1,
+                        objective_trace=[])
+
+
 def test_alignment_score_pareto_consistency():
     # a candidate with both higher inlier fraction and lower residual must
-    # never lose on the alignment score
-    from posevote.refine import RefineResult
-    p = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    good = RefineResult(pose=p, mean_residual=0.001, inlier_fraction=0.9,
-                        iterations=3, objective_trace=[])
-    bad = RefineResult(pose=p, mean_residual=0.005, inlier_fraction=0.5,
-                       iterations=3, objective_trace=[])
-    assert good.alignment_score() > bad.alignment_score()
+    # never lose on the alignment score, and at equal coverage the smaller
+    # residual must win
+    assert (_result(0.9, 0.001).alignment_score()
+            > _result(0.5, 0.005).alignment_score())
+    assert (_result(0.8, 0.001).alignment_score()
+            > _result(0.8, 0.004).alignment_score())
+
+
+def test_multi_hypothesis_picks_lowest_residual_among_tied_coverage(monkeypatch):
+    # every hypothesis covers the same share of the mask; the second one
+    # fits best, so neither the first nor the last may win
+    depth, labels, pose = _scene(4, 0)
+    residuals = iter([0.005, 0.001, 0.003])
+    hypotheses = []
+
+    def fake_icp_refine(observed, labels, class_id, model, init, intrinsics,
+                        params=None):
+        hypotheses.append(init)
+        return _result(0.9, next(residuals), pose=init)
+
+    monkeypatch.setattr(refine, "icp_refine", fake_icp_refine)
+    res = multi_hypothesis_refine(depth, labels, 4, MODELS[4], pose, K,
+                                  IcpParams(n_hypotheses=3))
+    assert len(hypotheses) == 3
+    assert res.mean_residual == 0.001
+    assert res.pose is hypotheses[1]
+
+
+def test_icp_returns_init_when_steps_raise_the_inlier_residual(monkeypatch):
+    # accepted steps lower the truncated energy; here each also raises the
+    # mean inlier residual, so the initial pose must come back
+    rng = np.random.default_rng(1)
+    depth, labels, pose = _scene(4, 2)
+    init = perturbed_pose(pose, 5.0, 0.01, rng)
+    real = refine._associate
+
+    def residual_rises_as_energy_falls(*args):
+        state = real(*args)
+        if state is None:
+            return None
+        p, n, r, n_in, _, energy = state
+        return p, n, r, n_in, 1.0 - energy, energy
+
+    monkeypatch.setattr(refine, "_associate", residual_rises_as_energy_falls)
+    res = icp_refine(depth, labels, 4, MODELS[4], init, K)
+    trace = res.objective_trace
+    assert len(trace) > 1 and trace[-1] < trace[0]  # steps were accepted
+    assert res.pose is init
+    assert res.mean_residual == 1.0 - trace[0]
 
 
 def test_icp_params_validation():

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,9 +200,20 @@ def test_render_depth_matches_ray_cast_oracle():
 # batched rasterizer against the per-triangle loop ----------------------------
 
 
+def _reference_buffers(width, height):
+    """The buffers the reference loop fills: depth, label, instance and its
+    own per-pixel normal, which RangeImage derives from its face buffer."""
+    return SimpleNamespace(depth=np.zeros((height, width)),
+                           label=np.zeros((height, width), dtype=np.uint16),
+                           instance=np.full((height, width), -1, dtype=np.int32),
+                           normals=np.zeros((height, width, 3)))
+
+
 def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
     """The per-triangle z-buffer loop that the batched rasterizer replaced,
-    kept as its reference: both must fill every buffer bit for bit alike."""
+    kept as its reference: both must fill every buffer bit for bit alike,
+    the reference writing each won pixel's normal where the rasterizer
+    writes its triangle's row of the normal table."""
     h, w = r.depth.shape
     fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
     z = verts_cam[:, 2]
@@ -254,17 +266,21 @@ def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
 def _assert_same_raster(got, want):
     for name in ("depth", "label", "instance", "normals"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # a pixel names a triangle exactly where it has depth; row 0 is the
+    # background's zero normal
+    assert np.array_equal(got.face > 0, got.depth > 0)
+    assert not got.face_normals[0].any()
 
 
 def _reference_pass(meshes, intrinsics, width, height):
     """Reference render of (verts_cam, faces, class_id) meshes, one instance
     each, and the pixel count of each mesh rendered alone."""
-    r = RangeImage.empty(width, height)
+    r = _reference_buffers(width, height)
     solo = []
     with np.errstate(all="ignore"):
         for inst, (verts, faces, cid) in enumerate(meshes):
             _reference_raster(r, verts, faces, intrinsics, cid, inst)
-            alone = RangeImage.empty(width, height)
+            alone = _reference_buffers(width, height)
             _reference_raster(alone, verts, faces, intrinsics, cid, inst)
             solo.append(int(np.count_nonzero(alone.instance == inst)))
     return r, solo
@@ -454,7 +470,8 @@ def _crop(r, x0, y0, w, h):
     return RangeImage(depth=r.depth[y0:y0 + h, x0:x0 + w],
                       label=r.label[y0:y0 + h, x0:x0 + w],
                       instance=r.instance[y0:y0 + h, x0:x0 + w],
-                      normals=r.normals[y0:y0 + h, x0:x0 + w])
+                      face=r.face[y0:y0 + h, x0:x0 + w],
+                      face_normals=r.face_normals)
 
 
 def _windows(r, rng):
@@ -543,6 +560,29 @@ def test_fields_point_at_projected_center():
         assert np.allclose(pl[y, x, :2], v / n, atol=1e-6)
         assert pl[y, x, 2] == pytest.approx(pose.translation[2], abs=1e-6)
     assert not np.any(pl[raster.label != 1])  # background stays zero
+
+
+def test_ground_truth_fields_need_the_whole_frame():
+    # a window's pixels would land at window coordinates in the frame-sized
+    # planes, and every center would read occluded
+    models = default_registry()
+    scene = random_scene(3, models)
+    full = render_full(scene, models)
+    want_fld, want = ground_truth_fields(scene, full)
+    ys, xs = np.nonzero(full.depth)
+    x0, y0 = int(xs.min()), int(ys.min())
+    for win in ((x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1),
+                (0, 0, 319, 240), (1, 0, 319, 240)):
+        scene.window = win
+        with pytest.raises(SynthError, match="whole 320x240 frame"):
+            ground_truth_fields(scene, render_full(scene, models))
+    scene.window = (0, 0, 320, 240)  # a window that is the whole frame
+    fld, truths = ground_truth_fields(scene, render_full(scene, models))
+    assert fld.class_ids() == want_fld.class_ids()
+    for cid in fld.class_ids():
+        assert np.array_equal(fld.plane(cid), want_fld.plane(cid))
+    assert ([t.center_occluded for t in truths]
+            == [t.center_occluded for t in want])
 
 
 def test_fully_occluded_instance_flagged():
