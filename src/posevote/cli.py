@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import pipeline as pipeline_mod
-from .fields import CenterField, DepthMap, LabelMap
+from .fields import CenterField, DepthMap, FieldError, LabelMap
 from .geometry import (CameraIntrinsics, Pose, is_finite_real, is_int_at_least,
                        rotation_angle_between)
 from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
@@ -237,7 +237,10 @@ def cmd_synth(args) -> int:
 
 def cmd_vote(args) -> int:
     labels = LabelMap(labels=_load_array(args.labels))
-    fld = CenterField.from_tensor(_load_array(args.field))
+    try:
+        fld = CenterField.from_tensor(_load_array(args.field))
+    except FieldError as exc:
+        raise ValueError(f"{args.field}: {exc}") from None
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     _emit(args.out, {"detections": [d.to_dict() for d in detections]})

@@ -114,15 +114,13 @@ class CenterField:
             raise FieldError("field tensor must have shape (classes, 3, h, w)")
         if not np.issubdtype(tensor.dtype, np.floating):
             raise FieldError(f"field tensor must be floating point, got {tensor.dtype}")
+        with np.errstate(over="ignore"):  # a float64 overflow is caught as inf
+            tensor = tensor.astype(np.float32, copy=False)
         if not np.isfinite(tensor).all():
             raise FieldError("field tensor values must be finite")
-        n, _, h, w = tensor.shape
-        planes = {}
-        for k in range(n):
-            pl = np.moveaxis(tensor[k], 0, 2).astype(np.float32)
-            if np.any(pl):
-                planes[k + 1] = np.ascontiguousarray(pl)
-        return cls(width=w, height=h, planes=planes)
+        planes = {k + 1: np.moveaxis(pl, 0, 2).copy()  # C-contiguous
+                  for k, pl in enumerate(tensor) if np.any(pl)}
+        return cls(width=tensor.shape[3], height=tensor.shape[2], planes=planes)
 
 
 def directions_to_center(xs, ys, center) -> np.ndarray:

@@ -57,10 +57,6 @@ class AccuracyCurve:
     accuracy: np.ndarray  # same length, in [0, 1], non-decreasing
     accuracy_at_zero: float = 0.0  # right-limit at threshold 0
 
-    @property
-    def max_threshold(self) -> float:
-        return float(self.thresholds[-1])
-
 
 def accuracy_curve(distances, max_threshold: float) -> AccuracyCurve:
     """Fraction of distances strictly below each of _AUC_STEPS uniform
@@ -80,15 +76,15 @@ def accuracy_curve(distances, max_threshold: float) -> AccuracyCurve:
 
 
 def auc(curve: AccuracyCurve) -> float:
-    """Trapezoidal area under the accuracy curve over [0, max_threshold],
-    normalized by max_threshold, as a percentage in [0, 100].
+    """Trapezoidal area under the accuracy curve over [0, its largest
+    threshold], normalized by that threshold, as a percentage in [0, 100].
 
     The explicit threshold-zero point uses the right-limit accuracy, so a
     perfect estimator (all distances zero) scores exactly 100.
     """
     ts = np.concatenate([[0.0], curve.thresholds])
     acc = np.concatenate([[curve.accuracy_at_zero], curve.accuracy])
-    return float(100.0 * np.trapezoid(acc, ts) / curve.max_threshold)
+    return float(100.0 * np.trapezoid(acc, ts) / curve.thresholds[-1])
 
 
 def pose_scores(adds, add_ss, correct) -> dict:

@@ -198,7 +198,7 @@ def run_pipeline(cfg: PipelineConfig,
         "mean_center_error_px": (float(np.mean([r.center_error_px
                                                 for r in finite]))
                                  if finite else None),
-        "max_threshold_m": cfg.max_threshold,
+        "max_threshold_m": AUC_CAP_M,
         "noise": {
             "direction_sigma_rad": cfg.noise.direction_sigma,
             "depth_sigma_m": cfg.noise.depth_sigma,

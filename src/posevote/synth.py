@@ -79,11 +79,6 @@ class RangeImage:
     coverage: list[int] = field(default_factory=list)
     origin: tuple[int, int] = (0, 0)  # frame (x, y) of buffer pixel (0, 0)
 
-    @property
-    def normals(self) -> np.ndarray:
-        """(h, w, 3) unit normal per pixel, zero on the background."""
-        return self.face_normals[self.face]
-
     @classmethod
     def empty(cls, width: int, height: int,
               origin: tuple[int, int] = (0, 0)) -> "RangeImage":
@@ -197,7 +192,7 @@ def _fibonacci_dirs(n: int):
     return dirs, phi, theta
 
 
-def make_primitive_model(kind: str, scale: float = 0.1, n_points: int = 500,
+def make_primitive_model(kind: str, scale: float, n_points: int,
                          class_id: int = 1) -> ObjectModel:
     """Deterministic primitive point sets/meshes with known symmetry groups.
 
@@ -491,10 +486,13 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
                          f"window at {raster.origin}")
     fld = CenterField(width=scene.width, height=scene.height)
     truths = []
+    vys, vxs = np.nonzero(raster.instance >= 0)
+    owner = raster.instance[vys, vxs]
     for inst, (cid, pose) in enumerate(scene.instances):
         center = project(pose.translation, scene.intrinsics)
         tz = float(pose.translation[2])
-        ys, xs = np.nonzero(raster.instance == inst)
+        mine = owner == inst
+        ys, xs = vys[mine], vxs[mine]
         if xs.size:
             dirs = directions_to_center(xs, ys, center)
             pl = fld.plane(cid)
@@ -520,8 +518,11 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
     """Noise-injected copies of a field and label map, seeded and
     deterministic. Directions get angular jitter and Tz planes Gaussian
     noise; the labels are copied unchanged. Zero-direction (center) pixels
-    stay zero; unit norms are preserved.
+    stay zero; unit norms are preserved. Frames must match (SynthError).
     """
+    if (fld.height, fld.width) != labels.labels.shape:
+        raise SynthError(f"center field shape {(fld.height, fld.width)} "
+                         f"differs from label map shape {labels.labels.shape}")
     out = fld.copy()
     if spec.direction_sigma > 0 or spec.depth_sigma > 0:  # else no pixel moves
         rng = np.random.default_rng(spec.rng_seed)

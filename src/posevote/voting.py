@@ -234,7 +234,7 @@ def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
 
 
 def find_centers(grid: VoteGrid,
-                 class_pixel_count: int = 0) -> list[tuple[np.ndarray, int]]:
+                 class_pixel_count: int) -> list[tuple[np.ndarray, int]]:
     """Greedy NMS over accumulator cells scoring above
     max(10, 0.1 * class_pixel_count); an accepted center suppresses every
     cell within _NMS_RADIUS (20 px, Chebyshev distance) of it.

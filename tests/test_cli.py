@@ -105,15 +105,16 @@ def test_readme_module_table_matches_src():
     assert named == modules - {"__init__", "__main__"}
 
 
-def _vote_on_square(tmp_path, field_shape=(20, 30), nan=False):
+def _vote_on_square(tmp_path, field_shape=(20, 30), nan=False, tz=1.0,
+                    dtype=np.float32):
     """Runs `vote` on a 20x30 label map holding a class-1 square, with a
-    field of the given frame whose square points along +x; (exit code,
-    output path)."""
+    field of the given frame and dtype whose square points along +x at
+    depth tz; (exit code, output path)."""
     labels = np.zeros((20, 30), dtype=np.uint16)
     labels[5:15, 5:15] = 1
-    field = np.zeros((1, 3, *field_shape), dtype=np.float32)
+    field = np.zeros((1, 3, *field_shape), dtype=dtype)
     field[0, 0, 5:15, 5:15] = 1.0
-    field[0, 2, 5:15, 5:15] = 1.0
+    field[0, 2, 5:15, 5:15] = tz
     if nan:
         field[0, 2, 10, 10] = np.nan
     np.save(tmp_path / "l.npy", labels)
@@ -130,6 +131,15 @@ def test_vote_rejects_non_finite_field(tmp_path, capsys):
     rc, out = _vote_on_square(tmp_path, nan=True)
     assert rc == 1
     assert "posevote: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vote_rejects_field_beyond_float32_range(tmp_path, capsys):
+    # 1e39 is finite in float64 but overflows to inf in the float32 planes
+    rc, out = _vote_on_square(tmp_path, tz=1e39, dtype=np.float64)
+    assert rc == 1
+    assert (f"posevote: error: {tmp_path / 'f.npy'}: field tensor values must "
+            "be finite") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -373,6 +373,24 @@ def test_neighbor_tracker_gathers_what_fresh_queries_gather():
             assert np.array_equal(got.view(np.int64), fresh.view(np.int64))
 
 
+def test_neighbor_tracker_reach_allows_for_rounding():
+    # a point searched for just short of the bisector of two targets, then
+    # moved along their line just past it: its move exceeds half the gap of
+    # its two distances by less than their rounding, so only the reach's
+    # margin sends it to a fresh search
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        a, b = rng.uniform(-1, 1, (2, 3))
+        length = np.linalg.norm(b - a)
+        u = (b - a) / length
+        mid = (a + b) / 2
+        before = mid - rng.uniform(0, 5e-15) * length * u
+        past = mid + rng.uniform(0, 5e-16) * length * u
+        index = NeighborIndex(np.stack([a, b]))
+        index.nearest(before[None])
+        assert index.nearest(past[None]) == index.query(past[None])[1]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_neighbor_tracker_checks_every_call(bad):
     index = NeighborIndex(np.eye(3))

@@ -95,9 +95,13 @@ def test_sparse_mask_raises_icp_error(n_px, n_holes, q, t):
 
 
 def test_min_mask_pixels_suffice():
-    depth, labels, pose = _sparse_mask(_MIN_MASK_PIXELS, 100)
+    # literal counts: the hypothesis test above moves with _MIN_MASK_PIXELS
+    depth, labels, pose = _sparse_mask(50, 100)
     res = icp_refine(depth, labels, 4, MODELS[4], pose, K)
     assert res.inlier_fraction == 1.0
+    depth, labels, pose = _sparse_mask(49, 100)
+    with pytest.raises(IcpError, match=r"49 masked depth pixels \(need 50\)"):
+        icp_refine(depth, labels, 4, MODELS[4], pose, K)
 
 
 def test_non_finite_solve_ends_icp_at_the_initial_pose(monkeypatch):
@@ -275,7 +279,7 @@ def _reference_icp_refine(observed, labels, class_id, model, init, intrinsics,
         if not hit.any():
             return None
         p = rays[hit] * raster.depth[ys[hit], xs[hit]][:, None]
-        n = raster.normals[ys[hit], xs[hit]]
+        n = raster.face_normals[raster.face[ys[hit], xs[hit]]]
         r = np.sum(n * (obs_pts[hit] - p), axis=1)
         keep = np.abs(r) <= reject
         n_in = int(keep.sum())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posevote import synth
-from posevote.fields import LabelMap
+from posevote.fields import CenterField, LabelMap
 from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                                quat_to_rotation, random_quat)
 from posevote.losses import sloss
@@ -62,16 +62,16 @@ def test_primitives_deterministic():
 
 def test_unknown_kind_rejected():
     with pytest.raises(SynthError):
-        make_primitive_model("torus")
+        make_primitive_model("torus", scale=0.1, n_points=500)
     with pytest.raises(SynthError):
-        make_primitive_model("cube", scale=-1.0)
+        make_primitive_model("cube", scale=-1.0, n_points=500)
 
 
 @pytest.mark.parametrize("kind", synth.PRIMITIVE_KINDS)
 @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, True, "x"])
 def test_non_finite_or_zero_scale_rejected(kind, scale):
     with pytest.raises(SynthError, match="scale must be positive and finite"):
-        make_primitive_model(kind, scale=scale)
+        make_primitive_model(kind, scale=scale, n_points=500)
 
 
 @pytest.mark.parametrize("kind", ["cube", "bar_2fold", "asymmetric_blob",
@@ -79,7 +79,7 @@ def test_non_finite_or_zero_scale_rejected(kind, scale):
 @pytest.mark.parametrize("n_points", [0, -5, 2.5, 40.7, True, "5"])
 def test_point_count_below_one_rejected(kind, n_points):
     with pytest.raises(SynthError, match="n_points"):
-        make_primitive_model(kind, n_points=n_points)
+        make_primitive_model(kind, scale=0.1, n_points=n_points)
 
 
 def _argmin_box_faces(pts, sx, sy, sz):
@@ -202,7 +202,8 @@ def test_render_depth_matches_ray_cast_oracle():
 
 def _reference_buffers(width, height):
     """The buffers the reference loop fills: depth, label, instance and its
-    own per-pixel normal, which RangeImage derives from its face buffer."""
+    own per-pixel normal, which a RangeImage looks up through its face
+    buffer."""
     return SimpleNamespace(depth=np.zeros((height, width)),
                            label=np.zeros((height, width), dtype=np.uint16),
                            instance=np.full((height, width), -1, dtype=np.int32),
@@ -264,8 +265,9 @@ def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
 
 
 def _assert_same_raster(got, want):
-    for name in ("depth", "label", "instance", "normals"):
+    for name in ("depth", "label", "instance"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.face_normals[got.face], want.normals), "normals"
     # a pixel names a triangle exactly where it has depth; row 0 is the
     # background's zero normal
     assert np.array_equal(got.face > 0, got.depth > 0)
@@ -467,11 +469,11 @@ def test_span_walk_adversarial_triangles_match_loop(first, second):
 
 
 def _crop(r, x0, y0, w, h):
-    return RangeImage(depth=r.depth[y0:y0 + h, x0:x0 + w],
-                      label=r.label[y0:y0 + h, x0:x0 + w],
-                      instance=r.instance[y0:y0 + h, x0:x0 + w],
-                      face=r.face[y0:y0 + h, x0:x0 + w],
-                      face_normals=r.face_normals)
+    """A window of a render's buffers, with its per-pixel normals."""
+    sub = (slice(y0, y0 + h), slice(x0, x0 + w))
+    return SimpleNamespace(depth=r.depth[sub], label=r.label[sub],
+                           instance=r.instance[sub],
+                           normals=r.face_normals[r.face[sub]])
 
 
 def _windows(r, rng):
@@ -665,6 +667,22 @@ def test_perturb_class_without_pixels_draws_nothing():
     assert not got.plane(2).any()
     for cid in (1, 3):
         assert np.array_equal(got.plane(cid), want.plane(cid))
+
+
+@pytest.mark.parametrize("field_wh, labels_wh", [((60, 40), (30, 20)),
+                                                 ((30, 20), (60, 40))])
+def test_perturb_field_of_another_frame_rejected(field_wh, labels_wh):
+    # the larger frame's pixels would index past the smaller one's planes,
+    # or perturb only its top-left corner
+    fld = CenterField(width=field_wh[0], height=field_wh[1])
+    fld.plane(1)[:] = 1.0
+    labels = np.zeros(labels_wh[::-1], dtype=np.uint16)
+    labels[5:10, 5:10] = 1
+    match = (rf"center field shape \({field_wh[1]}, {field_wh[0]}\) differs "
+             rf"from label map shape \({labels_wh[1]}, {labels_wh[0]}\)")
+    for spec in (NoiseSpec(), NoiseSpec(direction_sigma=0.1, depth_sigma=0.01)):
+        with pytest.raises(SynthError, match=match):
+            perturb(fld, LabelMap(labels=labels), spec)
 
 
 def test_noise_spec_validation():

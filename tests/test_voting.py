@@ -397,7 +397,7 @@ def test_find_centers_empty_grid():
     labels, fld = _field_with_pixels(40, 40, 1, [(5, 5)], (20, 20))
     grid = cast_votes(labels, fld, 1)
     grid.scores[:] = 0
-    assert find_centers(grid) == []
+    assert find_centers(grid, class_pixel_count=0) == []
 
 
 def test_find_centers_synthetic_object():
@@ -422,8 +422,18 @@ def test_find_centers_suppresses_peaks_within_nms_radius(apart, found):
     scores = np.zeros((60, 80), dtype=np.int64)
     scores[20, 20] = 50
     scores[27, 20 + apart] = 40
-    got = find_centers(voting.VoteGrid(scores, rays=()))
+    got = find_centers(voting.VoteGrid(scores, rays=()), class_pixel_count=0)
     assert [score for _, score in got] == [50, 40][:found]
+
+
+@pytest.mark.parametrize("peak, n_px, found", [(10, 0, 0), (11, 0, 1),
+                                               (11, 119, 0), (12, 119, 1)])
+def test_find_centers_score_cut(peak, n_px, found):
+    # a center scores above 10 and above a tenth of the class's pixels
+    scores = np.zeros((30, 40), dtype=np.int64)
+    scores[12, 17] = peak
+    got = find_centers(voting.VoteGrid(scores, rays=()), class_pixel_count=n_px)
+    assert [(c.tolist(), s) for c, s in got] == [([17.0, 12.0], peak)][:found]
 
 
 def test_two_objects_same_class():
@@ -549,6 +559,19 @@ def test_refine_center_keeps_voted_cell_beyond_two_px(offset, refined):
     d = directions_to_center(xs, ys, voted + offset)
     got = refine_center(voted, xs, ys, d[:, 0], d[:, 1])
     assert np.allclose(got, voted + offset if refined else voted, atol=1e-9)
+
+
+def test_refine_center_solves_rays_crossing_at_a_small_angle():
+    # two rays 1.1 degrees apart: the system is well short of degenerate
+    # (det / trace is 2e-4, the guard's cut 1e-9), so the least-squares
+    # point, 0.5 px from the voted cell, replaces it
+    voted, center = np.array([50.0, 41.0]), np.array([50.3, 40.6])
+    xs, ys = np.array([0, 0]), np.array([40, 41])
+    d = directions_to_center(xs, ys, center)
+    nx, ny = d[:, 0], d[:, 1]
+    det = np.sum(1 - nx * nx) * np.sum(1 - ny * ny) - np.sum(nx * ny) ** 2
+    assert 1e-4 < det / np.sum(2 - nx * nx - ny * ny) < 1e-3
+    assert np.allclose(refine_center(voted, xs, ys, nx, ny), center, atol=1e-9)
 
 
 def test_detect_background_only():
