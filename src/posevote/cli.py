@@ -97,9 +97,10 @@ def _read_json(path: str, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_array(path: str) -> np.ndarray:
-    """The array a .npy file holds. Any failure to read it raises ValueError
-    naming the file; numpy raises several kinds for a damaged one."""
+def _load_array(path: str, build):
+    """build(the array a .npy file holds). Any failure to read it, and a
+    FieldError from build, raises ValueError naming the file; numpy raises
+    several kinds for a damaged one."""
     try:
         array = np.load(path, allow_pickle=False)
         if not isinstance(array, np.ndarray):  # an .npz archive
@@ -107,7 +108,10 @@ def _load_array(path: str) -> np.ndarray:
             raise ValueError("not a .npy array file")
     except Exception as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return array
+    try:
+        return build(array)
+    except FieldError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _class_id(cid):
@@ -236,11 +240,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_vote(args) -> int:
-    labels = LabelMap(labels=_load_array(args.labels))
-    try:
-        fld = CenterField.from_tensor(_load_array(args.field))
-    except FieldError as exc:
-        raise ValueError(f"{args.field}: {exc}") from None
+    labels = _load_array(args.labels, LabelMap)
+    fld = _load_array(args.field, CenterField.from_tensor)
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     _emit(args.out, {"detections": [d.to_dict() for d in detections]})
@@ -308,8 +309,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    observed = DepthMap(depth=_load_array(args.depth))
-    labels = LabelMap(labels=_load_array(args.labels))
+    observed = _load_array(args.depth, DepthMap)
+    labels = _load_array(args.labels, LabelMap)
     model = load_model(args.model, class_id=args.class_id)
     init = _load_pose(args.init)
     intr = load_intrinsics(args.intrinsics)

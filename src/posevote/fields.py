@@ -61,7 +61,8 @@ class DepthMap:
         # an integer depth (in millimetres, say) would silently read as meters
         if not np.issubdtype(depth.dtype, np.floating):
             raise FieldError(f"depths must be floating point, got {depth.dtype}")
-        self.depth = depth.astype(np.float32, copy=False)
+        with np.errstate(over="ignore"):  # a float64 overflow is caught as inf
+            self.depth = depth.astype(np.float32, copy=False)
         if self.depth.ndim != 2:
             raise FieldError("depth must be 2-D")
         if not np.isfinite(self.depth).all():

@@ -41,7 +41,7 @@ def normalize_quat(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise GeometryError(f"a quaternion has 4 components, got shape {q.shape}")
-    n = np.linalg.norm(q)
+    n = math.sqrt(q.dot(q))  # np.linalg.norm's vector path, undispatched
     if n == 0.0:
         raise GeometryError("cannot normalize an all-zero quaternion")
     if not math.isfinite(n):
@@ -52,7 +52,7 @@ def normalize_quat(q) -> np.ndarray:
 
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix of a (w, x, y, z) quaternion; normalizes internally."""
-    w, x, y, z = normalize_quat(q)
+    w, x, y, z = normalize_quat(q).tolist()  # Python floats: no numpy scalars
     return np.array(
         [
             [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
@@ -280,8 +280,8 @@ class NeighborIndex:
             stale = np.arange(points.shape[0])
         else:
             moved = points - self._at
-            stale = np.flatnonzero(
-                ~(np.einsum("ij,ij->i", moved, moved) < self._reach2))
+            stale = (~(np.einsum("ij,ij->i", moved, moved)
+                       < self._reach2)).nonzero()[0]
         if stale.size:
             self._at[stale] = points[stale]
             self._nearest[stale], self._reach2[stale] = \

@@ -71,11 +71,11 @@ def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
     Valid on the unit sphere; combined with tangent projection it matches
     derivatives taken along renormalized perturbations.
     """
-    w, x, y, z = q
-    return 2.0 * np.array([[[w, -z, y], [z, w, -x], [-y, x, w]],
-                           [[x, y, z], [y, -x, -w], [z, w, -x]],
-                           [[-y, x, w], [x, y, z], [-w, z, -y]],
-                           [[-z, -w, x], [w, -z, y], [x, y, z]]])
+    w, x, y, z = (2.0 * q).tolist()  # doubling is exact
+    return np.array([[[w, -z, y], [z, w, -x], [-y, x, w]],
+                     [[x, y, z], [y, -x, -w], [z, w, -x]],
+                     [[-y, x, w], [x, y, z], [-w, z, -y]],
+                     [[-z, -w, x], [w, -z, y], [x, y, z]]])
 
 
 def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -88,7 +88,10 @@ def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
         target = prepare_target(kind, q_gt, model)
     elif (target.model is not model
           or (kind is LossKind.SLOSS and target.index is None)
-          or not np.array_equal(normalize_quat(q_gt), target.q_gt)):
+          or not (q_gt is target.q_gt or np.array_equal(q_gt, target.q_gt)
+                  or np.array_equal(normalize_quat(q_gt), target.q_gt))):
+        # renormalizing a unit q_gt can change its last bit, so target.q_gt
+        # is accepted as it is
         raise ValueError("the loss target was prepared for another q_gt, "
                          "model or loss kind")
     qe = normalize_quat(q_est)
@@ -99,9 +102,11 @@ def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
     if kind is LossKind.SLOSS:
         gt = gt[target.index.nearest(est)]
     diff = est - gt
-    value = float(np.sum(diff * diff)) / (2.0 * m)
+    # np.add.reduce is the reduction np.sum makes, without its wrapper
+    value = float(np.add.reduce(diff * diff, axis=None)) / (2.0 * m)
     jac = _rotation_jacobian(qe)
-    grad = np.sum(diff * (pts @ jac.transpose(0, 2, 1)), axis=(1, 2)) / m
+    grad = np.add.reduce(diff * (pts @ jac.transpose(0, 2, 1)),
+                         axis=(1, 2)) / m
     return LossResult(value=value, gradient=_tangent_project(grad, qe))
 
 
@@ -180,8 +185,9 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     for q0 in inits:
         q = normalize_quat(q0)
         for t in range(steps):
-            g = evaluate_loss(kind, q, qg, model, target=target).gradient
-            ng = float(np.linalg.norm(g))
+            g = evaluate_loss(kind, q, target.q_gt, model,
+                              target=target).gradient
+            ng = math.sqrt(g.dot(g))
             if ng < 1e-15:
                 break
             q = normalize_quat(q - (lr / math.sqrt(t + 1)) * g / ng)

@@ -208,7 +208,8 @@ def test_vote_rejects_depth_tensor_as_labels(tmp_path, capsys):
     assert run(["vote", "--labels", prefix + "_depth.npy",
                 "--field", prefix + "_field.npy",
                 "--intrinsics", str(k_path), "--out", str(out)]) == 1
-    assert "posevote: error: labels must be integers" in capsys.readouterr().err
+    assert (f"posevote: error: {prefix}_depth.npy: labels must be integers"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -384,6 +385,18 @@ def test_refine_cli_on_foreign_array_names_the_file(tmp_path, capsys, flag):
     assert run(args + ["--out", str(out)]) == 1
     assert (f"posevote: error: {path}: not a .npy array file"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_refine_rejects_label_map_as_depth(tmp_path, capsys):
+    # integer labels cast to float32 would read as depths in meters
+    args, _ = _refine_args(tmp_path)
+    labels = args[args.index("--labels") + 1]
+    args[args.index("--depth") + 1] = labels
+    out = tmp_path / "refined.json"
+    assert run(args + ["--out", str(out)]) == 1
+    assert (f"posevote: error: {labels}: depths must be floating point, got "
+            "uint16" in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -104,6 +104,13 @@ def test_depth_map_rejects_non_finite():
         DepthMap(np.array([[np.inf, 1.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_depth_map_beyond_float32_range_raises_without_a_warning():
+    # 1e39 is finite in float64; its cast to float32 overflows to inf
+    with pytest.raises(FieldError, match="finite"):
+        DepthMap(depth=np.full((4, 4), 1e39))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_center_field_from_tensor_rejects_non_finite(bad):
     t = np.zeros((2, 3, 4, 5), dtype=np.float32)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from posevote import geometry, losses
@@ -148,6 +148,81 @@ def test_optimize_rotation_zero_steps_identity():
     results = optimize_rotation(m, q_gt, LossKind.PLOSS, inits, steps=0)
     for (q, _), q0 in zip(results, inits):
         assert np.allclose(q, q0 / np.linalg.norm(q0))
+
+
+def _frozen_normalize_quat(q):
+    """normalize_quat as it was with np.linalg.norm: the bits it keeps."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (4,):
+        raise GeometryError(f"a quaternion has 4 components, got shape {q.shape}")
+    n = np.linalg.norm(q)
+    if n == 0.0:
+        raise GeometryError("cannot normalize an all-zero quaternion")
+    if not math.isfinite(n):
+        raise GeometryError(f"cannot normalize a quaternion of non-finite "
+                            f"norm: {q}")
+    return q / n
+
+
+def _frozen_quat_to_rotation(q):
+    """quat_to_rotation as it was with numpy-scalar arithmetic."""
+    w, x, y, z = _frozen_normalize_quat(q)
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def _frozen_rotation_jacobian(q):
+    """_rotation_jacobian as it was with numpy-scalar arithmetic."""
+    w, x, y, z = q
+    return 2.0 * np.array([[[w, -z, y], [z, w, -x], [-y, x, w]],
+                           [[x, y, z], [y, -x, -w], [z, w, -x]],
+                           [[-y, x, w], [x, y, z], [-w, z, -y]],
+                           [[-z, -w, x], [w, -z, y], [x, y, z]]])
+
+
+def _outcome(fn, q):
+    """fn(q) as its dtype, shape and bytes, or the type and text of what it
+    raised."""
+    try:
+        out = fn(q)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.dtype, out.shape, out.tobytes()
+
+
+# signed magnitudes from 1e-150 to 1e150, signed zeros and non-finite values
+_COMPONENT = st.one_of(
+    st.builds(lambda v, neg: -v if neg else v,
+              st.floats(1e-150, 1e150), st.booleans()),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(q=st.lists(_COMPONENT, min_size=4, max_size=4))
+@example(q=[0.0, -0.0, 0.0, -0.0])
+@example(q=[-0.0, 1.0, -0.0, 0.0])
+@example(q=[1e-150, -1e150, 1e-150, 0.0])
+def test_quaternion_helpers_keep_their_bits(q):
+    # each helper gives the bits, or raises the error, of its frozen copy, on
+    # the drawn q and on its normalization (an already-unit input)
+    q = np.array(q)
+    inputs = [q]
+    if np.isfinite(q).all() and np.any(q):
+        inputs.append(_frozen_normalize_quat(q))
+    for v in inputs:
+        assert (_outcome(normalize_quat, v)
+                == _outcome(_frozen_normalize_quat, v))
+        assert (_outcome(quat_to_rotation, v)
+                == _outcome(_frozen_quat_to_rotation, v))
+        if np.isfinite(v).all():
+            assert (_outcome(_rotation_jacobian, v)
+                    == _outcome(_frozen_rotation_jacobian, v))
 
 
 def _reference_loss(kind, q_est, q_gt, model):
@@ -401,6 +476,23 @@ def test_mismatched_target_raises():
               target=prepare_target(LossKind.PLOSS, random_quat(rng), cube))
     with pytest.raises(ValueError, match="prepared for another"):
         sloss(q_est, q_gt, cube, target=prepare_target(LossKind.PLOSS, q_gt, cube))
+
+
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+def test_prepared_target_accepts_its_own_unit_q_gt(kind):
+    # renormalizing a unit quaternion changes its last bit for about a third
+    # of these q, so target.q_gt must be accepted as it is
+    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        q = rng.standard_normal(4)
+        q_est = random_quat(rng)
+        target = prepare_target(kind, q, m)
+        fresh = evaluate_loss(kind, q_est, q, m)
+        for q_gt in (q, target.q_gt, target.q_gt.copy(), normalize_quat(q)):
+            res = evaluate_loss(kind, q_est, q_gt, m, target=target)
+            assert res.value == fresh.value
+            assert res.gradient.tobytes() == fresh.gradient.tobytes()
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
