@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-import tempfile
+import uuid
 
 import numpy as np
 
@@ -44,10 +44,14 @@ def _round9(obj):
 
 
 def _atomic_write(path: str, text: str):
+    """Write text to a fresh temp file beside path, then rename it over path.
+    open() makes the temp file, so path gets the mode open(path, "w") gives a
+    new file (0o666 less the umask), not mkstemp's 0o600."""
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(d, f".tmp-{uuid.uuid4().hex}")
+    f = open(tmp, "x")  # exclusive: never another file's name
     try:
-        with os.fdopen(fd, "w") as f:
+        with f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -334,7 +338,6 @@ def cmd_pipeline(args) -> int:
         noise=_noise_from_args(args),
         refine=args.refine,
         icp=_icp_from_args(args),
-        jobs=args.jobs,
     )
     summary, records = pipeline_mod.run_pipeline(cfg, default_registry())
     if args.csv:
@@ -417,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--scenes", type=_int_at_least(1), default=20)
     s.add_argument("--seed", type=_int_at_least(0), default=0)
     s.add_argument("--refine", action="store_true")
-    s.add_argument("--jobs", type=_int_at_least(1), default=1)
     s.add_argument("--out")
     s.add_argument("--csv")
     s.add_argument("--noise", choices=list(_NOISE_PRESETS), default="none")

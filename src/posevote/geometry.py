@@ -199,8 +199,17 @@ class Pose:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Pose":
-        return cls(np.array(d["quaternion_wxyz"], dtype=float),
-                   np.array(d["translation_m"], dtype=float))
+        """The pose of a JSON pose object. Every entry of its two lists must
+        be a finite real number: np.array would read "1" or true as one."""
+        forms = {"quaternion_wxyz": "a quaternion has 4 components, each a "
+                                    "finite real number",
+                 "translation_m": "a translation is 3 finite numbers"}
+        for key, form in forms.items():
+            values = d[key]
+            if not (isinstance(values, list)
+                    and all(is_finite_real(v) for v in values)):
+                raise GeometryError(f"{key!r}: {form}, got {values!r}")
+        return cls(*(np.array(d[key], dtype=float) for key in forms))
 
 
 # ---------------------------------------------------------------------------

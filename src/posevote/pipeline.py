@@ -12,7 +12,6 @@ threshold.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,12 +37,12 @@ class PipelineConfig:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     refine: bool = False
     icp: IcpParams = field(default_factory=IcpParams)
-    jobs: int = 1
     max_threshold = AUC_CAP_M  # the AUC cap, a constant rather than a field
 
     def __post_init__(self):
-        if not all(is_int_at_least(n, 1) for n in (self.scenes, self.jobs)):
-            raise ValueError("scenes and jobs must be integers of at least 1")
+        if not is_int_at_least(self.scenes, 1):
+            raise ValueError(f"scenes must be an integer of at least 1, "
+                             f"got {self.scenes!r}")
         if not is_int_at_least(self.seed, 0):
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
@@ -177,11 +176,10 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
 
 def run_pipeline(cfg: PipelineConfig,
                  models: dict[int, ObjectModel]) -> tuple[dict, list[InstanceRecord]]:
-    """Evaluate cfg.scenes seeded scenes; returns (summary, records)."""
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        per_scene = list(pool.map(
-            lambda i: evaluate_scene(i, cfg, models), range(cfg.scenes)))
-    records = [r for scene in per_scene for r in scene]
+    """Evaluate cfg.scenes seeded scenes in order, on the calling thread;
+    returns (summary, records)."""
+    records = [r for i in range(cfg.scenes)
+               for r in evaluate_scene(i, cfg, models)]
     if not records:
         raise RuntimeError("pipeline produced no evaluable instances")
     finite = [r for r in records if r.detected]

@@ -248,13 +248,13 @@ def test_criterion_7_icp():
 
 
 def test_criterion_8_pipeline():
-    clean, _ = run_pipeline(PipelineConfig(scenes=20, seed=0, jobs=4), MODELS)
+    clean, _ = run_pipeline(PipelineConfig(scenes=20, seed=0), MODELS)
     noise = NoiseSpec(direction_sigma=0.05, depth_sigma=0.005,
                       rotation_sigma_deg=25.0, rng_seed=0)
     raw, _ = run_pipeline(PipelineConfig(scenes=20, seed=0, noise=noise,
-                                         refine=False, jobs=4), MODELS)
+                                         refine=False), MODELS)
     refined, _ = run_pipeline(PipelineConfig(scenes=20, seed=0, noise=noise,
-                                             refine=True, jobs=4,
+                                             refine=True,
                                              icp=IcpParams(n_hypotheses=4)),
                               MODELS)
     gain = refined["auc_adds"] - raw["auc_adds"]

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posevote.cli import build_parser, run
+from posevote.cli import build_parser, load_poses, run
+from posevote.geometry import Pose
 from posevote.ply import load_ply, save_ply
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
@@ -417,7 +419,6 @@ _BELOW_LEAST = [
     (["histogram", "--kind", "sloss", "--out", "{d}/h.csv"], "--inits", "0"),
     (["histogram", "--kind", "sloss", "--out", "{d}/h.csv"], "--steps", "-3"),
     (["pipeline", "--out", "{d}/p.json"], "--scenes", "0"),
-    (["pipeline", "--out", "{d}/p.json"], "--jobs", "0"),
     (["pipeline", "--out", "{d}/p.json"], "--hypotheses", "0"),
     (_REFINE_ARGV, "--hypotheses", "0"),
     (_REFINE_ARGV, "--class-id", "0"),
@@ -688,6 +689,76 @@ def test_translation_of_wrong_size_names_the_file(tmp_path, cmd, capsys):
     assert (f"posevote: error: {bad}: a translation is 3 finite numbers, "
             f"got [0.0, 0.0]" in capsys.readouterr().err)
     assert not out.exists()
+
+
+# np.array(..., dtype=float) would read "1" or true as a number
+@pytest.mark.parametrize("key, values", [
+    ("quaternion_wxyz", ["1", "0", "0", "0"]),
+    ("translation_m", [True, False, "0.5"]),
+], ids=["string-quaternion", "bool-translation"])
+@pytest.mark.parametrize("cmd", ["loss", "eval", "synth"])
+def test_pose_numbers_that_are_strings_or_bools_name_the_file(
+        tmp_path, cmd, key, values, capsys):
+    model = tmp_path / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    _write_json(good, _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]))
+    pose = {**_pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]), key: values}
+    _write_json(bad, _scene_json(instances=[pose]) if cmd == "synth" else pose)
+    out = tmp_path / "out"
+    argv = {"loss": ["loss", "--model", str(model), "--pose-est", str(bad),
+                     "--pose-gt", str(good), "--kind", "sloss",
+                     "--out", str(out)],
+            "eval": ["eval", "--model", str(model), "--gt", str(good),
+                     "--est", str(bad), "--out", str(out)],
+            "synth": ["synth", "--out-dir", str(out), "--scene", str(bad)]}
+    assert run(argv[cmd]) == 1
+    assert (f"posevote: error: {bad}: {key!r}: "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_pose_file_of_plain_numbers_loads_bit_for_bit(tmp_path):
+    quat = [0.1, -0.2, 0.30000000000000004, 1]
+    trans = [1e-300, -2.5e-3, 7]
+    path = tmp_path / "pose.json"
+    _write_json(path, _pose_entry(1, quat, trans))
+    (pose,) = load_poses(str(path))
+    want = Pose(np.array(quat, dtype=float), np.array(trans, dtype=float))
+    assert pose.quaternion.tobytes() == want.quaternion.tobytes()
+    assert pose.translation.tobytes() == want.translation.tobytes()
+
+
+# each output gets the mode open(path, "w") gives a new file, as synth's .npy
+# arrays and make-model's PLY do, whatever the command writes it through
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_outputs_get_the_mode_a_new_file_gets(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        model = tmp_path / "cube.ply"
+        poses = tmp_path / "poses.json"
+        assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
+        _write_json(poses, _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]))
+        d = tmp_path / "out"
+        for argv in (["synth", "--out-dir", "{d}"],
+                     ["pipeline", "--scenes", "1", "--out", "{d}/p.json",
+                      "--csv", "{d}/p.csv"],
+                     ["histogram", "--kind", "ploss", "--inits", "1",
+                      "--steps", "0", "--out", "{d}/h.csv"],
+                     ["eval", "--gt", str(poses), "--est", str(poses),
+                      "--model", str(model), "--out", "{d}/e.json",
+                      "--out-csv", "{d}/e.csv"]):
+            assert run([a.format(d=d) for a in argv]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in d.iterdir()}
+    assert sorted(modes) == sorted([
+        "scene_0000_labels.npy", "scene_0000_depth.npy",
+        "scene_0000_field.npy", "scene_0000_gt.json", "index.json",
+        "p.json", "p.csv", "h.csv", "e.json", "e.csv"])
+    assert modes == dict.fromkeys(modes, mode)
+    assert stat.S_IMODE(model.stat().st_mode) == mode
 
 
 def _scene_json(**changes):

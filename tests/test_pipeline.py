@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,28 +31,32 @@ def test_summary_deterministic():
     assert [rec.to_row() for rec in r1] == [rec.to_row() for rec in r2]
 
 
-def test_jobs_parallel_matches_serial():
-    cfg1 = PipelineConfig(scenes=4, seed=6, jobs=1)
-    cfg4 = PipelineConfig(scenes=4, seed=6, jobs=4)
-    s1, _ = run_pipeline(cfg1, MODELS)
-    s4, _ = run_pipeline(cfg4, MODELS)
-    assert s1 == s4
+def test_run_pipeline_evaluates_scenes_in_order_on_the_calling_thread(
+        monkeypatch):
+    calls = []
+    real = pipeline.evaluate_scene
 
+    def spy(scene_index, cfg, models):
+        calls.append((threading.get_ident(), scene_index))
+        return real(scene_index, cfg, models)
 
-@pytest.mark.parametrize("jobs", [0, -1, 2.5, None, True])
-def test_jobs_below_one_rejected(jobs):
-    with pytest.raises(ValueError):
-        PipelineConfig(jobs=jobs)
+    monkeypatch.setattr(pipeline, "evaluate_scene", spy)
+    cfg = PipelineConfig(scenes=3, seed=6)
+    _, records = run_pipeline(cfg, MODELS)
+    assert calls == [(threading.get_ident(), i) for i in range(3)]
+    assert [r.to_row() for r in records] == [
+        r.to_row() for i in range(3) for r in real(i, cfg, MODELS)]
 
 
 # rejected when the config is built, not after the run or inside range()
 @pytest.mark.parametrize("scenes", [0, -1, 2.5, "3", True])
 def test_scenes_not_an_integer_of_at_least_one_rejected(scenes):
-    with pytest.raises(ValueError, match="scenes and jobs must be integers"):
+    with pytest.raises(ValueError,
+                       match="scenes must be an integer of at least 1, got "):
         PipelineConfig(scenes=scenes)
 
 
-# rejected when the config is built, not inside numpy once the pool runs
+# rejected when the config is built, not inside numpy once the scenes run
 @pytest.mark.parametrize("seed", [-1, 2.5, "3", None, False])
 def test_seed_not_an_integer_of_at_least_zero_rejected(seed):
     with pytest.raises(ValueError, match="seed must be an integer >= 0"):
@@ -81,9 +86,9 @@ def test_rotation_noise_degrades_then_icp_recovers():
     noise = NoiseSpec(direction_sigma=0.05, depth_sigma=0.005,
                       rotation_sigma_deg=25.0, rng_seed=0)
     s1, _ = run_pipeline(PipelineConfig(scenes=4, seed=0, noise=noise,
-                                        refine=False, jobs=2), MODELS)
+                                        refine=False), MODELS)
     s2, _ = run_pipeline(PipelineConfig(scenes=4, seed=0, noise=noise,
-                                        refine=True, jobs=2,
+                                        refine=True,
                                         icp=IcpParams(n_hypotheses=4)), MODELS)
     assert s2["auc_adds"] > s1["auc_adds"]
 
