@@ -11,6 +11,7 @@ record it in their JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -89,12 +90,16 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _read_json(path: str, parse):
-    """parse(the JSON document at path). A missing key, or a value parse
-    cannot use, raises ValueError naming the file (and the key)."""
+def _read_json(path: str, parse, what: str | None = None):
+    """parse(the JSON document at path), which must be `what` object if
+    given. A document of another kind, a missing key, or a value parse cannot
+    use raises ValueError naming the file (and the key)."""
     try:
         with open(path) as f:
-            return parse(json.load(f))
+            doc = json.load(f)
+        if what and not isinstance(doc, dict):
+            raise ValueError(f"expected {what} object")
+        return parse(doc)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -118,34 +123,78 @@ def _load_array(path: str, build):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _class_id(cid):
-    if not is_int_at_least(cid, 1):  # a JSON float, bool or string is no id
-        raise ValueError(f"'class_id' must be a positive integer, got {cid!r}")
-    return cid
+# The JSON formats: each form a value must take, and its test. A JSON true is
+# no number, and 1.0 no integer.
+_FORMS = {
+    "a positive integer": lambda v: is_int_at_least(v, 1),
+    "a finite real number": is_finite_real,
+    "a list of 4 finite real numbers": lambda v: _reals(v, 4),
+    "a list of 3 finite real numbers": lambda v: _reals(v, 3),
+    "an object": lambda v: isinstance(v, dict),
+    "a list of objects": lambda v: (isinstance(v, list)
+                                    and all(isinstance(x, dict) for x in v)),
+}
+
+
+def _reals(v, n: int) -> bool:
+    return isinstance(v, list) and len(v) == n and all(map(is_finite_real, v))
+
+
+def _get(d: dict, key: str, form: str):
+    """d[key], which must be of `form`; _read_json reports a missing key."""
+    value = d[key]
+    if not _FORMS[form](value):
+        raise ValueError(f"{key!r} must be {form}, got {value!r}")
+    return value
+
+
+def _intrinsics(d: dict) -> CameraIntrinsics:
+    """The constructor checks that the focal lengths are positive."""
+    return CameraIntrinsics(**{k: _get(d, k, "a finite real number")
+                               for k in ("fx", "fy", "px", "py")})
+
+
+def _pose(d: dict) -> Pose:
+    return Pose(_get(d, "quaternion_wxyz", "a list of 4 finite real numbers"),
+                _get(d, "translation_m", "a list of 3 finite real numbers"))
+
+
+def _pose_json(pose: Pose, class_id: int) -> dict:
+    return {"quaternion_wxyz": pose.quaternion.tolist(),
+            "translation_m": pose.translation.tolist(), "class_id": int(class_id)}
+
+
+def _detection_json(d) -> dict:
+    return {"class_id": int(d.class_id), "center_px": d.center.tolist(),
+            "score": int(d.score), "inlier_count": int(d.inliers.shape[0]),
+            "bbox_px": [int(v) for v in d.bbox], "depth_tz_m": float(d.translation[2]),
+            "translation_m": d.translation.tolist()}
 
 
 def _poses(data) -> list[Pose]:
     entries = [data] if isinstance(data, dict) else data
-    if not (isinstance(entries, list) and all(isinstance(d, dict) for d in entries)):
+    if not _FORMS["a list of objects"](entries):
         raise ValueError("expected a pose object or a list of pose objects")
     for d in entries:
-        _class_id(d.get("class_id", 1))
-    return [Pose.from_dict(d) for d in entries]
+        if "class_id" in d:  # a pose file may omit it
+            _get(d, "class_id", "a positive integer")
+    return [_pose(d) for d in entries]
 
 
-def _scene(desc) -> Scene:
-    intr = CameraIntrinsics.from_dict(desc["intrinsics"])
-    instances = [(_class_id(inst["class_id"]), Pose.from_dict(inst))
-                 for inst in desc["instances"]]
-    for key in ("width", "height"):
-        if not is_int_at_least(desc[key], 1):  # a JSON float or bool is no size
-            raise ValueError(f"{key!r} must be a positive integer, got {desc[key]!r}")
+def _scene(desc, models) -> Scene:
+    intr = _intrinsics(_get(desc, "intrinsics", "an object"))
+    instances = [(_get(inst, "class_id", "a positive integer"), _pose(inst))
+                 for inst in _get(desc, "instances", "a list of objects")]
+    for cid, _ in instances:
+        if cid not in models:
+            raise ValueError(f"scene references unknown class id {cid}")
     return Scene(instances=instances, intrinsics=intr,
-                 width=desc["width"], height=desc["height"])
+                 width=_get(desc, "width", "a positive integer"),
+                 height=_get(desc, "height", "a positive integer"))
 
 
 def load_intrinsics(path: str) -> CameraIntrinsics:
-    return _read_json(path, CameraIntrinsics.from_dict)
+    return _read_json(path, _intrinsics, "an intrinsics")
 
 
 def load_poses(path: str) -> list[Pose]:
@@ -207,8 +256,9 @@ def _positive_float(text: str) -> float:
 
 
 def cmd_synth(args) -> int:
-    given = _read_json(args.scene, _scene) if args.scene else None
     models = default_registry()
+    given = (_read_json(args.scene, lambda d: _scene(d, models), "a scene")
+             if args.scene else None)
     os.makedirs(args.out_dir, exist_ok=True)
     noise = _noise_from_args(args)
     index = []
@@ -220,22 +270,14 @@ def cmd_synth(args) -> int:
         np.save(prefix + "_labels.npy", frame.labels.labels)
         np.save(prefix + "_depth.npy", frame.raster.depth.astype(np.float32))
         np.save(prefix + "_field.npy", frame.fld.to_tensor(max(models)))
-        gt = {
-            "seed": args.seed,
-            "scene": i,
-            "intrinsics": scene.intrinsics.to_dict(),
-            "width": scene.width,
-            "height": scene.height,
-            "instances": [
-                {
-                    **t.pose.to_dict(class_id=t.class_id),
-                    "center_px": [float(t.center[0]), float(t.center[1])],
-                    "visibility": t.visibility,
-                    "center_occluded": t.center_occluded,
-                }
-                for t in frame.truths
-            ],
-        }
+        gt = {"seed": args.seed, "scene": i,
+              "intrinsics": dataclasses.asdict(scene.intrinsics),
+              "width": scene.width, "height": scene.height,
+              "instances": [{**_pose_json(t.pose, t.class_id),
+                             "center_px": [float(t.center[0]), float(t.center[1])],
+                             "visibility": t.visibility,
+                             "center_occluded": t.center_occluded}
+                            for t in frame.truths]}
         write_json(prefix + "_gt.json", gt)
         index.append(os.path.basename(prefix))
     write_json(os.path.join(args.out_dir, "index.json"),
@@ -248,7 +290,7 @@ def cmd_vote(args) -> int:
     fld = _load_array(args.field, CenterField.from_tensor)
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
-    _emit(args.out, {"detections": [d.to_dict() for d in detections]})
+    _emit(args.out, {"detections": [_detection_json(d) for d in detections]})
     return 0
 
 
@@ -322,7 +364,7 @@ def cmd_refine(args) -> int:
                                   init, intr, _icp_from_args(args))
     out = {
         "seed": args.seed,
-        **res.pose.to_dict(class_id=args.class_id),
+        **_pose_json(res.pose, args.class_id),
         "mean_residual_m": res.mean_residual,
         "inlier_fraction": res.inlier_fraction,
         "iterations": res.iterations,

@@ -128,13 +128,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise GeometryError("focal lengths must be positive")
 
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "px": self.px, "py": self.py}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(fx=d["fx"], fy=d["fy"], px=d["px"], py=d["py"])
-
 
 def project(points, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Pinhole projection of camera-frame points of shape (..., 3) to pixels
@@ -189,27 +182,6 @@ class Pose:
     def transform(self, points) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         return points @ self.rotation_matrix().T + self.translation
-
-    def to_dict(self, class_id: int) -> dict:
-        return {
-            "quaternion_wxyz": [float(v) for v in self.quaternion],
-            "translation_m": [float(v) for v in self.translation],
-            "class_id": int(class_id),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Pose":
-        """The pose of a JSON pose object. Every entry of its two lists must
-        be a finite real number: np.array would read "1" or true as one."""
-        forms = {"quaternion_wxyz": "a quaternion has 4 components, each a "
-                                    "finite real number",
-                 "translation_m": "a translation is 3 finite numbers"}
-        for key, form in forms.items():
-            values = d[key]
-            if not (isinstance(values, list)
-                    and all(is_finite_real(v) for v in values)):
-                raise GeometryError(f"{key!r}: {form}, got {values!r}")
-        return cls(*(np.array(d[key], dtype=float) for key in forms))
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,6 @@ def _associate(raster: RangeImage, flat, rays, obs_pts, reject: float):
     n_masked = flat.size
     depth = raster.depth.ravel()[flat]
     hit = np.flatnonzero(depth > 0)
-    if not hit.size:
-        return None
     # row gathers go through take, which is faster than fancy indexing
     p = rays.take(hit, axis=0) * depth[hit][:, None]
     n = raster.face_normals.take(raster.face.ravel().take(flat[hit]), axis=0)

@@ -44,17 +44,6 @@ class Detection:
     bbox: tuple  # (xmin, ymin, xmax, ymax)
     translation: np.ndarray  # (3,) meters
 
-    def to_dict(self) -> dict:
-        return {
-            "class_id": int(self.class_id),
-            "center_px": [float(self.center[0]), float(self.center[1])],
-            "score": int(self.score),
-            "inlier_count": int(self.inliers.shape[0]),
-            "bbox_px": [int(v) for v in self.bbox],
-            "depth_tz_m": float(self.translation[2]),
-            "translation_m": [float(v) for v in self.translation],
-        }
-
 
 def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
     """Pixels of a class with a nonzero predicted direction (xs, ys, nx, ny).
@@ -271,10 +260,8 @@ def refine_center(center, xs, ys, nx, ny) -> np.ndarray:
     """Sub-pixel center: least-squares point closest to the inlier rays.
 
     Solves sum_i (I - n_i n_i^T) c = sum_i (I - n_i n_i^T) p_i; falls back to
-    the voted cell when the system is degenerate (e.g. all rays parallel).
+    the voted cell when the system is degenerate (under 2 rays, or parallel).
     """
-    if xs.size < 2:
-        return np.asarray(center, dtype=float)
     a00 = np.sum(1.0 - nx * nx)
     a01 = np.sum(-nx * ny)
     a11 = np.sum(1.0 - ny * ny)

@@ -1,6 +1,8 @@
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posevote.cli import build_parser, load_poses, run
-from posevote.geometry import Pose
+from posevote.cli import (_pose_json, build_parser, load_intrinsics, load_poses,
+                          run, write_json)
+from posevote.geometry import CameraIntrinsics, Pose, random_quat
 from posevote.ply import load_ply, save_ply
 
 K_JSON = {"fx": 400.0, "fy": 400.0, "px": 160.0, "py": 120.0}
@@ -670,8 +673,8 @@ def test_pose_of_wrong_size_names_the_file(tmp_path, cmd, quat, capsys):
               if cmd == "loss" else ["--gt", str(good), "--est", str(bad)])
     out = tmp_path / "out.json"
     assert run([cmd, "--model", str(model), "--out", str(out)] + inputs) == 1
-    assert (f"posevote: error: {bad}: a quaternion has 4 components"
-            in capsys.readouterr().err)
+    assert (f"posevote: error: {bad}: 'quaternion_wxyz' must be a list of 4 "
+            f"finite real numbers, got {quat}" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -686,8 +689,8 @@ def test_translation_of_wrong_size_names_the_file(tmp_path, cmd, capsys):
               if cmd == "loss" else ["--gt", str(good), "--est", str(bad)])
     out = tmp_path / "out.json"
     assert run([cmd, "--model", str(model), "--out", str(out)] + inputs) == 1
-    assert (f"posevote: error: {bad}: a translation is 3 finite numbers, "
-            f"got [0.0, 0.0]" in capsys.readouterr().err)
+    assert (f"posevote: error: {bad}: 'translation_m' must be a list of 3 "
+            f"finite real numbers, got [0, 0]" in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -713,9 +716,59 @@ def test_pose_numbers_that_are_strings_or_bools_name_the_file(
                      "--est", str(bad), "--out", str(out)],
             "synth": ["synth", "--out-dir", str(out), "--scene", str(bad)]}
     assert run(argv[cmd]) == 1
-    assert (f"posevote: error: {bad}: {key!r}: "
+    assert (f"posevote: error: {bad}: {key!r} must be a list of "
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_pose_json_round_trip(tmp_path):
+    rng = np.random.default_rng(9)
+    p = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
+    path = tmp_path / "pose.json"
+    write_json(str(path), _pose_json(p, class_id=3))
+    (p2,) = load_poses(str(path))
+    assert np.allclose(p.quaternion, p2.quaternion)
+    assert np.allclose(p.translation, p2.translation)
+
+
+def test_intrinsics_json_round_trip(tmp_path):
+    K = CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=240.0)
+    path = tmp_path / "k.json"
+    write_json(str(path), dataclasses.asdict(K))
+    assert load_intrinsics(str(path)) == K
+
+
+def _pose_error(tmp_path, quat, trans) -> str:
+    """The error load_poses raises for a file of one pose."""
+    path = tmp_path / "pose.json"
+    _write_json(path, _pose_entry(1, quat, trans))
+    with pytest.raises(ValueError) as e:
+        load_poses(str(path))
+    assert str(e.value).startswith(f"{path}: ")
+    return str(e.value)
+
+
+def test_pose_file_rejects_non_finite(tmp_path):
+    assert "'quaternion_wxyz' must be a list of 4 finite" in _pose_error(
+        tmp_path, [math.nan, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+    assert "'translation_m' must be a list of 3 finite" in _pose_error(
+        tmp_path, [1.0, 0.0, 0.0, 0.0], [0.0, math.inf, 1.0])
+
+
+@pytest.mark.parametrize("trans", [[0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                                   [0.0, math.nan, 1.0], [-math.inf, 0.0, 1.0]],
+                         ids=["2", "4", "nan", "inf"])
+def test_pose_file_rejects_translation_not_of_3_finite_numbers(tmp_path, trans):
+    assert "'translation_m' must be a list of 3 finite" in _pose_error(
+        tmp_path, [1, 0, 0, 0], trans)
+
+
+@pytest.mark.parametrize("quat", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0],
+                                  [[1.0, 0.0], [0.0, 0.0]]],
+                         ids=["3", "5", "2x2"])
+def test_pose_file_rejects_quaternion_not_of_4_components(tmp_path, quat):
+    assert "'quaternion_wxyz' must be a list of 4 finite" in _pose_error(
+        tmp_path, quat, [0, 0, 1])
 
 
 def test_pose_file_of_plain_numbers_loads_bit_for_bit(tmp_path):
@@ -775,14 +828,27 @@ def _scene_json(**changes):
     (_scene_json(width=64.7), "'width' must be a positive integer, got 64.7"),
     (_scene_json(height=120.0), "'height' must be a positive integer, got 120.0"),
     (_scene_json(height=True), "'height' must be a positive integer, got True"),
-    (_scene_json(intrinsics={**K_JSON, "fx": True}), "intrinsics must be finite"),
-    (_scene_json(intrinsics={**K_JSON, "py": "120"}), "intrinsics must be finite"),
+    (_scene_json(intrinsics={**K_JSON, "fx": True}),
+     "'fx' must be a finite real number, got True"),
+    (_scene_json(intrinsics={**K_JSON, "py": "120"}),
+     "'py' must be a finite real number, got '120'"),
     *((_scene_json(instances=[_pose_entry(cid, [1, 0, 0, 0], [0, 0, 0.8])]),
        f"'class_id' must be a positive integer, got {cid!r}")
       for cid in (1.5, True, "1", 0)),
+    ([_scene_json()], "expected a scene object"),
+    (_scene_json(intrinsics=[1, 2]), "'intrinsics' must be an object, got [1, 2]"),
+    (_scene_json(instances={"a": 1}),
+     "'instances' must be a list of objects, got {'a': 1}"),
+    (_scene_json(instances=["x"]), "'instances' must be a list of objects, got ['x']"),
+    ({**_scene_json(), "instances": None},
+     "'instances' must be a list of objects, got None"),
+    (_scene_json(instances=[_pose_entry(9, [1, 0, 0, 0], [0, 0, 0.8])]),
+     "scene references unknown class id 9"),
 ], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool",
         "bool-focal-length", "string-principal-point", "fractional-class-id",
-        "bool-class-id", "string-class-id", "zero-class-id"])
+        "bool-class-id", "string-class-id", "zero-class-id", "list-document",
+        "list-intrinsics", "object-instances", "string-instance",
+        "null-instances", "unknown-class-id"])
 def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys):
     path = tmp_path / "scene.json"
     _write_json(path, scene)
@@ -790,3 +856,78 @@ def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys)
     assert run(["synth", "--out-dir", str(out_dir), "--scene", str(path)]) == 1
     assert f"posevote: error: {path}: {message}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+# every key of every JSON input, and the commands that read each kind of file
+_JSON_KEYS = {"pose": ("quaternion_wxyz", "translation_m", "class_id"),
+              "intrinsics": ("fx", "fy", "px", "py"),
+              "scene": ("intrinsics", "instances", "width", "height")}
+_READERS = {"pose": ("loss", "eval", "synth"), "intrinsics": ("eval", "synth"),
+            "scene": ("synth",)}
+_WRONG_LENGTH = {"quaternion_wxyz": [1, 0, 0], "translation_m": [0, 0]}
+_BAD_VALUES = {"string": "1", "bool": True, "null": None}
+
+
+def _key_cases():
+    for kind, keys in _JSON_KEYS.items():
+        for key in keys:
+            for cmd in _READERS[kind]:
+                for variant in ("missing", *_BAD_VALUES, "wrong-length"):
+                    if variant == "missing" and key == "class_id" and cmd != "synth":
+                        continue  # a pose file may omit it
+                    if variant == "wrong-length" and key == "instances":
+                        continue  # a scene holds any number of instances
+                    yield pytest.param(kind, key, cmd, variant,
+                                       id=f"{cmd}-{key}-{variant}")
+
+
+@pytest.fixture(scope="module")
+def cube_ply(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "cube.ply"
+    assert run(["make-model", "--kind", "cube", "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, key, cmd, variant", list(_key_cases()))
+def test_every_bad_json_key_names_the_file_and_key(tmp_path, cube_ply, kind, key,
+                                                   cmd, variant, capsys):
+    pose = _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.8])
+    intrinsics = dict(K_JSON)
+    scene = {"intrinsics": intrinsics, "width": 160, "height": 120,
+             "instances": [pose]}
+    target = {"pose": pose, "intrinsics": intrinsics, "scene": scene}[kind]
+    if variant == "missing":
+        del target[key]
+    else:
+        target[key] = _BAD_VALUES.get(variant, _WRONG_LENGTH.get(key, [1, 2]))
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    _write_json(bad, scene if cmd == "synth" else target)
+    _write_json(good, _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.8]))
+    k = tmp_path / "k.json"
+    _write_json(k, K_JSON)
+    out, out_csv = tmp_path / "out", tmp_path / "out.csv"
+    argv = {"loss": ["loss", "--model", cube_ply, "--pose-est", str(bad),
+                     "--pose-gt", str(good), "--kind", "sloss", "--out", str(out)],
+            "eval": ["eval", "--model", cube_ply, "--gt", str(good),
+                     "--est", str(bad if kind == "pose" else good),
+                     "--intrinsics", str(bad if kind == "intrinsics" else k),
+                     "--out", str(out), "--out-csv", str(out_csv)],
+            "synth": ["synth", "--out-dir", str(out), "--scene", str(bad)]}[cmd]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"posevote: error: {bad}: ") and repr(key) in err, err
+    assert not out.exists() and not out_csv.exists()
+
+
+@pytest.mark.parametrize("doc", [[K_JSON], 5, None, "k"],
+                         ids=["list", "number", "null", "string"])
+def test_intrinsics_file_not_an_object_names_the_file(tmp_path, cube_ply, doc,
+                                                      capsys):
+    poses, k = tmp_path / "poses.json", tmp_path / "k.json"
+    _write_json(poses, _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.8]))
+    _write_json(k, doc)
+    out = tmp_path / "out.json"
+    assert run(["eval", "--model", cube_ply, "--gt", str(poses), "--est",
+                str(poses), "--intrinsics", str(k), "--out", str(out)]) == 1
+    assert (f"posevote: error: {k}: expected an intrinsics object"
+            in capsys.readouterr().err)
+    assert not out.exists()

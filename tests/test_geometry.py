@@ -183,22 +183,6 @@ def test_pose_transform_matches_quaternion_rotation():
                        atol=1e-12)
 
 
-def test_pose_dict_round_trip():
-    rng = np.random.default_rng(9)
-    p = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
-    p2 = Pose.from_dict(p.to_dict(class_id=3))
-    assert np.allclose(p.quaternion, p2.quaternion)
-    assert np.allclose(p.translation, p2.translation)
-
-
-def test_pose_from_dict_rejects_non_finite():
-    good = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3)).to_dict(class_id=1)
-    with pytest.raises(GeometryError):
-        Pose.from_dict({**good, "quaternion_wxyz": [math.nan, 0.0, 0.0, 1.0]})
-    with pytest.raises(GeometryError):
-        Pose.from_dict({**good, "translation_m": [0.0, math.inf, 1.0]})
-
-
 # checked where the pose is built, as its quaternion is
 @pytest.mark.parametrize("trans", [[0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
                                    [0.0, math.nan, 1.0], [-math.inf, 0.0, 1.0]],
@@ -206,8 +190,6 @@ def test_pose_from_dict_rejects_non_finite():
 def test_pose_rejects_translation_not_of_3_finite_numbers(trans):
     with pytest.raises(GeometryError, match="translation is 3 finite numbers"):
         Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array(trans))
-    with pytest.raises(GeometryError, match="translation is 3 finite numbers"):
-        Pose.from_dict({"quaternion_wxyz": [1, 0, 0, 0], "translation_m": trans})
 
 
 # checked where it is normalized, before any rotation unpacks it
@@ -218,13 +200,7 @@ def test_pose_rejects_quaternion_not_of_4_components(quat):
     with pytest.raises(GeometryError, match="quaternion has 4 components"):
         Pose(np.array(quat), np.zeros(3))
     with pytest.raises(GeometryError, match="quaternion has 4 components"):
-        Pose.from_dict({"quaternion_wxyz": quat, "translation_m": [0, 0, 1]})
-    with pytest.raises(GeometryError, match="quaternion has 4 components"):
         quat_to_rotation(quat)
-
-
-def test_intrinsics_dict_round_trip():
-    assert CameraIntrinsics.from_dict(K.to_dict()) == K
 
 
 def test_intrinsics_reject_non_finite():

@@ -56,6 +56,15 @@ def test_insufficient_support():
         icp_refine(depth, labels, 4, MODELS[4], pose, K)
 
 
+def test_init_rendering_nothing_in_the_mask_window_raises():
+    # 0.5 m to the side the model projects past the frame's right edge, so
+    # the window the mask spans renders no pixel of it
+    depth, labels, pose = _scene(4, 0)
+    init = Pose(pose.quaternion, pose.translation + [0.5, 0.0, 0.0])
+    with pytest.raises(IcpError, match="no rendered coverage"):
+        icp_refine(depth, labels, 4, MODELS[4], init, K)
+
+
 def _sparse_mask(n_px, n_holes):
     """A rendered blob whose label map marks `n_px` of its depth pixels and
     `n_holes` background pixels as class 4 and the rest of it as class 2,

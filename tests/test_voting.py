@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from posevote import pipeline, voting
@@ -572,6 +572,34 @@ def test_refine_center_solves_rays_crossing_at_a_small_angle():
     det = np.sum(1 - nx * nx) * np.sum(1 - ny * ny) - np.sum(nx * ny) ** 2
     assert 1e-4 < det / np.sum(2 - nx * nx - ny * ny) < 1e-3
     assert np.allclose(refine_center(voted, xs, ys, nx, ny), center, atol=1e-9)
+
+
+_DIRECTION = st.floats(-1e3, 1e3)
+
+
+# 0 or 1 rays make a degenerate system, which keeps the voted cell; the one
+# ray passes through the cell, so a solve that slipped past the guard would
+# land within its 2 px
+@settings(max_examples=300, deadline=None)
+@example(dx=1.0, dy=0.0, back=5.0, cx=50.0, cy=40.0)
+@example(dx=0.0, dy=-1.0, back=5.0, cx=50.0, cy=40.0)
+@example(dx=1.0, dy=1.0, back=7.0, cx=50.5, cy=40.25)
+@example(dx=-1.0, dy=1.0, back=7.0, cx=50.5, cy=40.25)
+@given(dx=_DIRECTION, dy=_DIRECTION, back=st.floats(1.0, 300.0),
+       cx=st.floats(0.0, 640.0), cy=st.floats(0.0, 480.0))
+def test_refine_center_keeps_the_voted_cell_for_under_two_rays(dx, dy, back,
+                                                                 cx, cy):
+    norm = np.hypot(dx, dy)
+    assume(norm > 1e-6)
+    nx, ny = np.array([dx]) / norm, np.array([dy]) / norm  # as _class_rays
+    voted = np.array([cx, cy])
+    empty = np.empty(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        none = refine_center(voted, empty, empty, empty, empty)
+        one = refine_center(voted, cx - back * nx, cy - back * ny, nx, ny)
+    assert none.tobytes() == voted.tobytes()
+    assert one.tobytes() == voted.tobytes()
 
 
 def test_detect_background_only():
