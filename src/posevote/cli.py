@@ -22,8 +22,8 @@ import numpy as np
 
 from . import pipeline as pipeline_mod
 from .fields import CenterField, DepthMap, FieldError, LabelMap
-from .geometry import (CameraIntrinsics, Pose, is_finite_real, is_int_at_least,
-                       rotation_angle_between)
+from .geometry import (CameraIntrinsics, GeometryError, Pose, is_finite_real,
+                       is_int_at_least, rotation_angle_between)
 from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
 from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
@@ -155,8 +155,13 @@ def _intrinsics(d: dict) -> CameraIntrinsics:
 
 
 def _pose(d: dict) -> Pose:
-    return Pose(_get(d, "quaternion_wxyz", "a list of 4 finite real numbers"),
-                _get(d, "translation_m", "a list of 3 finite real numbers"))
+    q = _get(d, "quaternion_wxyz", "a list of 4 finite real numbers")
+    t = _get(d, "translation_m", "a list of 3 finite real numbers")
+    try:
+        return Pose(q, t)
+    except GeometryError:  # all zero, or a norm beyond float range
+        raise ValueError("'quaternion_wxyz' must have a nonzero finite norm, "
+                         f"got {q!r}") from None
 
 
 def _pose_json(pose: Pose, class_id: int) -> dict:
@@ -185,9 +190,12 @@ def _scene(desc, models) -> Scene:
     intr = _intrinsics(_get(desc, "intrinsics", "an object"))
     instances = [(_get(inst, "class_id", "a positive integer"), _pose(inst))
                  for inst in _get(desc, "instances", "a list of objects")]
-    for cid, _ in instances:
+    for cid, pose in instances:
         if cid not in models:
             raise ValueError(f"scene references unknown class id {cid}")
+        if not pose.translation[2] > 0:  # the camera sees only Tz > 0
+            raise ValueError("'translation_m' must have a positive depth Tz, "
+                             f"got {pose.translation.tolist()}")
     return Scene(instances=instances, intrinsics=intr,
                  width=_get(desc, "width", "a positive integer"),
                  height=_get(desc, "height", "a positive integer"))
@@ -269,7 +277,7 @@ def cmd_synth(args) -> int:
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
         np.save(prefix + "_labels.npy", frame.labels.labels)
         np.save(prefix + "_depth.npy", frame.raster.depth.astype(np.float32))
-        np.save(prefix + "_field.npy", frame.fld.to_tensor(max(models)))
+        np.save(prefix + "_field.npy", frame.fld.to_tensor(frame.labels, max(models)))
         gt = {"seed": args.seed, "scene": i,
               "intrinsics": dataclasses.asdict(scene.intrinsics),
               "width": scene.width, "height": scene.height,
@@ -287,7 +295,7 @@ def cmd_synth(args) -> int:
 
 def cmd_vote(args) -> int:
     labels = _load_array(args.labels, LabelMap)
-    fld = _load_array(args.field, CenterField.from_tensor)
+    fld = _load_array(args.field, lambda t: CenterField.from_tensor(t, labels))
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     _emit(args.out, {"detections": [_detection_json(d) for d in detections]})
@@ -422,13 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--model", required=True)
     s.add_argument("--pose-est", required=True)
     s.add_argument("--pose-gt", required=True)
-    s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
+    s.add_argument("--kind", choices=[k.value for k in LossKind], required=True)
     s.add_argument("--out")
     s.set_defaults(func=cmd_loss)
 
     s = sub.add_parser("histogram",
                        help="rotation-error histogram from loss descent")
-    s.add_argument("--kind", choices=["ploss", "sloss"], required=True)
+    s.add_argument("--kind", choices=[k.value for k in LossKind], required=True)
     s.add_argument("--model-kind", choices=PRIMITIVE_KINDS, default="bar_2fold")
     s.add_argument("--inits", type=_int_at_least(1), default=200)
     s.add_argument("--steps", type=_int_at_least(0), default=500)

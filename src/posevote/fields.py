@@ -7,7 +7,7 @@ depth Tz. The degenerate center pixel stores direction (0, 0) but keeps Tz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,55 +73,44 @@ class DepthMap:
 
 @dataclass
 class CenterField:
-    """Per-class (nx, ny, Tz) planes, each of shape (height, width, 3).
+    """Per-pixel (nx, ny, Tz) of the pixel's own labeled class, zero on the
+    background: one (height, width, 3) float32 array."""
 
-    Stored sparsely as a dict keyed by class id; absent classes are implicit
-    zero planes.
-    """
+    values: np.ndarray
 
-    width: int
-    height: int
-    planes: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def plane(self, class_id: int) -> np.ndarray:
-        if class_id not in self.planes:
-            self.planes[class_id] = np.zeros((self.height, self.width, 3),
-                                             dtype=np.float32)
-        return self.planes[class_id]
-
-    def has_class(self, class_id: int) -> bool:
-        return class_id in self.planes
-
-    def class_ids(self) -> list[int]:
-        return sorted(self.planes)
-
-    def copy(self) -> "CenterField":
-        return CenterField(self.width, self.height,
-                           {k: v.copy() for k, v in self.planes.items()})
-
-    def to_tensor(self, n_classes: int) -> np.ndarray:
-        """Pack as a dense (n_classes, 3, height, width) f32 tensor.
-
-        Plane index = class_id - 1.
-        """
-        out = np.zeros((n_classes, 3, self.height, self.width), dtype=np.float32)
-        for cid, pl in self.planes.items():
-            out[cid - 1] = np.moveaxis(pl, 2, 0)
+    def to_tensor(self, labels: LabelMap, n_classes: int) -> np.ndarray:
+        """The network's dense (n_classes, 3, height, width) f32 form: each
+        labeled pixel in plane class_id - 1 (if it has one), zero elsewhere."""
+        out = np.zeros((n_classes, 3, *self.values.shape[:2]), dtype=np.float32)
+        k, ys, xs = _planed_pixels(labels, n_classes)
+        out[k, :, ys, xs] = self.values[ys, xs]
         return out
 
     @classmethod
-    def from_tensor(cls, tensor: np.ndarray) -> "CenterField":
+    def from_tensor(cls, tensor: np.ndarray, labels: LabelMap) -> "CenterField":
+        """Each labeled pixel's values from plane class_id - 1 of a tensor in
+        the label map's frame; a class with no plane reads zero."""
         if tensor.ndim != 4 or tensor.shape[1] != 3:
             raise FieldError("field tensor must have shape (classes, 3, h, w)")
+        if tensor.shape[2:] != labels.labels.shape:
+            raise FieldError(f"center field shape {tensor.shape[2:]} differs "
+                             f"from label map shape {labels.labels.shape}")
         if not np.issubdtype(tensor.dtype, np.floating):
             raise FieldError(f"field tensor must be floating point, got {tensor.dtype}")
         with np.errstate(over="ignore"):  # a float64 overflow is caught as inf
             tensor = tensor.astype(np.float32, copy=False)
         if not np.isfinite(tensor).all():
             raise FieldError("field tensor values must be finite")
-        planes = {k + 1: np.moveaxis(pl, 0, 2).copy()  # C-contiguous
-                  for k, pl in enumerate(tensor) if np.any(pl)}
-        return cls(width=tensor.shape[3], height=tensor.shape[2], planes=planes)
+        values = np.zeros((*labels.labels.shape, 3), dtype=np.float32)
+        k, ys, xs = _planed_pixels(labels, tensor.shape[0])
+        values[ys, xs] = tensor[k, :, ys, xs]
+        return cls(values)
+
+
+def _planed_pixels(labels: LabelMap, n_classes: int):
+    """(plane index, ys, xs) of the pixels whose class has one of n planes."""
+    ys, xs = np.nonzero((labels.labels > 0) & (labels.labels <= n_classes))
+    return labels.labels[ys, xs].astype(np.intp) - 1, ys, xs
 
 
 def directions_to_center(xs, ys, center) -> np.ndarray:

@@ -47,7 +47,7 @@ class Scene:
 @dataclass
 class NoiseSpec:
     direction_sigma: float = 0.0  # radians of angular jitter on (nx, ny)
-    depth_sigma: float = 0.0  # meters on Tz planes
+    depth_sigma: float = 0.0  # meters on Tz
     rotation_sigma_deg: float = 0.0  # simulated rotation-regression error
     rng_seed: int = 0
 
@@ -476,15 +476,15 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
     ground-truth Tz. Returns (CenterField, [InstanceTruth]). The raster must
-    cover the whole frame (SynthError): the field's planes and the occlusion
-    test are in frame coordinates.
+    cover the whole frame (SynthError): the field and the occlusion test are
+    in frame coordinates.
     """
     h, w = raster.depth.shape
     if raster.origin != (0, 0) or (h, w) != (scene.height, scene.width):
         raise SynthError(f"ground truth needs a render of the whole "
                          f"{scene.width}x{scene.height} frame, got a {w}x{h} "
                          f"window at {raster.origin}")
-    fld = CenterField(width=scene.width, height=scene.height)
+    fld = CenterField(np.zeros((h, w, 3), dtype=np.float32))
     truths = []
     vys, vxs = np.nonzero(raster.instance >= 0)
     owner = raster.instance[vys, vxs]
@@ -493,12 +493,9 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
         tz = float(pose.translation[2])
         mine = owner == inst
         ys, xs = vys[mine], vxs[mine]
-        if xs.size:
-            dirs = directions_to_center(xs, ys, center)
-            pl = fld.plane(cid)
-            pl[ys, xs, 0] = dirs[:, 0]
-            pl[ys, xs, 1] = dirs[:, 1]
-            pl[ys, xs, 2] = tz
+        dirs = directions_to_center(xs, ys, center)
+        fld.values[ys, xs, :2] = dirs
+        fld.values[ys, xs, 2] = tz
         ci, cj = int(math.floor(center[0] + 0.5)), int(math.floor(center[1] + 0.5))
         occ = True
         if 0 <= cj < h and 0 <= ci < w:
@@ -516,29 +513,30 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 
 def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
     """Noise-injected copies of a field and label map, seeded and
-    deterministic. Directions get angular jitter and Tz planes Gaussian
-    noise; the labels are copied unchanged. Zero-direction (center) pixels
-    stay zero; unit norms are preserved. Frames must match (SynthError).
+    deterministic. Directions get angular jitter and Tz Gaussian noise, class
+    by class in ascending order of the label map, which is copied unchanged.
+    Zero-direction (center) pixels stay zero; unit norms are preserved.
+    Frames must match (SynthError).
     """
-    if (fld.height, fld.width) != labels.labels.shape:
-        raise SynthError(f"center field shape {(fld.height, fld.width)} "
+    if fld.values.shape[:2] != labels.labels.shape:
+        raise SynthError(f"center field shape {fld.values.shape[:2]} "
                          f"differs from label map shape {labels.labels.shape}")
-    out = fld.copy()
+    out = CenterField(fld.values.copy())
     if spec.direction_sigma > 0 or spec.depth_sigma > 0:  # else no pixel moves
         rng = np.random.default_rng(spec.rng_seed)
-        for cid in out.class_ids():
-            pl = out.planes[cid]
+        v = out.values
+        for cid in labels.class_ids():
             ys, xs = np.nonzero(labels.labels == cid)
             if spec.direction_sigma > 0:
                 ang = rng.normal(0.0, spec.direction_sigma, xs.size)
                 ca, sa = np.cos(ang), np.sin(ang)
-                nx = pl[ys, xs, 0].astype(float)
-                ny = pl[ys, xs, 1].astype(float)
-                pl[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
-                pl[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
+                nx = v[ys, xs, 0].astype(float)
+                ny = v[ys, xs, 1].astype(float)
+                v[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
+                v[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
             if spec.depth_sigma > 0:
-                pl[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
-                                            xs.size).astype(np.float32)
+                v[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
+                                           xs.size).astype(np.float32)
     return out, LabelMap(labels=labels.labels.copy())
 
 

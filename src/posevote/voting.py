@@ -51,15 +51,12 @@ def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
     Raises VotingError if the field's frame is not the label map's, or if a
     labeled pixel's direction is NaN or infinite.
     """
-    if (fld.height, fld.width) != labels.labels.shape:
-        raise VotingError(f"center field shape {(fld.height, fld.width)} "
+    if fld.values.shape[:2] != labels.labels.shape:
+        raise VotingError(f"center field shape {fld.values.shape[:2]} "
                           f"differs from label map shape {labels.labels.shape}")
-    if not fld.has_class(class_id):
-        raise VotingError(f"field has no plane for class {class_id}")
     ys, xs = np.nonzero(labels.labels == class_id)
-    pl = fld.plane(class_id)
-    nx = pl[ys, xs, 0].astype(float)
-    ny = pl[ys, xs, 1].astype(float)
+    nx = fld.values[ys, xs, 0].astype(float)
+    ny = fld.values[ys, xs, 1].astype(float)
     if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
         raise VotingError(f"class {class_id} has a non-finite predicted direction")
     norm = np.hypot(nx, ny)
@@ -295,17 +292,15 @@ def detect(labels: LabelMap, fld: CenterField,
            intrinsics: CameraIntrinsics) -> list[Detection]:
     """Full voting pipeline: votes -> centers -> inliers -> translation/bbox.
 
-    Each class's rays and depth plane are read once. The thresholds are
+    Each class's rays and depths are read once. The thresholds are
     fixed: find_centers' score cut and _NMS_RADIUS, and collect_inliers'
     _INLIER_RAY_DISTANCE.
     """
     detections: list[Detection] = []
     for cid in labels.class_ids():
-        if not fld.has_class(cid):
-            continue
         grid = cast_votes(labels, fld, cid)
         xs, ys, nx, ny = grid.rays
-        tz = fld.plane(cid)[ys, xs, 2].astype(float)
+        tz = fld.values[ys, xs, 2].astype(float)
         n_px = int(np.count_nonzero(labels.labels == cid))
         for center, score in find_centers(grid, class_pixel_count=n_px):
             keep = collect_inliers(center, grid)

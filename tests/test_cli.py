@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from posevote.cli import (_pose_json, build_parser, load_intrinsics, load_poses,
                           run, write_json)
+from posevote.fields import directions_to_center
 from posevote.geometry import CameraIntrinsics, Pose, random_quat
 from posevote.ply import load_ply, save_ply
 
@@ -151,9 +152,31 @@ def test_vote_rejects_field_beyond_float32_range(tmp_path, capsys):
 def test_vote_rejects_field_of_another_frame(tmp_path, capsys):
     rc, out = _vote_on_square(tmp_path, field_shape=(40, 60))
     assert rc == 1
-    assert ("posevote: error: center field shape (40, 60) differs from label "
-            "map shape (20, 30)") in capsys.readouterr().err
+    assert (f"posevote: error: {tmp_path / 'f.npy'}: center field shape "
+            "(40, 60) differs from label map shape (20, 30)") in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_vote_class_with_a_zero_plane_or_none_votes_nothing(tmp_path):
+    # class 1's plane is all zero and class 3 is beyond the tensor's two
+    # planes, so only class 2 has directions to vote with
+    labels = np.zeros((40, 60), dtype=np.uint16)
+    labels[5:15, 5:15] = 1
+    labels[5:15, 25:35] = 2
+    labels[25:35, 5:15] = 3
+    field = np.zeros((2, 3, 40, 60), dtype=np.float32)
+    ys, xs = np.nonzero(labels == 2)
+    field[1, :2, ys, xs] = directions_to_center(xs, ys, np.array([30.0, 10.0]))
+    field[1, 2] = 1.0
+    np.save(tmp_path / "l.npy", labels)
+    np.save(tmp_path / "f.npy", field)
+    _write_json(tmp_path / "k.json", K_JSON)
+    out = tmp_path / "dets.json"
+    assert run(["vote", "--labels", str(tmp_path / "l.npy"),
+                "--field", str(tmp_path / "f.npy"),
+                "--intrinsics", str(tmp_path / "k.json"), "--out", str(out)]) == 0
+    dets = json.loads(out.read_text())["detections"]
+    assert [d["class_id"] for d in dets] == [2]
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -702,11 +725,39 @@ def test_translation_of_wrong_size_names_the_file(tmp_path, cmd, capsys):
 @pytest.mark.parametrize("cmd", ["loss", "eval", "synth"])
 def test_pose_numbers_that_are_strings_or_bools_name_the_file(
         tmp_path, cmd, key, values, capsys):
+    bad, out = _run_on_pose(tmp_path, cmd, key, values, exit_code=1)
+    assert (f"posevote: error: {bad}: {key!r} must be a list of "
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("quat", [[0, 0, 0, 0], [1e200, 1e200, 0, 0]],
+                         ids=["all-zero", "norm-overflow"])
+@pytest.mark.parametrize("cmd", ["loss", "eval", "synth"])
+def test_quaternion_without_a_nonzero_finite_norm_names_the_file_and_key(
+        tmp_path, cmd, quat, capsys):
+    bad, out = _run_on_pose(tmp_path, cmd, "quaternion_wxyz", quat, exit_code=1)
+    assert (f"posevote: error: {bad}: 'quaternion_wxyz' must have a nonzero "
+            f"finite norm, got {quat!r}" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["loss", "eval"])
+def test_pose_files_take_any_depth(tmp_path, cmd):
+    # only a scene to render needs its objects in front of the camera
+    _, out = _run_on_pose(tmp_path, cmd, "translation_m", [0, 0, -0.5], exit_code=0)
+    assert out.exists()
+
+
+def _run_on_pose(tmp_path, cmd, key, value, exit_code):
+    """Runs cmd on a pose file, or for synth a scene, whose pose has
+    key = value, asserting its exit code; (that file, the output path)."""
     model = tmp_path / "cube.ply"
     assert run(["make-model", "--kind", "cube", "--out", str(model)]) == 0
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     _write_json(good, _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]))
-    pose = {**_pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]), key: values}
+    pose = {**_pose_entry(1, [1, 0, 0, 0], [0, 0, 0.5]), key: value}
     _write_json(bad, _scene_json(instances=[pose]) if cmd == "synth" else pose)
     out = tmp_path / "out"
     argv = {"loss": ["loss", "--model", str(model), "--pose-est", str(bad),
@@ -715,10 +766,8 @@ def test_pose_numbers_that_are_strings_or_bools_name_the_file(
             "eval": ["eval", "--model", str(model), "--gt", str(good),
                      "--est", str(bad), "--out", str(out)],
             "synth": ["synth", "--out-dir", str(out), "--scene", str(bad)]}
-    assert run(argv[cmd]) == 1
-    assert (f"posevote: error: {bad}: {key!r} must be a list of "
-            in capsys.readouterr().err)
-    assert not out.exists()
+    assert run(argv[cmd]) == exit_code
+    return bad, out
 
 
 def test_pose_json_round_trip(tmp_path):
@@ -844,11 +893,15 @@ def _scene_json(**changes):
      "'instances' must be a list of objects, got None"),
     (_scene_json(instances=[_pose_entry(9, [1, 0, 0, 0], [0, 0, 0.8])]),
      "scene references unknown class id 9"),
+    (_scene_json(instances=[_pose_entry(1, [1, 0, 0, 0], [0, 0, -0.5])]),
+     "'translation_m' must have a positive depth Tz, got [0.0, 0.0, -0.5]"),
+    (_scene_json(instances=[_pose_entry(1, [1, 0, 0, 0], [0.1, 0, 0])]),
+     "'translation_m' must have a positive depth Tz, got [0.1, 0.0, 0.0]"),
 ], ids=["no-intrinsics", "0x0", "negative", "fractional", "float", "bool",
         "bool-focal-length", "string-principal-point", "fractional-class-id",
         "bool-class-id", "string-class-id", "zero-class-id", "list-document",
         "list-intrinsics", "object-instances", "string-instance",
-        "null-instances", "unknown-class-id"])
+        "null-instances", "unknown-class-id", "negative-depth", "zero-depth"])
 def test_synth_scene_json_errors_name_the_file(tmp_path, scene, message, capsys):
     path = tmp_path / "scene.json"
     _write_json(path, scene)

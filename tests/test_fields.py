@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from posevote.fields import (CenterField, DepthMap, FieldError, LabelMap,
                              directions_to_center)
@@ -31,23 +33,50 @@ def test_directions_unit_norm():
 
 def test_center_field_tensor_round_trip():
     rng = np.random.default_rng(1)
-    fld = CenterField(width=8, height=6)
-    fld.plane(2)[:] = rng.standard_normal((6, 8, 3)).astype(np.float32)
-    fld.plane(5)[:] = rng.standard_normal((6, 8, 3)).astype(np.float32)
-    t = fld.to_tensor(5)
+    labels = LabelMap(rng.choice([0, 2, 5], size=(6, 8)))
+    values = rng.standard_normal((6, 8, 3)).astype(np.float32)
+    values[labels.labels == 0] = 0.0
+    fld = CenterField(values)
+    t = fld.to_tensor(labels, 5)
     assert t.shape == (5, 3, 6, 8)
-    back = CenterField.from_tensor(t)
-    assert back.class_ids() == [2, 5]
-    assert np.array_equal(back.plane(2), fld.plane(2))
-    assert np.array_equal(back.plane(5), fld.plane(5))
+    back = CenterField.from_tensor(t, labels)
+    assert np.array_equal(back.values, fld.values)
 
 
 def test_center_field_tensor_plane_index():
-    fld = CenterField(width=4, height=4)
-    fld.plane(3)[:, :, 2] = 1.0
-    t = fld.to_tensor(4)
+    labels = LabelMap(np.full((4, 4), 3))
+    fld = CenterField(np.zeros((4, 4, 3), dtype=np.float32))
+    fld.values[:, :, 2] = 1.0
+    t = fld.to_tensor(labels, 4)
     assert np.all(t[2, 2] == 1.0)  # class 3 lives at plane index 2
     assert not np.any(t[[0, 1, 3]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_center_field_tensor_keeps_each_labeled_pixels_own_plane(data):
+    n = data.draw(st.integers(1, 4), label="planes")
+    h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(3, 6))
+    ids = data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, n + 2)))
+    # background, a class with a plane and a class beyond the planes
+    ids[0, :3] = 0, data.draw(st.integers(1, n)), data.draw(st.integers(n + 1, 65535))
+    labels = LabelMap(ids)
+    t = data.draw(arrays(np.float32, (n, 3, h, w),
+                         elements=st.floats(-1e3, 1e3, width=32)))
+    got = CenterField.from_tensor(t, labels).to_tensor(labels, n)
+    want = np.zeros_like(t)
+    for y in range(h):
+        for x in range(w):
+            k = int(ids[y, x]) - 1
+            if 0 <= k < n:
+                want[k, :, y, x] = t[k, :, y, x]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_center_field_from_tensor_rejects_a_tensor_of_another_frame():
+    with pytest.raises(FieldError, match=r"center field shape \(4, 5\) "
+                       r"differs from label map shape \(5, 4\)"):
+        CenterField.from_tensor(np.zeros((2, 3, 4, 5)), LabelMap(np.zeros((5, 4), int)))
 
 
 def test_label_map_validation():
@@ -91,10 +120,13 @@ def test_depth_map_rejects_values_that_are_not_floating(bad):
         DepthMap(bad)
 
 
+_LABELS_4X5 = LabelMap(np.zeros((4, 5), dtype=np.uint16))
+
+
 @pytest.mark.parametrize("bad", _NOT_FLOATING, ids=_NOT_FLOATING_IDS)
 def test_center_field_from_tensor_rejects_values_that_are_not_floating(bad):
     with pytest.raises(FieldError, match="floating point"):
-        CenterField.from_tensor(np.broadcast_to(bad, (2, 3, 4, 5)))
+        CenterField.from_tensor(np.broadcast_to(bad, (2, 3, 4, 5)), _LABELS_4X5)
 
 
 def test_depth_map_rejects_non_finite():
@@ -116,4 +148,4 @@ def test_center_field_from_tensor_rejects_non_finite(bad):
     t = np.zeros((2, 3, 4, 5), dtype=np.float32)
     t[1, 2, 3, 4] = bad
     with pytest.raises(FieldError):
-        CenterField.from_tensor(t)
+        CenterField.from_tensor(t, _LABELS_4X5)

@@ -114,7 +114,7 @@ def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
     voted, observed = [], []
 
     def spy_detect(labels, fld, intrinsics):
-        voted.append((labels.labels.copy(), fld.to_tensor(max(MODELS))))
+        voted.append((labels.labels.copy(), fld.to_tensor(labels, max(MODELS))))
         return detect(labels, fld, intrinsics)
 
     def spy_refine(depth, *args):

@@ -552,7 +552,7 @@ def test_fields_point_at_projected_center():
     raster = render_full(scene, models)
     fld, truths = ground_truth_fields(scene, raster)
     t = truths[0]
-    pl = fld.plane(1)
+    pl = fld.values
     ys, xs = np.nonzero(raster.label == 1)
     for x, y in zip(xs[:200], ys[:200]):
         v = t.center - np.array([x, y], dtype=float)
@@ -566,7 +566,7 @@ def test_fields_point_at_projected_center():
 
 def test_ground_truth_fields_need_the_whole_frame():
     # a window's pixels would land at window coordinates in the frame-sized
-    # planes, and every center would read occluded
+    # field, and every center would read occluded
     models = default_registry()
     scene = random_scene(3, models)
     full = render_full(scene, models)
@@ -580,9 +580,7 @@ def test_ground_truth_fields_need_the_whole_frame():
             ground_truth_fields(scene, render_full(scene, models))
     scene.window = (0, 0, 320, 240)  # a window that is the whole frame
     fld, truths = ground_truth_fields(scene, render_full(scene, models))
-    assert fld.class_ids() == want_fld.class_ids()
-    for cid in fld.class_ids():
-        assert np.array_equal(fld.plane(cid), want_fld.plane(cid))
+    assert np.array_equal(fld.values, want_fld.values)
     assert ([t.center_occluded for t in truths]
             == [t.center_occluded for t in want])
 
@@ -596,7 +594,7 @@ def test_fully_occluded_instance_flagged():
     raster = render_full(scene, models)
     fld, truths = ground_truth_fields(scene, raster)
     assert truths[0].visible_pixels == 0
-    assert not fld.has_class(1) or not np.any(fld.plane(1))
+    assert not np.any(fld.values[raster.label != 5])
     assert truths[1].visible_pixels > 0
 
 
@@ -619,10 +617,9 @@ def test_perturb_zero_spec_identity():
     out_fld, out_labels = perturb(fld, labels, NoiseSpec())
     assert np.array_equal(out_labels.labels, labels.labels)
     assert not np.shares_memory(out_labels.labels, labels.labels)
-    assert out_fld.class_ids() == fld.class_ids() == [1, 3]
-    for cid in fld.class_ids():
-        assert np.array_equal(out_fld.plane(cid), fld.plane(cid))
-        assert not np.shares_memory(out_fld.plane(cid), fld.plane(cid))
+    assert labels.class_ids() == [1, 3]
+    assert np.array_equal(out_fld.values, fld.values)
+    assert not np.shares_memory(out_fld.values, fld.values)
 
 
 def test_perturb_direction_sigma_statistics():
@@ -630,8 +627,8 @@ def test_perturb_direction_sigma_statistics():
     out_fld, _ = perturb(fld, labels, NoiseSpec(direction_sigma=0.1,
                                                 rng_seed=0))
     mask = labels.labels == 1
-    a = fld.plane(1)[mask][:, :2]
-    b = out_fld.plane(1)[mask][:, :2]
+    a = fld.values[mask][:, :2]
+    b = out_fld.values[mask][:, :2]
     nonzero = np.hypot(a[:, 0], a[:, 1]) > 0  # center pixel stays (0, 0)
     a, b = a[nonzero], b[nonzero]
     # unit norm preserved
@@ -647,35 +644,20 @@ def test_perturb_deterministic():
     spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01, rng_seed=42)
     f1, l1 = perturb(fld, labels, spec)
     f2, l2 = perturb(fld, labels, spec)
-    assert np.array_equal(f1.plane(1), f2.plane(1))
+    assert np.array_equal(f1.values, f2.values)
+    assert not f1.values[labels.labels == 0].any()  # the background stays zero
     assert np.array_equal(l1.labels, l2.labels)
     # noise never touches the labels, and each call returns its own copy
     assert np.array_equal(l1.labels, labels.labels)
     assert not np.shares_memory(l1.labels, labels.labels)
 
 
-def test_perturb_class_without_pixels_draws_nothing():
-    # a plane whose class labels no pixel draws size-0 noise, which leaves
-    # the generator where it was, so the other classes' noise is unchanged
-    fld, labels = _noisy_setup()
-    padded = fld.copy()
-    padded.plane(2)  # sorts between the two labeled classes
-    spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01, rng_seed=42)
-    want, _ = perturb(fld, labels, spec)
-    got, _ = perturb(padded, labels, spec)
-    assert got.class_ids() == [1, 2, 3]
-    assert not got.plane(2).any()
-    for cid in (1, 3):
-        assert np.array_equal(got.plane(cid), want.plane(cid))
-
-
 @pytest.mark.parametrize("field_wh, labels_wh", [((60, 40), (30, 20)),
                                                  ((30, 20), (60, 40))])
 def test_perturb_field_of_another_frame_rejected(field_wh, labels_wh):
-    # the larger frame's pixels would index past the smaller one's planes,
+    # the larger frame's pixels would index past the smaller one's field,
     # or perturb only its top-left corner
-    fld = CenterField(width=field_wh[0], height=field_wh[1])
-    fld.plane(1)[:] = 1.0
+    fld = CenterField(np.ones((field_wh[1], field_wh[0], 3), dtype=np.float32))
     labels = np.zeros(labels_wh[::-1], dtype=np.uint16)
     labels[5:10, 5:10] = 1
     match = (rf"center field shape \({field_wh[1]}, {field_wh[0]}\) differs "

@@ -17,11 +17,15 @@ from posevote.voting import (VotingError, cast_votes, collect_inliers, detect,
 K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 
 
+def _zero_field(w, h):
+    return CenterField(np.zeros((h, w, 3), dtype=np.float32))
+
+
 def _field_with_pixels(w, h, class_id, pixels, center, tz=1.0):
     """Labels + field where the given (x, y) pixels point at center."""
     labels = np.zeros((h, w), dtype=np.uint16)
-    fld = CenterField(width=w, height=h)
-    pl = fld.plane(class_id)
+    fld = _zero_field(w, h)
+    pl = fld.values
     xs = np.array([p[0] for p in pixels])
     ys = np.array([p[1] for p in pixels])
     labels[ys, xs] = class_id
@@ -47,10 +51,8 @@ def test_three_pixels_unique_maximum():
 
 def test_no_pixels_zero_grid():
     labels, fld = _field_with_pixels(50, 50, 1, [(10, 10)], (20, 20))
-    grid = cast_votes(labels, fld, 2) if fld.has_class(2) else None
-    # class 2 has no field plane: cast_votes must reject unknown class
-    with pytest.raises(VotingError):
-        cast_votes(labels, fld, 2)
+    # class 2 labels no pixel
+    assert not np.any(cast_votes(labels, fld, 2).scores)
     # class 1 present but masked off everywhere except its pixel
     labels2 = LabelMap(np.zeros((50, 50), dtype=np.uint16))
     grid = cast_votes(labels2, fld, 1)
@@ -85,7 +87,7 @@ def test_cast_votes_rejects_max_ray_length_below_one_or_fractional(max_ray_lengt
 @pytest.mark.parametrize("field_size", [(64, 48), (16, 12)],
                          ids=["larger", "smaller"])
 def test_cast_votes_rejects_field_of_another_frame(field_size):
-    # the field's planes are indexed with label pixels, so both must share
+    # the field is indexed with label pixels, so both must share
     # one frame
     labels, _ = _field_with_pixels(32, 24, 1, [(5, 5), (20, 15)], (16, 12))
     _, fld = _field_with_pixels(*field_size, 1, [(2, 2), (10, 8)], (8, 6))
@@ -137,8 +139,8 @@ def _assert_matches_reference(labels, fld, class_id, max_ray_length=None):
 def _ray_field(w, h, rays):
     """Class-1 labels + field holding the given (x, y, nx, ny) rays."""
     labels = np.zeros((h, w), dtype=np.uint16)
-    fld = CenterField(width=w, height=h)
-    pl = fld.plane(1)
+    fld = _zero_field(w, h)
+    pl = fld.values
     for x, y, nx, ny in rays:
         labels[y, x] = 1
         pl[y, x, :2] = (nx, ny)
@@ -163,9 +165,8 @@ def test_cast_votes_matches_reference_on_synth_frames(synth_frames):
     n = 0
     for f in synth_frames:
         for cid in f.labels.class_ids():
-            if f.fld.has_class(cid):
-                _assert_matches_reference(f.labels, f.fld, cid)
-                n += 1
+            _assert_matches_reference(f.labels, f.fld, cid)
+            n += 1
     assert n > 14
 
 
@@ -221,8 +222,8 @@ def test_cast_votes_matches_reference_random_fields(data):
     h = data.draw(st.integers(1, 12), label="h")
     w = data.draw(st.integers(1, 12), label="w")
     labels = data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 2)))
-    fld = CenterField(width=w, height=h)
-    fld.plane(1)[:, :, :2] = data.draw(arrays(
+    fld = _zero_field(w, h)
+    fld.values[:, :, :2] = data.draw(arrays(
         np.float32, (h, w, 2),
         elements=st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-7])
         | st.floats(-1, 1, width=32)))
@@ -386,7 +387,7 @@ def test_cast_votes_on_axis_rays_raises_no_warning():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_direction_raises(axis, value):
     labels, fld = _field_with_pixels(20, 20, 1, [(3, 4), (15, 12), (8, 17)], (10, 10))
-    fld.plane(1)[12, 15, axis] = value
+    fld.values[12, 15, axis] = value
     with pytest.raises(VotingError, match="class 1"):
         cast_votes(labels, fld, 1)
     with pytest.raises(VotingError, match="class 1"):
@@ -444,8 +445,8 @@ def test_two_objects_same_class():
     pix2 = [(int(x), int(y)) for x, y in zip(rng.integers(180, 240, 200),
                                              rng.integers(30, 90, 200))]
     labels = np.zeros((120, 280), dtype=np.uint16)
-    fld = CenterField(width=280, height=120)
-    pl = fld.plane(1)
+    fld = _zero_field(280, 120)
+    pl = fld.values
     for pix, c in ((pix1, c1), (pix2, c2)):
         xs = np.array([p[0] for p in pix])
         ys = np.array([p[1] for p in pix])
@@ -471,13 +472,13 @@ def _inlier_rays(center, labels, fld):
 
 def _inlier_depths(center, labels, fld):
     xs, ys, _, _ = _inlier_rays(center, labels, fld)
-    return fld.plane(1)[ys, xs, 2].astype(float)
+    return fld.values[ys, xs, 2].astype(float)
 
 
 def test_collect_inliers_direction_sign():
     labels, fld = _field_with_pixels(60, 60, 1, [(10, 30), (50, 30)], (30, 30))
     # reverse the second pixel's direction so it points away from the center
-    fld.plane(1)[30, 50, :2] *= -1
+    fld.values[30, 50, :2] *= -1
     xs, ys, _, _ = _inlier_rays([30.0, 30.0], labels, fld)
     assert list(zip(xs.tolist(), ys.tolist())) == [(10, 30)]
 
@@ -515,8 +516,8 @@ def test_estimate_translation_principal_point():
 def test_estimate_translation_depth_mean():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
-    fld.plane(1)[120, 100, 2] = 0.9
-    fld.plane(1)[40, 160, 2] = 1.1
+    fld.values[120, 100, 2] = 0.9
+    fld.values[40, 160, 2] = 1.1
     tz = _inlier_depths([160.0, 120.0], labels, fld)
     t = estimate_translation(np.array([160.0, 120.0]), tz, K)
     assert t[2] == pytest.approx(1.0)
@@ -525,7 +526,7 @@ def test_estimate_translation_depth_mean():
 def test_nan_depth_raises_instead_of_nan_translation():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
-    fld.plane(1)[40, 160, 2] = np.nan
+    fld.values[40, 160, 2] = np.nan
     tz = _inlier_depths([160.0, 120.0], labels, fld)
     with pytest.raises(VotingError):
         estimate_translation(np.array([160.0, 120.0]), tz, K)
@@ -604,8 +605,7 @@ def test_refine_center_keeps_the_voted_cell_for_under_two_rays(dx, dy, back,
 
 def test_detect_background_only():
     labels = LabelMap(np.zeros((40, 40), dtype=np.uint16))
-    fld = CenterField(width=40, height=40)
-    assert detect(labels, fld, K) == []
+    assert detect(labels, _zero_field(40, 40), K) == []
 
 
 def test_detect_bbox_contains_inliers():
@@ -630,11 +630,9 @@ def _reference_detect(labels, fld, intrinsics):
     bit for bit."""
     detections = []
     for cid in labels.class_ids():
-        if not fld.has_class(cid):
-            continue
         grid = cast_votes(labels, fld, cid)
         n_px = int(np.count_nonzero(labels.labels == cid))
-        pl = fld.plane(cid)
+        pl = fld.values
         for center, score in find_centers(grid, class_pixel_count=n_px):
             xs, ys, nx, ny = voting._class_rays(labels, fld, cid)
             vx, vy = float(center[0]) - xs, float(center[1]) - ys
