@@ -61,16 +61,13 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_json(path: str, obj):
-    _atomic_write(path, json.dumps(_round9(obj), indent=2, allow_nan=True) + "\n")
-
-
 def _emit(path: str | None, obj):
-    """Write `obj` as JSON to `path`, or print it when no path is given."""
+    """Write `obj` as JSON to `path`, or to stdout when no path is given."""
+    text = json.dumps(_round9(obj), indent=2) + "\n"
     if path:
-        write_json(path, obj)
+        _atomic_write(path, text)
     else:
-        print(json.dumps(_round9(obj), indent=2))
+        sys.stdout.write(text)
 
 
 def write_csv(path: str, rows: list[dict]):
@@ -158,7 +155,8 @@ def _pose(d: dict) -> Pose:
     q = _get(d, "quaternion_wxyz", "a list of 4 finite real numbers")
     t = _get(d, "translation_m", "a list of 3 finite real numbers")
     try:
-        return Pose(q, t)
+        with np.errstate(over="ignore"):  # an overflowing norm is the error below
+            return Pose(q, t)
     except GeometryError:  # all zero, or a norm beyond float range
         raise ValueError("'quaternion_wxyz' must have a nonzero finite norm, "
                          f"got {q!r}") from None
@@ -286,10 +284,10 @@ def cmd_synth(args) -> int:
                              "visibility": t.visibility,
                              "center_occluded": t.center_occluded}
                             for t in frame.truths]}
-        write_json(prefix + "_gt.json", gt)
+        _emit(prefix + "_gt.json", gt)
         index.append(os.path.basename(prefix))
-    write_json(os.path.join(args.out_dir, "index.json"),
-               {"seed": args.seed, "scenes": list(index)})
+    _emit(os.path.join(args.out_dir, "index.json"),
+          {"seed": args.seed, "scenes": list(index)})
     return 0
 
 
@@ -337,6 +335,8 @@ def cmd_eval(args) -> int:
     model = load_model(args.model, class_id=1)
     gt_poses = load_poses(args.gt)
     est_poses = load_poses(args.est)
+    if not gt_poses:
+        raise ValueError(f"{args.gt} holds no poses")
     if len(gt_poses) != len(est_poses):
         raise ValueError(f"gt and est pose lists differ in length: "
                          f"{len(gt_poses)} and {len(est_poses)}")

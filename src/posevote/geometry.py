@@ -312,8 +312,8 @@ def model_diameter(points) -> float:
 
 @dataclass
 class ObjectModel:
-    """A 3D point set, optionally with triangle faces; the diameter is
-    always computed from the points."""
+    """A 3D point set and its (n, 3) int64 triangle faces, (0, 3) when it has
+    none (faces=None); the diameter is always computed from the points."""
 
     class_id: int
     name: str
@@ -329,9 +329,9 @@ class ObjectModel:
             raise GeometryError("model has no points")
         if not np.isfinite(self.points).all():
             raise GeometryError("model points must be finite")
-        if self.faces is not None:
-            self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
-            if self.faces.size and (self.faces.min() < 0
-                                    or self.faces.max() >= self.points.shape[0]):
-                raise GeometryError("face index out of range")
+        self.faces = np.asarray([] if self.faces is None else self.faces,
+                                dtype=np.int64).reshape(-1, 3)
+        if self.faces.size and (self.faces.min() < 0
+                                or self.faces.max() >= self.points.shape[0]):
+            raise GeometryError("face index out of range")
         self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0

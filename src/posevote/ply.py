@@ -22,10 +22,9 @@ def _numbers(tokens, kind, line: str) -> list:
 def load_ply(path):
     """Parse an ASCII PLY file.
 
-    Returns (points, faces); faces is None when absent, and a declared face
-    element with a count of 0 gives a (0, 3) faces array. The vertex
-    properties must start with x y z; any after those (normals, colours) are
-    skipped, but each vertex row must hold a value for every one. Only
+    Returns (points, faces); faces is (0, 3) int64 when the file has none. The
+    vertex properties must start with x y z; any after those (normals, colours)
+    are skipped, but each vertex row must hold a value for every one. Only
     triangle faces whose indices name a vertex are accepted.
     """
     try:
@@ -38,7 +37,6 @@ def load_ply(path):
 
     n_vertices = 0
     n_faces = 0
-    has_faces = False
     vertex_props = []
     current_element = None
     i = 1
@@ -61,7 +59,6 @@ def load_ply(path):
                 n_vertices, = _numbers(tokens[2:3], int, line)
             elif tokens[1] == "face":
                 n_faces, = _numbers(tokens[2:3], int, line)
-                has_faces = True
             else:
                 raise PlyError(f"unsupported element: {tokens[1]}")
             if min(n_vertices, n_faces) < 0:
@@ -97,36 +94,33 @@ def load_ply(path):
         rows.append(_numbers(tokens[:3], float, line))
     points = np.array(rows, dtype=float).reshape(n_vertices, 3)
 
-    faces = None
-    if has_faces:
-        rows = []
-        for line in body[n_vertices:n_vertices + n_faces]:
-            row = _numbers(line.split(), int, line)
-            if len(row) != 4 or row[0] != 3:
-                raise PlyError(f"not a triangle face row: {line}")
-            if not all(0 <= v < n_vertices for v in row[1:]):
-                raise PlyError(f"face index out of range: {line}")
-            rows.append(row[1:])
-        faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
+    rows = []
+    for line in body[n_vertices:n_vertices + n_faces]:
+        row = _numbers(line.split(), int, line)
+        if len(row) != 4 or row[0] != 3:
+            raise PlyError(f"not a triangle face row: {line}")
+        if not all(0 <= v < n_vertices for v in row[1:]):
+            raise PlyError(f"face index out of range: {line}")
+        rows.append(row[1:])
+    faces = np.array(rows, dtype=np.int64).reshape(n_faces, 3)
     return points, faces
 
 
 def save_ply(path, points, faces=None):
+    """Write an ASCII PLY; no faces (None or (0, 3)) writes `element face 0`."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
+    faces = np.asarray([] if faces is None else faces, dtype=np.int64).reshape(-1, 3)
     with open(path, "w") as f:
         f.write("ply\nformat ascii 1.0\n")
         f.write(f"element vertex {points.shape[0]}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
-        if faces is not None:
-            faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-            f.write(f"element face {faces.shape[0]}\n")
-            f.write("property list uchar int vertex_indices\n")
+        f.write(f"element face {faces.shape[0]}\n")
+        f.write("property list uchar int vertex_indices\n")
         f.write("end_header\n")
         for p in points:
             f.write("%.9g %.9g %.9g\n" % tuple(p))
-        if faces is not None:
-            for tri in faces:
-                f.write("3 %d %d %d\n" % tuple(tri))
+        for tri in faces:
+            f.write("3 %d %d %d\n" % tuple(tri))
 
 
 def load_model(path, class_id: int) -> ObjectModel:

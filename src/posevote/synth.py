@@ -460,7 +460,7 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
         if model.class_id != cid:  # the label map and the field agree
             raise SynthError(f"model {model.name!r} has class id "
                              f"{model.class_id}, not its key {cid}")
-        if model.faces is None or not model.faces.size:
+        if not model.faces.size:
             raise SynthError(f"model {model.name!r} has no faces to render")
         pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
         r.coverage.append(_raster_triangles(r, pts_cam, model.faces,

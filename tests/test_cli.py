@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from posevote.cli import (_pose_json, build_parser, load_intrinsics, load_poses,
-                          run, write_json)
+from posevote.cli import (_emit, _pose_json, build_parser, load_intrinsics,
+                          load_poses, run)
 from posevote.fields import directions_to_center
 from posevote.geometry import CameraIntrinsics, Pose, random_quat
 from posevote.ply import load_ply, save_ply
@@ -34,12 +34,15 @@ def _pose_entry(class_id, quat, trans):
             "translation_m": list(trans)}
 
 
+_SRC_ENV = {**os.environ,
+            "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def _python_m_make_model(module, tmp_path):
     out = tmp_path / "cube.ply"
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", module, "make-model",
                            "--kind", "cube", "--out", str(out)],
-                          env=env, capture_output=True, text=True)
+                          env=_SRC_ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert load_ply(out)[0].shape[0] > 0
 
@@ -50,6 +53,15 @@ def test_python_m_posevote_runs_cli(tmp_path):
 
 def test_python_m_posevote_cli_runs_cli(tmp_path):
     _python_m_make_model("posevote.cli", tmp_path)
+
+
+def test_importing_fields_loads_no_other_module_of_the_package_nor_scipy():
+    code = ("import sys, posevote.fields; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('posevote', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_SRC_ENV,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['posevote', 'posevote.fields']"
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -486,6 +498,19 @@ def test_eval_pose_lists_of_different_lengths_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_empty_pose_lists_name_the_gt_file(tmp_path, capsys):
+    model = tmp_path / "m.ply"
+    run(["make-model", "--kind", "cube", "--out", str(model)])
+    empty = tmp_path / "e.json"
+    _write_json(empty, [])
+    out = tmp_path / "summary.json"
+    assert run(["eval", "--gt", str(empty), "--est", str(empty),
+                "--model", str(model), "--out", str(out)]) == 1
+    assert (f"posevote: error: {empty} holds no poses"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [0, 2])
 @pytest.mark.parametrize("bad", ["--pose-est", "--pose-gt"])
 def test_loss_rejects_pose_file_not_of_one_pose(tmp_path, bad, count, capsys):
@@ -731,7 +756,7 @@ def test_pose_numbers_that_are_strings_or_bools_name_the_file(
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")  # an overflowing norm warns nothing
 @pytest.mark.parametrize("quat", [[0, 0, 0, 0], [1e200, 1e200, 0, 0]],
                          ids=["all-zero", "norm-overflow"])
 @pytest.mark.parametrize("cmd", ["loss", "eval", "synth"])
@@ -774,7 +799,7 @@ def test_pose_json_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     p = Pose(random_quat(rng), rng.uniform(-1, 1, 3))
     path = tmp_path / "pose.json"
-    write_json(str(path), _pose_json(p, class_id=3))
+    _emit(str(path), _pose_json(p, class_id=3))
     (p2,) = load_poses(str(path))
     assert np.allclose(p.quaternion, p2.quaternion)
     assert np.allclose(p.translation, p2.translation)
@@ -783,7 +808,7 @@ def test_pose_json_round_trip(tmp_path):
 def test_intrinsics_json_round_trip(tmp_path):
     K = CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=240.0)
     path = tmp_path / "k.json"
-    write_json(str(path), dataclasses.asdict(K))
+    _emit(str(path), dataclasses.asdict(K))
     assert load_intrinsics(str(path)) == K
 
 

@@ -259,6 +259,11 @@ def test_object_model_rejects_class_id_not_a_positive_integer(class_id):
         ObjectModel(class_id=class_id, name="t", points=np.eye(3))
 
 
+def test_object_model_without_faces_holds_an_empty_face_array():
+    m = ObjectModel(class_id=1, name="t", points=np.eye(3), faces=None)
+    assert m.faces.shape == (0, 3) and m.faces.dtype == np.int64
+
+
 def test_object_model_rejects_out_of_range_faces():
     pts = np.eye(3)
     with pytest.raises(GeometryError):  # -1 used to wrap to the last vertex

@@ -9,9 +9,10 @@ def test_round_trip_points_only(tmp_path):
     pts = np.random.default_rng(0).standard_normal((20, 3))
     p = tmp_path / "m.ply"
     save_ply(p, pts)
+    assert "element face 0\n" in p.read_text()
     pts2, faces = load_ply(p)
     assert np.allclose(pts, pts2)
-    assert faces is None
+    assert faces.shape == (0, 3) and faces.dtype == np.int64
 
 
 def test_round_trip_with_faces(tmp_path):
