@@ -24,7 +24,8 @@ from . import pipeline as pipeline_mod
 from .fields import CenterField, DepthMap, FieldError, LabelMap
 from .geometry import (CameraIntrinsics, GeometryError, Pose, is_finite_real,
                        is_int_at_least, rotation_angle_between)
-from .losses import LossKind, evaluate_loss, loss_gradient_check, optimize_rotation
+from .losses import (LossKind, evaluate_loss, loss_gradient_check,
+                     optimize_rotation, prepare_target)
 from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
 from .ply import load_model, save_ply
@@ -305,7 +306,8 @@ def cmd_loss(args) -> int:
     est = _load_pose(args.pose_est)
     gt = _load_pose(args.pose_gt)
     kind = LossKind(args.kind)
-    res = evaluate_loss(kind, est.quaternion, gt.quaternion, model)
+    target = prepare_target(gt.quaternion, model)
+    res = evaluate_loss(kind, est.quaternion, target)
     out = {
         "kind": args.kind,
         "value_m2": res.value,

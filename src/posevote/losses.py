@@ -10,6 +10,9 @@ The shape-match variant scores zero for any rotation that maps the point set
 onto itself, so exact shape symmetries are not penalized. Its gradient holds
 the nearest-neighbor correspondences fixed (a subgradient, as in ICP).
 
+Each loss takes its ground truth as one LossTarget, prepared once for any
+number of estimates of either kind.
+
 Gradients are reported in ambient quaternion 4-space after projection onto
 the tangent space of the unit sphere at q_est.
 """
@@ -43,26 +46,19 @@ class LossResult:
 
 @dataclass(frozen=True)
 class LossTarget:
-    """The ground-truth side of a loss for one q_gt and model, prepared once
-    and reused for any number of estimates.
-
-    For SLoss, ``index`` searches ``points`` and remembers its last
-    correspondences (NeighborIndex.nearest), so a target is not for
-    concurrent use."""
+    """A model and its points turned by the ground-truth rotation. For SLoss
+    ``index`` remembers its last correspondences (NeighborIndex.nearest), so
+    a target is not for concurrent use."""
 
     model: ObjectModel
-    q_gt: np.ndarray  # unit (w, x, y, z)
     points: np.ndarray  # model.points rotated by q_gt, (m, 3)
-    index: NeighborIndex | None  # None for PLoss
+    index: NeighborIndex  # searches points
 
 
-def prepare_target(kind: LossKind, q_gt, model: ObjectModel) -> LossTarget:
-    """The ground truth a loss of this kind compares estimates against; a
-    zero or non-finite q_gt raises GeometryError."""
-    qg = normalize_quat(q_gt)
-    points = model.points @ quat_to_rotation(qg).T
-    index = NeighborIndex(points) if kind is LossKind.SLOSS else None
-    return LossTarget(model=model, q_gt=qg, points=points, index=index)
+def prepare_target(q_gt, model: ObjectModel) -> LossTarget:
+    """A loss's ground truth; a zero or non-finite q_gt raises GeometryError."""
+    points = model.points @ quat_to_rotation(normalize_quat(q_gt)).T
+    return LossTarget(model, points, NeighborIndex(points))
 
 
 def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
@@ -82,20 +78,9 @@ def _tangent_project(grad: np.ndarray, q: np.ndarray) -> np.ndarray:
     return grad - np.dot(grad, q) * q
 
 
-def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
-               target: LossTarget | None) -> LossResult:
-    if target is None:
-        target = prepare_target(kind, q_gt, model)
-    elif (target.model is not model
-          or (kind is LossKind.SLOSS and target.index is None)
-          or not (q_gt is target.q_gt or np.array_equal(q_gt, target.q_gt)
-                  or np.array_equal(normalize_quat(q_gt), target.q_gt))):
-        # renormalizing a unit q_gt can change its last bit, so target.q_gt
-        # is accepted as it is
-        raise ValueError("the loss target was prepared for another q_gt, "
-                         "model or loss kind")
+def _loss_impl(kind: LossKind, q_est, target: LossTarget) -> LossResult:
     qe = normalize_quat(q_est)
-    pts = model.points
+    pts = target.model.points
     m = pts.shape[0]
     est = pts @ quat_to_rotation(qe).T
     gt = target.points
@@ -110,32 +95,20 @@ def _loss_impl(kind: LossKind, q_est, q_gt, model: ObjectModel,
     return LossResult(value=value, gradient=_tangent_project(grad, qe))
 
 
-def ploss(q_est, q_gt, model: ObjectModel, *,
-          target: LossTarget | None = None) -> LossResult:
-    """Mean squared distance between corresponding rotated model points.
-
-    ``target``, from prepare_target for this q_gt and model, saves rotating
-    the ground truth again; one prepared for anything else raises ValueError.
-    """
-    return _loss_impl(LossKind.PLOSS, q_est, q_gt, model, target)
+def ploss(q_est, target: LossTarget) -> LossResult:
+    """Mean squared distance between corresponding rotated model points."""
+    return _loss_impl(LossKind.PLOSS, q_est, target)
 
 
-def sloss(q_est, q_gt, model: ObjectModel, *,
-          target: LossTarget | None = None) -> LossResult:
-    """Mean squared distance to the closest rotated ground-truth point.
-
-    ``target``, from prepare_target(LossKind.SLOSS, q_gt, model), saves
-    rotating, indexing and matching the ground truth again (it keeps its
-    last correspondences); one prepared for anything else raises ValueError.
-    """
-    return _loss_impl(LossKind.SLOSS, q_est, q_gt, model, target)
+def sloss(q_est, target: LossTarget) -> LossResult:
+    """Mean squared distance to the closest rotated ground-truth point; the
+    target keeps these correspondences for the next call."""
+    return _loss_impl(LossKind.SLOSS, q_est, target)
 
 
-def evaluate_loss(kind: LossKind, q_est, q_gt, model, *,
-                  target: LossTarget | None = None) -> LossResult:
+def evaluate_loss(kind: LossKind, q_est, target: LossTarget) -> LossResult:
     """The loss of the given kind, with its gradient."""
-    return ploss(q_est, q_gt, model, target=target) if kind is LossKind.PLOSS \
-        else sloss(q_est, q_gt, model, target=target)
+    return (ploss if kind is LossKind.PLOSS else sloss)(q_est, target)
 
 
 def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> float:
@@ -144,16 +117,16 @@ def loss_gradient_check(kind: LossKind, q_est, q_gt, model: ObjectModel) -> floa
     finite-difference component magnitude.
     """
     qe = normalize_quat(q_est)
-    target = prepare_target(kind, q_gt, model)
-    analytic = evaluate_loss(kind, qe, q_gt, model, target=target).gradient
+    target = prepare_target(q_gt, model)
+    analytic = evaluate_loss(kind, qe, target).gradient
     fd = np.zeros(4)
     for k in range(4):
         qp = qe.copy()
         qp[k] += _FD_STEP
         qm = qe.copy()
         qm[k] -= _FD_STEP
-        fp = evaluate_loss(kind, qp, q_gt, model, target=target).value
-        fm = evaluate_loss(kind, qm, q_gt, model, target=target).value
+        fp = evaluate_loss(kind, qp, target).value
+        fm = evaluate_loss(kind, qm, target).value
         fd[k] = (fp - fm) / (2.0 * _FD_STEP)
     fd = _tangent_project(fd, qe)
     scale = max(float(np.max(np.abs(fd))), 1e-12)
@@ -180,13 +153,12 @@ def optimize_rotation(model: ObjectModel, q_gt, kind: LossKind, inits,
     if not (is_finite_real(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     qg = normalize_quat(q_gt)
-    target = prepare_target(kind, qg, model)
+    target = prepare_target(qg, model)
     results = []
     for q0 in inits:
         q = normalize_quat(q0)
         for t in range(steps):
-            g = evaluate_loss(kind, q, target.q_gt, model,
-                              target=target).gradient
+            g = evaluate_loss(kind, q, target).gradient
             ng = math.sqrt(g.dot(g))
             if ng < 1e-15:
                 break

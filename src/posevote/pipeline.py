@@ -109,7 +109,7 @@ class Frame:
     raster: RangeImage
     truths: list[InstanceTruth]
     fld: CenterField  # perturbed
-    labels: LabelMap  # the rendered labels, unchanged
+    labels: LabelMap  # the rendered labels, from ground_truth_fields
     noise: NoiseSpec  # the run's noise, seeded for this scene
 
 
@@ -118,9 +118,9 @@ def synth_frame(scene: Scene, scene_index: int, noise: NoiseSpec,
     """Render `scene`, derive its ground-truth fields and perturb them with
     `noise` reseeded by scene_seed for the scene_index-th scene of a run."""
     raster = render_full(scene, models)
-    fld, truths = ground_truth_fields(scene, raster)
+    fld, labels, truths = ground_truth_fields(scene, raster)
     noise = replace(noise, rng_seed=scene_seed(noise.rng_seed, scene_index))
-    fld, labels = perturb(fld, LabelMap(labels=raster.label), noise)
+    fld = perturb(fld, labels, noise)
     return Frame(raster, truths, fld, labels, noise)
 
 

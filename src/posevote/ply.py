@@ -25,7 +25,8 @@ def load_ply(path):
     Returns (points, faces); faces is (0, 3) int64 when the file has none. The
     vertex properties must start with x y z; any after those (normals, colours)
     are skipped, but each vertex row must hold a value for every one. Only
-    triangle faces whose indices name a vertex are accepted.
+    triangle faces whose indices name a vertex are accepted, and the face
+    element must follow the vertex element.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -54,15 +55,17 @@ def load_ply(path):
                 raise PlyError("only ASCII PLY is supported")
             fmt_seen = True
         elif tokens[0] == "element":
-            current_element = tokens[1]
             if tokens[1] == "vertex":
                 n_vertices, = _numbers(tokens[2:3], int, line)
             elif tokens[1] == "face":
+                if current_element is None:  # the body is read vertices first
+                    raise PlyError("element face declared before element vertex")
                 n_faces, = _numbers(tokens[2:3], int, line)
             else:
                 raise PlyError(f"unsupported element: {tokens[1]}")
             if min(n_vertices, n_faces) < 0:
                 raise PlyError(f"negative element count: {line}")
+            current_element = tokens[1]
         elif tokens[0] == "property":
             if current_element == "vertex":
                 vertex_props.append(tokens[-1])

@@ -1,5 +1,5 @@
-"""Synthetic scene generation: z-buffered depth/label rendering, ground-truth
-center fields, primitive models, and controlled noise injection.
+"""Synthetic scene generation: z-buffered depth rendering, ground-truth
+center fields and label maps, primitive models, and noise injection.
 
 The renderer stands in for a learned dense predictor and doubles as the
 ground-truth oracle for tests. Each mesh is rasterized in one vectorized
@@ -61,15 +61,14 @@ class NoiseSpec:
 
 @dataclass
 class RangeImage:
-    """Z-buffer render: depth, class label, instance index and winning
-    triangle per pixel. Camera-frame points follow from depth and the pixel
-    rays, and a pixel's unit normal is its triangle's row of `face_normals`
+    """Z-buffer render: depth, instance index and winning triangle per
+    pixel. Camera-frame points follow from depth and the pixel rays, and a
+    pixel's unit normal is its triangle's row of `face_normals`
     (a visibility buffer: normals are looked up only where they are read).
     The buffers hold a window of the frame whose top-left pixel is `origin`;
     buffer pixel (j, i) is frame pixel (origin[1] + j, origin[0] + i)."""
 
     depth: np.ndarray  # (h, w), 0 = empty
-    label: np.ndarray  # (h, w) uint16, 0 = background
     instance: np.ndarray  # (h, w) int32, -1 = background
     face: np.ndarray  # (h, w) int32 row of face_normals, 0 = background
     # (n, 3) unit normals of the rendered triangles, oriented toward the
@@ -83,7 +82,6 @@ class RangeImage:
     def empty(cls, width: int, height: int,
               origin: tuple[int, int] = (0, 0)) -> "RangeImage":
         return cls(depth=np.zeros((height, width)),
-                   label=np.zeros((height, width), dtype=np.uint16),
                    instance=np.full((height, width), -1, dtype=np.int32),
                    face=np.zeros((height, width), dtype=np.int32),
                    face_normals=np.zeros((1, 3)), origin=origin)
@@ -328,7 +326,7 @@ def _row_spans(ua, va, du1, dv1, du2, dv2, denom, safe, box, row_t, c1, c2):
 
 
 def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
-                      intrinsics: CameraIntrinsics, class_id: int, inst: int) -> int:
+                      intrinsics: CameraIntrinsics, inst: int) -> int:
     """Z-buffer the triangles `faces` of `verts_cam` (camera frame) into the
     window `r` holds and return the number of distinct window pixels they
     cover. The kept triangles' normals are appended to `r.face_normals`, and
@@ -395,8 +393,7 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
     ends = np.cumsum(walk)
     # flat views of the window's buffers, which RangeImage.empty makes
     # C-contiguous
-    depth, label, instance = r.depth.ravel(), r.label.ravel(), r.instance.ravel()
-    face = r.face.ravel()
+    depth, instance, face = r.depth.ravel(), r.instance.ravel(), r.face.ravel()
     covered = np.zeros(h * w, dtype=bool)
     start = 0
     while start < walk.size:
@@ -434,14 +431,13 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
         win = (cur == 0) | (zw < cur)
         at = at[win]
         depth[at] = zw[win]
-        label[at] = class_id
         instance[at] = inst
         face[at] = t[win] + first_face
     return int(np.count_nonzero(covered))
 
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
-    """Z-buffer render returning depth/label/instance/face buffers of the
+    """Z-buffer render returning depth/instance/face buffers of the
     scene's window, or of the whole frame when it has none. Each model must
     be keyed by its own class id (SynthError)."""
     x0, y0, w, h = scene.window or (0, 0, scene.width, scene.height)
@@ -457,14 +453,14 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
         if pose.translation[2] <= 0:
             raise SynthError("instance depth Tz must be positive")
         model = models[cid]
-        if model.class_id != cid:  # the label map and the field agree
+        if model.class_id != cid:  # the label map holds the key
             raise SynthError(f"model {model.name!r} has class id "
                              f"{model.class_id}, not its key {cid}")
         if not model.faces.size:
             raise SynthError(f"model {model.name!r} has no faces to render")
         pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
         r.coverage.append(_raster_triangles(r, pts_cam, model.faces,
-                                            scene.intrinsics, model.class_id, inst))
+                                            scene.intrinsics, inst))
     return r
 
 
@@ -475,9 +471,10 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
-    ground-truth Tz. Returns (CenterField, [InstanceTruth]). The raster must
-    cover the whole frame (SynthError): the field and the occlusion test are
-    in frame coordinates.
+    ground-truth Tz, and are labeled with its class id. Returns
+    (CenterField, LabelMap, [InstanceTruth]). The raster must cover the
+    whole frame (SynthError): the field and the occlusion test are in frame
+    coordinates.
     """
     h, w = raster.depth.shape
     if raster.origin != (0, 0) or (h, w) != (scene.height, scene.width):
@@ -485,6 +482,8 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
                          f"{scene.width}x{scene.height} frame, got a {w}x{h} "
                          f"window at {raster.origin}")
     fld = CenterField(np.zeros((h, w, 3), dtype=np.float32))
+    classes = np.array([0] + [c for c, _ in scene.instances], dtype=np.uint16)
+    labels = LabelMap(classes[raster.instance + 1])  # instance -1 reads 0
     truths = []
     vys, vxs = np.nonzero(raster.instance >= 0)
     owner = raster.instance[vys, vxs]
@@ -504,7 +503,7 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
             index=inst, class_id=cid, pose=pose, center=center, tz=tz,
             visible_pixels=int(xs.size), solo_pixels=raster.coverage[inst],
             center_occluded=bool(occ)))
-    return fld, truths
+    return fld, labels, truths
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +511,10 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 
 
 def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
-    """Noise-injected copies of a field and label map, seeded and
-    deterministic. Directions get angular jitter and Tz Gaussian noise, class
-    by class in ascending order of the label map, which is copied unchanged.
-    Zero-direction (center) pixels stay zero; unit norms are preserved.
-    Frames must match (SynthError).
+    """A noise-injected copy of a field, seeded and deterministic. Directions
+    get angular jitter and Tz Gaussian noise, class by class in ascending
+    order of the label map. Zero-direction (center) pixels stay zero; unit
+    norms are preserved. Frames must match (SynthError).
     """
     if fld.values.shape[:2] != labels.labels.shape:
         raise SynthError(f"center field shape {fld.values.shape[:2]} "
@@ -537,7 +535,7 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
             if spec.depth_sigma > 0:
                 v[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
                                            xs.size).astype(np.float32)
-    return out, LabelMap(labels=labels.labels.copy())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose,
                                quat_multiply, quat_to_rotation, random_quat,
                                rotation_angle_between)
 from posevote.losses import (LossKind, loss_gradient_check, optimize_rotation,
-                             ploss, sloss)
+                             ploss, prepare_target, sloss)
 from posevote.metrics import accuracy_curve, add, add_s, auc
 from posevote.pipeline import PipelineConfig, run_pipeline
 from posevote.refine import IcpParams, icp_refine, multi_hypothesis_refine
@@ -74,7 +74,8 @@ def test_criterion_2_loss_correctness():
         oracle_p = float(np.sum((a - b) ** 2)) / (2 * len(pts))
         d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
         oracle_s = float(np.sum(d2.min(axis=1))) / (2 * len(pts))
-        vp, vs = ploss(q1, q2, m).value, sloss(q1, q2, m).value
+        target = prepare_target(q2, m)
+        vp, vs = ploss(q1, target).value, sloss(q1, target).value
         scale = max(oracle_p, 1.0)
         worst = max(worst, abs(vp - oracle_p) / scale,
                     abs(vs - oracle_s) / scale)
@@ -84,11 +85,14 @@ def test_criterion_2_loss_correctness():
     bar = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
     q_gt = random_quat(rng)
     worst_sym = 0.0
+    cube_target = prepare_target(q_gt, cube)
     for k in (1, 2, 3):
         s = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), k * math.pi / 2)
-        worst_sym = max(worst_sym, sloss(quat_multiply(q_gt, s), q_gt, cube).value)
+        worst_sym = max(worst_sym,
+                        sloss(quat_multiply(q_gt, s), cube_target).value)
     s = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi)
-    worst_sym = max(worst_sym, sloss(quat_multiply(q_gt, s), q_gt, bar).value)
+    worst_sym = max(worst_sym, sloss(quat_multiply(q_gt, s),
+                                     prepare_target(q_gt, bar)).value)
     ok = worst < 1e-12 and violations == 0 and worst_sym < 1e-9
     _report(2, "loss correctness", ok,
             f"max rel err vs oracle {worst:.2e}, sloss>ploss violations "
@@ -139,18 +143,17 @@ def test_criterion_5_voting_robustness():
         seed += 1
         scene = random_scene(seed, MODELS)
         raster = render_full(scene, MODELS)
-        fld, truths = ground_truth_fields(scene, raster)
+        fld, labels, truths = ground_truth_fields(scene, raster)
         if not any(t.center_occluded and t.visible_pixels > 0 for t in truths):
             continue
         scenes_used += 1
-        labels = LabelMap(labels=raster.label)
         for noisy in (False, True):
             if noisy:
-                f2, l2 = perturb(fld, labels,
-                                 NoiseSpec(direction_sigma=0.05, rng_seed=seed))
+                f2 = perturb(fld, labels,
+                             NoiseSpec(direction_sigma=0.05, rng_seed=seed))
             else:
-                f2, l2 = fld, labels
-            dets = detect(l2, f2, scene.intrinsics)
+                f2 = fld
+            dets = detect(labels, f2, scene.intrinsics)
             by_class = {}
             for d in dets:
                 by_class.setdefault(d.class_id, []).append(d)
@@ -206,7 +209,8 @@ def _icp_scene(seed):
                           rng.uniform(0.7, 1.1)]))
     scene = Scene(instances=[(4, pose)], intrinsics=intr, width=320, height=240)
     r = render_full(scene, MODELS)
-    return DepthMap(depth=r.depth), LabelMap(labels=r.label), pose, intr
+    labels = LabelMap(np.array([0, 4], dtype=np.uint16)[r.instance + 1])
+    return DepthMap(depth=r.depth), labels, pose, intr
 
 
 def test_criterion_7_icp():

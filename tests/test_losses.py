@@ -39,11 +39,12 @@ def test_ploss_zero_at_gt_and_double_cover():
     rng = np.random.default_rng(0)
     m = _random_model(rng)
     q = random_quat(rng)
-    res = ploss(q, q, m)
+    target = prepare_target(q, m)
+    res = ploss(q, target)
     assert res.value == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(res.gradient, 0.0, atol=1e-12)
-    assert ploss(-q, q, m).value == pytest.approx(0.0, abs=1e-15)
-    assert sloss(-q, q, m).value == pytest.approx(0.0, abs=1e-15)
+    assert ploss(-q, target).value == pytest.approx(0.0, abs=1e-15)
+    assert sloss(-q, target).value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_ploss_cube_90deg_matches_oracle():
@@ -52,7 +53,7 @@ def test_ploss_cube_90deg_matches_oracle():
     m = ObjectModel(class_id=1, name="corners", points=corners)
     q_gt = np.array([1.0, 0.0, 0.0, 0.0])
     q_est = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi / 2)
-    assert ploss(q_est, q_gt, m).value == pytest.approx(
+    assert ploss(q_est, prepare_target(q_gt, m)).value == pytest.approx(
         brute_ploss(q_est, q_gt, corners), rel=1e-12)
 
 
@@ -61,9 +62,10 @@ def test_losses_match_brute_force_oracles():
     for _ in range(100):
         m = _random_model(rng, n=40)
         q1, q2 = random_quat(rng), random_quat(rng)
-        assert ploss(q1, q2, m).value == pytest.approx(
+        target = prepare_target(q2, m)
+        assert ploss(q1, target).value == pytest.approx(
             brute_ploss(q1, q2, m.points), rel=1e-12, abs=1e-15)
-        assert sloss(q1, q2, m).value == pytest.approx(
+        assert sloss(q1, target).value == pytest.approx(
             brute_sloss(q1, q2, m.points), rel=1e-12, abs=1e-15)
 
 
@@ -72,19 +74,21 @@ def test_sloss_le_ploss():
     for _ in range(300):
         m = _random_model(rng, n=30)
         q1, q2 = random_quat(rng), random_quat(rng)
-        assert sloss(q1, q2, m).value <= ploss(q1, q2, m).value + 1e-15
+        target = prepare_target(q2, m)
+        assert sloss(q1, target).value <= ploss(q1, target).value + 1e-15
 
 
 def test_sloss_zero_under_cube_symmetry():
     m = make_primitive_model("cube", scale=0.1, n_points=600)
     rng = np.random.default_rng(3)
     q_gt = random_quat(rng)
+    target = prepare_target(q_gt, m)
     for k in range(1, 4):
         s = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), k * math.pi / 2)
         q_est = quat_multiply(q_gt, s)
-        assert sloss(q_est, q_gt, m).value < 1e-9
+        assert sloss(q_est, target).value < 1e-9
         if k != 2:  # 90/270 degrees move the grid points, ploss sees it
-            assert ploss(q_est, q_gt, m).value > 1e-6
+            assert ploss(q_est, target).value > 1e-6
 
 
 def test_sloss_zero_under_bar_180():
@@ -93,8 +97,9 @@ def test_sloss_zero_under_bar_180():
     q_gt = random_quat(rng)
     s = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi)
     q_est = quat_multiply(q_gt, s)
-    assert sloss(q_est, q_gt, m).value < 1e-9
-    assert ploss(q_est, q_gt, m).value > 1e-6
+    target = prepare_target(q_gt, m)
+    assert sloss(q_est, target).value < 1e-9
+    assert ploss(q_est, target).value > 1e-6
 
 
 def test_sloss_matches_oracle_on_2500_points():
@@ -102,7 +107,7 @@ def test_sloss_matches_oracle_on_2500_points():
     pts = rng.standard_normal((2500, 3)) * 0.05
     m = ObjectModel(class_id=1, name="big", points=pts)
     q1, q2 = random_quat(rng), random_quat(rng)
-    assert sloss(q1, q2, m).value == pytest.approx(
+    assert sloss(q1, prepare_target(q2, m)).value == pytest.approx(
         brute_sloss(q1, q2, pts), rel=1e-10)
 
 
@@ -372,14 +377,14 @@ def test_point_midway_between_two_targets_is_queried_every_step():
         [[0.0, 0.0, 0.05], [0.05, 0.0, -0.05], [-0.05, 0.0, -0.05]]))
     q_gt = np.array([0.0, 1.0, 0.0, 0.0])
     with _tree_queries() as queries:
-        shared = prepare_target(LossKind.SLOSS, q_gt, m)
+        shared = prepare_target(q_gt, m)
         for t in range(6):
             q_est = quat_from_axis_angle([0.0, 0.0, 1.0], 0.01 * t)
             est = m.points @ quat_to_rotation(q_est).T
             d = np.linalg.norm(shared.points - est[0], axis=1)
             assert d[1] == d[2] < d[0]
             queries.clear()
-            res = sloss(q_est, q_gt, m, target=shared)
+            res = sloss(q_est, shared)
             # the tied point takes a fresh k = 1 query's choice each time
             assert np.array_equal(queries[-1][0], est[:1])
             assert queries[-1][1] == 1
@@ -405,29 +410,30 @@ def test_target_shared_by_a_descent_answers_as_fresh_ones(monkeypatch):
     target, = prepared
     assert isinstance(target.index, NeighborIndex)
     for q_est in (q, random_quat(rng)):
-        res = sloss(q_est, q_gt, m, target=target)
-        fresh = sloss(q_est, q_gt, m)
+        res = sloss(q_est, target)
+        fresh = sloss(q_est, prepare_target(q_gt, m))
         assert res.value == fresh.value
         assert np.array_equal(res.gradient, fresh.gradient)
 
 
 @pytest.mark.parametrize("model_kind", PRIMITIVE_KINDS)
 def test_prepared_target_gives_bit_equal_losses(model_kind):
+    # one target serves ploss, sloss and evaluate_loss in alternation: PLoss
+    # calls between SLoss calls leave the cached correspondences intact
     m = make_primitive_model(model_kind, scale=0.1, n_points=320)
     rng = np.random.default_rng(21)
     for _ in range(10):
-        q_est, q_gt = random_quat(rng), random_quat(rng) * 3.0
-        shape_target = prepare_target(LossKind.SLOSS, q_gt, m)
-        for kind, fn in ((LossKind.PLOSS, ploss), (LossKind.SLOSS, sloss)):
-            ref_value, ref_grad = _reference_loss(kind, q_est, q_gt, m)
-            targets = (None, prepare_target(kind, q_gt, m), shape_target)
-            for target in targets:
-                res = fn(q_est, q_gt, m, target=target)
-                assert res.value == ref_value
-                assert np.array_equal(res.gradient, ref_grad)
-                res = evaluate_loss(kind, q_est, q_gt, m, target=target)
-                assert res.value == ref_value
-                assert np.array_equal(res.gradient, ref_grad)
+        q_gt = random_quat(rng) * 3.0
+        target = prepare_target(q_gt, m)
+        for _ in range(3):
+            q_est = random_quat(rng)
+            for kind, fn in ((LossKind.PLOSS, ploss), (LossKind.SLOSS, sloss),
+                             (LossKind.PLOSS, ploss), (LossKind.SLOSS, sloss)):
+                ref_value, ref_grad = _reference_loss(kind, q_est, q_gt, m)
+                for res in (fn(q_est, target),
+                            evaluate_loss(kind, q_est, target)):
+                    assert res.value == ref_value
+                    assert np.array_equal(res.gradient, ref_grad)
 
 
 def test_loss_gradient_check_prepares_its_target_once(monkeypatch):
@@ -464,37 +470,6 @@ def test_loss_gradient_check_prepares_its_target_once(monkeypatch):
         assert got == float(np.max(err) / max(float(np.max(np.abs(fd))), 1e-12))
 
 
-def test_mismatched_target_raises():
-    cube = make_primitive_model("cube", scale=0.1, n_points=150)
-    bar = make_primitive_model("bar_2fold", scale=0.1, n_points=150)
-    rng = np.random.default_rng(23)
-    q_est, q_gt = random_quat(rng), random_quat(rng)
-    with pytest.raises(ValueError, match="prepared for another"):
-        sloss(q_est, q_gt, bar, target=prepare_target(LossKind.SLOSS, q_gt, cube))
-    with pytest.raises(ValueError, match="prepared for another"):
-        ploss(q_est, q_gt, cube,
-              target=prepare_target(LossKind.PLOSS, random_quat(rng), cube))
-    with pytest.raises(ValueError, match="prepared for another"):
-        sloss(q_est, q_gt, cube, target=prepare_target(LossKind.PLOSS, q_gt, cube))
-
-
-@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
-def test_prepared_target_accepts_its_own_unit_q_gt(kind):
-    # renormalizing a unit quaternion changes its last bit for about a third
-    # of these q, so target.q_gt must be accepted as it is
-    m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        q = rng.standard_normal(4)
-        q_est = random_quat(rng)
-        target = prepare_target(kind, q, m)
-        fresh = evaluate_loss(kind, q_est, q, m)
-        for q_gt in (q, target.q_gt, target.q_gt.copy(), normalize_quat(q)):
-            res = evaluate_loss(kind, q_est, q_gt, m, target=target)
-            assert res.value == fresh.value
-            assert res.gradient.tobytes() == fresh.gradient.tobytes()
-
-
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -503,11 +478,12 @@ def test_losses_reject_non_finite_quaternions(bad):
     m = make_primitive_model("cube", scale=0.1, n_points=150)
     good = np.array([1.0, 0.0, 0.0, 0.0])
     q = np.array([0.5, 0.5, bad, 0.5])
+    target = prepare_target(good, m)
     for fn in (ploss, sloss):
         with pytest.raises(GeometryError, match="non-finite"):
-            fn(q, good, m)
-        with pytest.raises(GeometryError, match="non-finite"):
-            fn(good, q, m)
+            fn(q, target)
+    with pytest.raises(GeometryError, match="non-finite"):
+        prepare_target(q, m)
 
 
 @pytest.mark.parametrize("bad", _NON_FINITE)

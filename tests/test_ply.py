@@ -140,6 +140,18 @@ def test_rejects_negative_element_counts(tmp_path, nv, nf):
         load_ply(p)
 
 
+def test_rejects_faces_declared_before_vertices(tmp_path):
+    # a valid PLY may declare its faces first, but the body is read vertices
+    # first, so its face row would be read as a vertex
+    p = tmp_path / "m.ply"
+    p.write_text("ply\nformat ascii 1.0\n" + _FACE_HEADER
+                 + "element vertex 3\nproperty float x\nproperty float y\n"
+                 "property float z\nend_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(PlyError,
+                       match="element face declared before element vertex"):
+        load_ply(p)
+
+
 def test_non_ascii_bytes_raise_ply_error(tmp_path):
     p = tmp_path / "m.ply"
     save_ply(p, np.zeros((2, 3)))

@@ -27,7 +27,8 @@ def _scene(class_id, seed):
     scene = Scene(instances=[(class_id, pose)], intrinsics=K,
                   width=320, height=240)
     r = render_full(scene, MODELS)
-    return DepthMap(depth=r.depth), LabelMap(labels=r.label), pose
+    labels = np.array([0, class_id], dtype=np.uint16)[r.instance + 1]
+    return DepthMap(depth=r.depth), LabelMap(labels), pose
 
 
 def test_fixed_point():

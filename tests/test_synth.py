@@ -9,7 +9,7 @@ from posevote import synth
 from posevote.fields import CenterField, LabelMap
 from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                                quat_to_rotation, random_quat)
-from posevote.losses import sloss
+from posevote.losses import prepare_target, sloss
 from posevote.synth import (NoiseSpec, RangeImage, Scene, SynthError,
                             default_registry, ground_truth_fields,
                             make_primitive_model, perturb, random_scene,
@@ -43,14 +43,14 @@ def test_bar_exact_z_symmetry():
 def test_blob_has_trivial_symmetry():
     m = make_primitive_model("asymmetric_blob", scale=0.12, n_points=200)
     rng = np.random.default_rng(0)
-    q_id = np.array([1.0, 0.0, 0.0, 0.0])
+    target = prepare_target(np.array([1.0, 0.0, 0.0, 0.0]), m)
     smallest = np.inf
     for _ in range(200):
         q = random_quat(rng)
         ang = 2 * math.degrees(math.acos(min(1.0, abs(q[0]))))
         if ang < 5.0:  # skip near-identity rotations
             continue
-        smallest = min(smallest, sloss(q, q_id, m).value)
+        smallest = min(smallest, sloss(q, target).value)
     assert smallest > 1e-7
 
 
@@ -118,7 +118,7 @@ def test_render_empty_scene():
     scene = Scene(instances=[], intrinsics=K, width=64, height=48)
     r = render_full(scene, {})
     assert not np.any(r.depth)
-    assert not np.any(r.label)
+    assert np.all(r.instance == -1)
 
 
 def test_render_depth_bounds():
@@ -126,7 +126,7 @@ def test_render_depth_bounds():
     tz = 0.9
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, tz]))
     r = render_full(_lone_scene(1, pose), models)
-    mask = r.label == 1
+    mask = r.instance == 0
     assert mask.sum() > 0
     radius = models[1].diameter / 2
     assert r.depth[mask].min() >= tz - radius - 1e-6
@@ -142,8 +142,8 @@ def test_render_z_buffer_near_surface_wins():
     both = render_full(scene, models)
     solo_front = render_full(_lone_scene(1, front), models)
     covered = solo_front.depth > 0
-    # wherever the front object covers a pixel, its label must win
-    assert np.all(both.label[covered] == 1)
+    # wherever the front object covers a pixel, it must win
+    assert np.all(both.instance[covered] == 1)
     assert np.all(both.depth[covered] == solo_front.depth[covered])
 
 
@@ -189,7 +189,7 @@ def test_render_depth_matches_ray_cast_oracle():
         pose = Pose(random_quat(rng), np.array([0.02, -0.01, 0.85]))
         model = models[class_id]
         r = render_full(_lone_scene(class_id, pose), models)
-        ys, xs = np.nonzero(r.label == class_id)
+        ys, xs = np.nonzero(r.instance == 0)
         pick = rng.choice(len(xs), size=min(100, len(xs)), replace=False)
         for i in pick:
             x, y = int(xs[i]), int(ys[i])
@@ -214,7 +214,8 @@ def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
     """The per-triangle z-buffer loop that the batched rasterizer replaced,
     kept as its reference: both must fill every buffer bit for bit alike,
     the reference writing each won pixel's normal where the rasterizer
-    writes its triangle's row of the normal table."""
+    writes its triangle's row of the normal table, and its class where the
+    label map derives it from the pixel's instance."""
     h, w = r.depth.shape
     fx, fy, px, py = intrinsics.fx, intrinsics.fy, intrinsics.px, intrinsics.py
     z = verts_cam[:, 2]
@@ -264,9 +265,16 @@ def _reference_raster(r, verts_cam, faces, intrinsics, class_id, inst):
         r.normals[sub][win] = n
 
 
-def _assert_same_raster(got, want):
-    for name in ("depth", "label", "instance"):
+def _class_map(r, class_ids):
+    """The label map of a render whose instances have these class ids, as
+    ground_truth_fields derives it."""
+    return np.array([0, *class_ids], dtype=np.uint16)[r.instance + 1]
+
+
+def _assert_same_raster(got, want, class_ids):
+    for name in ("depth", "instance"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(_class_map(got, class_ids), want.label), "label"
     assert np.array_equal(got.face_normals[got.face], want.normals), "normals"
     # a pixel names a triangle exactly where it has depth; row 0 is the
     # background's zero normal
@@ -297,9 +305,10 @@ def _check_scene(scene, models):
     want, solo = _reference_pass(meshes, scene.intrinsics, scene.width,
                                  scene.height)
     got = render_full(scene, models)
-    _assert_same_raster(got, want)
+    _assert_same_raster(got, want, [cid for cid, _ in scene.instances])
     assert got.coverage == solo
-    _, truths = ground_truth_fields(scene, got)
+    _, labels, truths = ground_truth_fields(scene, got)
+    assert np.array_equal(labels.labels, want.label)
     assert [t.solo_pixels for t in truths] == solo
     return got
 
@@ -358,7 +367,6 @@ def test_coincident_instances_keep_the_earlier_one():
     covered = r.depth > 0
     assert covered.sum() == r.coverage[0] == r.coverage[1] > 0
     assert np.all(r.instance[covered] == 0)
-    assert np.all(r.label[covered] == 1)
 
 
 def test_render_rejects_model_keyed_by_another_class_id():
@@ -407,9 +415,9 @@ def test_batched_raster_degenerate_triangles_match_loop(first, second):
     meshes = [(first[0], first[1], 3), (second[0], second[1], 1)]
     want, solo = _reference_pass(meshes, _KS, 40, 30)
     got = RangeImage.empty(40, 30)
-    counts = [synth._raster_triangles(got, v, f, _KS, cid, inst)
-              for inst, (v, f, cid) in enumerate(meshes)]
-    _assert_same_raster(got, want)
+    counts = [synth._raster_triangles(got, v, f, _KS, inst)
+              for inst, (v, f, _) in enumerate(meshes)]
+    _assert_same_raster(got, want, [cid for _, _, cid in meshes])
     assert counts == solo
 
 
@@ -459,19 +467,21 @@ def test_span_walk_adversarial_triangles_match_loop(first, second):
     meshes = [(first[0], first[1], 2), (second[0], second[1], 4)]
     want, solo = _reference_pass(meshes, _KS, 40, 30)
     got = RangeImage.empty(40, 30)
-    counts = [synth._raster_triangles(got, v, f, _KS, cid, inst)
-              for inst, (v, f, cid) in enumerate(meshes)]
-    _assert_same_raster(got, want)
+    counts = [synth._raster_triangles(got, v, f, _KS, inst)
+              for inst, (v, f, _) in enumerate(meshes)]
+    _assert_same_raster(got, want, [cid for _, _, cid in meshes])
     assert counts == solo
 
 
 # windowed renders ------------------------------------------------------------
 
 
-def _crop(r, x0, y0, w, h):
-    """A window of a render's buffers, with its per-pixel normals."""
+def _crop(r, class_ids, x0, y0, w, h):
+    """A window of a render's buffers, with its label map and per-pixel
+    normals."""
     sub = (slice(y0, y0 + h), slice(x0, x0 + w))
-    return SimpleNamespace(depth=r.depth[sub], label=r.label[sub],
+    return SimpleNamespace(depth=r.depth[sub],
+                           label=_class_map(r, class_ids)[sub],
                            instance=r.instance[sub],
                            normals=r.face_normals[r.face[sub]])
 
@@ -511,8 +521,8 @@ def test_window_render_equals_crop_of_full_render(class_id):
         for win in _windows(full, rng):
             scene.window = win
             got = render_full(scene, models)
-            want = _crop(full, *win)
-            _assert_same_raster(got, want)
+            want = _crop(full, [class_id], *win)
+            _assert_same_raster(got, want, [class_id])
             assert got.origin == win[:2]
             assert got.coverage == [int(np.count_nonzero(want.depth))]
 
@@ -524,10 +534,12 @@ def test_window_render_of_a_scene_counts_coverage_in_the_window():
     win = (50, 40, 200, 150)
     scene.window = win
     got = render_full(scene, models)
-    _assert_same_raster(got, _crop(full, *win))
+    class_ids = [cid for cid, _ in scene.instances]
+    _assert_same_raster(got, _crop(full, class_ids, *win), class_ids)
     for inst, (cid, pose) in enumerate(scene.instances):
         alone = render_full(_lone_scene(cid, pose), models)
-        assert got.coverage[inst] == np.count_nonzero(_crop(alone, *win).depth)
+        assert got.coverage[inst] == np.count_nonzero(
+            _crop(alone, [cid], *win).depth)
 
 
 @pytest.mark.parametrize("win", [(-1, 0, 10, 10), (0, -1, 10, 10),
@@ -550,10 +562,10 @@ def test_fields_point_at_projected_center():
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.05, 0.02, 0.9]))
     scene = _lone_scene(1, pose)
     raster = render_full(scene, models)
-    fld, truths = ground_truth_fields(scene, raster)
+    fld, labels, truths = ground_truth_fields(scene, raster)
     t = truths[0]
     pl = fld.values
-    ys, xs = np.nonzero(raster.label == 1)
+    ys, xs = np.nonzero(labels.labels == 1)
     for x, y in zip(xs[:200], ys[:200]):
         v = t.center - np.array([x, y], dtype=float)
         n = np.linalg.norm(v)
@@ -561,7 +573,7 @@ def test_fields_point_at_projected_center():
             continue
         assert np.allclose(pl[y, x, :2], v / n, atol=1e-6)
         assert pl[y, x, 2] == pytest.approx(pose.translation[2], abs=1e-6)
-    assert not np.any(pl[raster.label != 1])  # background stays zero
+    assert not np.any(pl[labels.labels != 1])  # background stays zero
 
 
 def test_ground_truth_fields_need_the_whole_frame():
@@ -570,7 +582,7 @@ def test_ground_truth_fields_need_the_whole_frame():
     models = default_registry()
     scene = random_scene(3, models)
     full = render_full(scene, models)
-    want_fld, want = ground_truth_fields(scene, full)
+    want_fld, want_labels, want = ground_truth_fields(scene, full)
     ys, xs = np.nonzero(full.depth)
     x0, y0 = int(xs.min()), int(ys.min())
     for win in ((x0, y0, int(xs.max()) - x0 + 1, int(ys.max()) - y0 + 1),
@@ -579,8 +591,9 @@ def test_ground_truth_fields_need_the_whole_frame():
         with pytest.raises(SynthError, match="whole 320x240 frame"):
             ground_truth_fields(scene, render_full(scene, models))
     scene.window = (0, 0, 320, 240)  # a window that is the whole frame
-    fld, truths = ground_truth_fields(scene, render_full(scene, models))
+    fld, labels, truths = ground_truth_fields(scene, render_full(scene, models))
     assert np.array_equal(fld.values, want_fld.values)
+    assert np.array_equal(labels.labels, want_labels.labels)
     assert ([t.center_occluded for t in truths]
             == [t.center_occluded for t in want])
 
@@ -592,9 +605,9 @@ def test_fully_occluded_instance_flagged():
     scene = Scene(instances=[(1, small), (5, big)], intrinsics=K,
                   width=320, height=240)
     raster = render_full(scene, models)
-    fld, truths = ground_truth_fields(scene, raster)
+    fld, labels, truths = ground_truth_fields(scene, raster)
     assert truths[0].visible_pixels == 0
-    assert not np.any(fld.values[raster.label != 5])
+    assert not np.any(fld.values[labels.labels != 5])
     assert truths[1].visible_pixels > 0
 
 
@@ -608,15 +621,13 @@ def _noisy_setup():
     scene = Scene(instances=[(1, left), (3, right)], intrinsics=K,
                   width=320, height=240)
     raster = render_full(scene, models)
-    fld, _ = ground_truth_fields(scene, raster)
-    return fld, LabelMap(labels=raster.label)
+    fld, labels, _ = ground_truth_fields(scene, raster)
+    return fld, labels
 
 
 def test_perturb_zero_spec_identity():
     fld, labels = _noisy_setup()
-    out_fld, out_labels = perturb(fld, labels, NoiseSpec())
-    assert np.array_equal(out_labels.labels, labels.labels)
-    assert not np.shares_memory(out_labels.labels, labels.labels)
+    out_fld = perturb(fld, labels, NoiseSpec())
     assert labels.class_ids() == [1, 3]
     assert np.array_equal(out_fld.values, fld.values)
     assert not np.shares_memory(out_fld.values, fld.values)
@@ -624,8 +635,7 @@ def test_perturb_zero_spec_identity():
 
 def test_perturb_direction_sigma_statistics():
     fld, labels = _noisy_setup()
-    out_fld, _ = perturb(fld, labels, NoiseSpec(direction_sigma=0.1,
-                                                rng_seed=0))
+    out_fld = perturb(fld, labels, NoiseSpec(direction_sigma=0.1, rng_seed=0))
     mask = labels.labels == 1
     a = fld.values[mask][:, :2]
     b = out_fld.values[mask][:, :2]
@@ -642,14 +652,12 @@ def test_perturb_direction_sigma_statistics():
 def test_perturb_deterministic():
     fld, labels = _noisy_setup()
     spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.01, rng_seed=42)
-    f1, l1 = perturb(fld, labels, spec)
-    f2, l2 = perturb(fld, labels, spec)
+    before = labels.labels.copy()
+    f1 = perturb(fld, labels, spec)
+    f2 = perturb(fld, labels, spec)
     assert np.array_equal(f1.values, f2.values)
     assert not f1.values[labels.labels == 0].any()  # the background stays zero
-    assert np.array_equal(l1.labels, l2.labels)
-    # noise never touches the labels, and each call returns its own copy
-    assert np.array_equal(l1.labels, labels.labels)
-    assert not np.shares_memory(l1.labels, labels.labels)
+    assert np.array_equal(labels.labels, before)  # noise never touches labels
 
 
 @pytest.mark.parametrize("field_wh, labels_wh", [((60, 40), (30, 20)),
