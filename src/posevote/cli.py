@@ -302,7 +302,7 @@ def cmd_vote(args) -> int:
 
 
 def cmd_loss(args) -> int:
-    model = load_model(args.model, class_id=1)
+    model = load_model(args.model)
     est = _load_pose(args.pose_est)
     gt = _load_pose(args.pose_gt)
     kind = LossKind(args.kind)
@@ -334,7 +334,7 @@ def cmd_histogram(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model, class_id=1)
+    model = load_model(args.model)
     gt_poses = load_poses(args.gt)
     est_poses = load_poses(args.est)
     if not gt_poses:
@@ -350,7 +350,10 @@ def cmd_eval(args) -> int:
         row = {"frame": i, "add_m": a, "add_s_m": s,
                "correct": int(is_correct(a, model))}
         if intr is not None:
-            row["reproj_px"] = reprojection_error(est, gt, model, intr)
+            try:
+                row["reproj_px"] = reprojection_error(est, gt, model, intr)
+            except GeometryError as exc:  # a model point behind the camera
+                raise ValueError(f"frame {i} of {args.est} and {args.gt}: {exc}") from None
         rows.append(row)
     summary = {
         "frames": len(rows),
@@ -367,7 +370,7 @@ def cmd_eval(args) -> int:
 def cmd_refine(args) -> int:
     observed = _load_array(args.depth, DepthMap)
     labels = _load_array(args.labels, LabelMap)
-    model = load_model(args.model, class_id=args.class_id)
+    model = load_model(args.model)
     init = _load_pose(args.init)
     intr = load_intrinsics(args.intrinsics)
     res = multi_hypothesis_refine(observed, labels, args.class_id, model,

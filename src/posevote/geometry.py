@@ -312,18 +312,15 @@ def model_diameter(points) -> float:
 
 @dataclass
 class ObjectModel:
-    """A 3D point set and its (n, 3) int64 triangle faces, (0, 3) when it has
-    none (faces=None); the diameter is always computed from the points."""
+    """A 3D point set, its (n, 3) int64 triangle faces ((0, 3) for faces=None)
+    and its points' diameter. Its class id is its key in a registry."""
 
-    class_id: int
     name: str
     points: np.ndarray
     faces: np.ndarray | None = None
     diameter: float = field(init=False)
 
     def __post_init__(self):
-        if not is_int_at_least(self.class_id, 1):
-            raise GeometryError("class_id must be a positive integer")
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
         if self.points.shape[0] == 0:
             raise GeometryError("model has no points")

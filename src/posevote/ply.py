@@ -24,9 +24,9 @@ def load_ply(path):
 
     Returns (points, faces); faces is (0, 3) int64 when the file has none. The
     vertex properties must start with x y z; any after those (normals, colours)
-    are skipped, but each vertex row must hold a value for every one. Only
-    triangle faces whose indices name a vertex are accepted, and the face
-    element must follow the vertex element.
+    are skipped, but each vertex row must hold a value for every one. The face
+    element must follow the vertex element and hold only its vertex-index
+    list; only triangle faces whose indices name a vertex are accepted.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -39,6 +39,7 @@ def load_ply(path):
     n_vertices = 0
     n_faces = 0
     vertex_props = []
+    face_list = False
     current_element = None
     i = 1
     fmt_seen = False
@@ -70,8 +71,12 @@ def load_ply(path):
             if current_element == "vertex":
                 vertex_props.append(tokens[-1])
             elif current_element == "face":
+                if face_list:  # a face row is read as exactly "3 i j k"
+                    raise PlyError("the face element holds only its vertex-"
+                                   f"index list, not also: {line}")
                 if tokens[1] != "list":
                     raise PlyError("face element must use a list property")
+                face_list = True
         elif tokens[0] == "end_header":
             break
         else:
@@ -126,8 +131,7 @@ def save_ply(path, points, faces=None):
             f.write("3 %d %d %d\n" % tuple(tri))
 
 
-def load_model(path, class_id: int) -> ObjectModel:
+def load_model(path) -> ObjectModel:
     """ObjectModel from a PLY file's points and faces."""
     points, faces = load_ply(path)
-    return ObjectModel(class_id=class_id, name=str(path),
-                       points=points, faces=faces)
+    return ObjectModel(name=str(path), points=points, faces=faces)

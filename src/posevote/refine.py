@@ -152,9 +152,9 @@ def icp_refine(observed: DepthMap, labels: LabelMap, class_id: int,
     def evaluate(pose: Pose):
         if pose.translation[2] <= 0:
             return None  # candidate stepped behind the camera
-        scene = Scene(instances=[(model.class_id, pose)], intrinsics=intrinsics,
+        scene = Scene(instances=[(class_id, pose)], intrinsics=intrinsics,
                       width=w, height=h, window=window)
-        raster = render_full(scene, {model.class_id: model})
+        raster = render_full(scene, {class_id: model})
         return _associate(raster, flat, rays, obs_pts, _RESIDUAL_REJECT_M)
 
     current = init

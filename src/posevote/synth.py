@@ -190,8 +190,7 @@ def _fibonacci_dirs(n: int):
     return dirs, phi, theta
 
 
-def make_primitive_model(kind: str, scale: float, n_points: int,
-                         class_id: int = 1) -> ObjectModel:
+def make_primitive_model(kind: str, scale: float, n_points: int) -> ObjectModel:
     """Deterministic primitive point sets/meshes with known symmetry groups.
 
     cube: grid-sampled cube surface, full octahedral symmetry.
@@ -207,7 +206,7 @@ def make_primitive_model(kind: str, scale: float, n_points: int,
     if kind == "cube":
         k = max(2, round(math.sqrt(max(n_points, 24) / 6)))
         pts, faces = _box_mesh(scale, scale, scale, k)
-        return ObjectModel(class_id=class_id, name="cube", points=pts, faces=faces)
+        return ObjectModel(name="cube", points=pts, faces=faces)
     if kind == "bar_2fold":
         # Elongated ellipsoid with strongly distinct semi-axes. Half the
         # points are Fibonacci-sphere samples; the other half is the same
@@ -227,13 +226,12 @@ def make_primitive_model(kind: str, scale: float, n_points: int,
         sel = np.unique(np.linspace(0, half - 1, min(72, half)).astype(int))
         sel = np.concatenate([sel, sel + half])
         faces = sel[ConvexHull(pts[sel]).simplices].astype(np.int64)
-        return ObjectModel(class_id=class_id, name="bar_2fold", points=pts,
-                           faces=faces)
+        return ObjectModel(name="bar_2fold", points=pts, faces=faces)
     if kind == "cylinder":
         n_ang = max(8, int(math.sqrt(2 * n_points)))
         n_len = max(3, n_points // n_ang)
         pts, faces = _cylinder_mesh(0.35 * scale, scale, n_ang, n_len)
-        return ObjectModel(class_id=class_id, name="cylinder", points=pts, faces=faces)
+        return ObjectModel(name="cylinder", points=pts, faces=faces)
     if kind == "asymmetric_blob":
         rng = np.random.default_rng(20240521)
         n = max(n_points, 50)
@@ -247,8 +245,7 @@ def make_primitive_model(kind: str, scale: float, n_points: int,
         # but keeps renders fast and self-consistent
         sel = np.unique(np.linspace(0, n - 1, min(150, n)).astype(int))
         faces = sel[ConvexHull(pts[sel]).simplices].astype(np.int64)
-        return ObjectModel(class_id=class_id, name="asymmetric_blob",
-                           points=pts, faces=faces)
+        return ObjectModel(name="asymmetric_blob", points=pts, faces=faces)
     raise SynthError(f"unknown primitive kind: {kind!r} "
                      f"(expected one of {PRIMITIVE_KINDS})")
 
@@ -438,8 +435,7 @@ def _raster_triangles(r: RangeImage, verts_cam: np.ndarray, faces: np.ndarray,
 
 def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
     """Z-buffer render returning depth/instance/face buffers of the
-    scene's window, or of the whole frame when it has none. Each model must
-    be keyed by its own class id (SynthError)."""
+    scene's window, or of the whole frame when it has none."""
     x0, y0, w, h = scene.window or (0, 0, scene.width, scene.height)
     if scene.window and not (0 <= x0 and 0 <= y0 and 1 <= w and 1 <= h
                              and x0 + w <= scene.width
@@ -453,9 +449,6 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
         if pose.translation[2] <= 0:
             raise SynthError("instance depth Tz must be positive")
         model = models[cid]
-        if model.class_id != cid:  # the label map holds the key
-            raise SynthError(f"model {model.name!r} has class id "
-                             f"{model.class_id}, not its key {cid}")
         if not model.faces.size:
             raise SynthError(f"model {model.name!r} has no faces to render")
         pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
@@ -474,13 +467,17 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
     ground-truth Tz, and are labeled with its class id. Returns
     (CenterField, LabelMap, [InstanceTruth]). The raster must cover the
     whole frame (SynthError): the field and the occlusion test are in frame
-    coordinates.
+    coordinates. Each class id must be an integer in [1, 65535] (SynthError):
+    the uint16 label map holds it, and 0 is the background.
     """
     h, w = raster.depth.shape
     if raster.origin != (0, 0) or (h, w) != (scene.height, scene.width):
         raise SynthError(f"ground truth needs a render of the whole "
                          f"{scene.width}x{scene.height} frame, got a {w}x{h} "
                          f"window at {raster.origin}")
+    for cid, _ in scene.instances:
+        if not (is_int_at_least(cid, 1) and cid <= 65535):
+            raise SynthError(f"class id {cid!r} is not an integer in [1, 65535]")
     fld = CenterField(np.zeros((h, w, 3), dtype=np.float32))
     classes = np.array([0] + [c for c, _ in scene.instances], dtype=np.uint16)
     labels = LabelMap(classes[raster.instance + 1])  # instance -1 reads 0
@@ -545,12 +542,11 @@ def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
 def default_registry() -> dict[int, ObjectModel]:
     """Primitive stand-ins: cube, bar, cylinder, blob, large cube."""
     reg = {
-        1: make_primitive_model("cube", scale=0.10, n_points=600, class_id=1),
-        2: make_primitive_model("bar_2fold", scale=0.10, n_points=600, class_id=2),
-        3: make_primitive_model("cylinder", scale=0.12, n_points=600, class_id=3),
-        4: make_primitive_model("asymmetric_blob", scale=0.12, n_points=900,
-                                class_id=4),
-        5: make_primitive_model("cube", scale=0.14, n_points=600, class_id=5),
+        1: make_primitive_model("cube", scale=0.10, n_points=600),
+        2: make_primitive_model("bar_2fold", scale=0.10, n_points=600),
+        3: make_primitive_model("cylinder", scale=0.12, n_points=600),
+        4: make_primitive_model("asymmetric_blob", scale=0.12, n_points=900),
+        5: make_primitive_model("cube", scale=0.14, n_points=600),
     }
     reg[5].name = "cube_large"
     return reg

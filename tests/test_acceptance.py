@@ -67,7 +67,7 @@ def test_criterion_2_loss_correctness():
     violations = 0
     for _ in range(1000):
         pts = rng.standard_normal((30, 3)) * 0.05
-        m = ObjectModel(class_id=1, name="r", points=pts)
+        m = ObjectModel(name="r", points=pts)
         q1, q2 = random_quat(rng), random_quat(rng)
         a = pts @ quat_to_rotation(q1).T
         b = pts @ quat_to_rotation(q2).T
@@ -104,7 +104,7 @@ def test_criterion_3_gradient_checks():
     worst_p = worst_s = 0.0
     for _ in range(100):
         pts = rng.standard_normal((30, 3)) * 0.05
-        m = ObjectModel(class_id=1, name="r", points=pts)
+        m = ObjectModel(name="r", points=pts)
         q_gt = random_quat(rng)
         worst_p = max(worst_p, loss_gradient_check(
             LossKind.PLOSS, random_quat(rng), q_gt, m))

@@ -511,6 +511,25 @@ def test_eval_empty_pose_lists_name_the_gt_file(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_intrinsics_names_the_frame_it_cannot_reproject(tmp_path, capsys):
+    # at Tz = 0.02 m the 0.1 m cube's near face lies behind the camera: ADD
+    # scores that estimate, a reprojection error has none to give
+    model = tmp_path / "m.ply"
+    run(["make-model", "--kind", "cube", "--out", str(model)])
+    gt, est, k = tmp_path / "gt.json", tmp_path / "est.json", tmp_path / "k.json"
+    _write_json(gt, [_pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0])] * 2)
+    _write_json(est, [_pose_entry(1, [1, 0, 0, 0], [0, 0, 1.0]),
+                      _pose_entry(1, [1, 0, 0, 0], [0, 0, 0.02])])
+    _write_json(k, K_JSON)
+    argv = ["eval", "--gt", str(gt), "--est", str(est), "--model", str(model)]
+    assert run(argv + ["--out", str(tmp_path / "scored.json")]) == 0
+    out = tmp_path / "summary.json"
+    assert run(argv + ["--intrinsics", str(k), "--out", str(out)]) == 1
+    assert (f"posevote: error: frame 1 of {est} and {gt}: point is behind "
+            "the camera (Tz <= 0)" in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", [0, 2])
 @pytest.mark.parametrize("bad", ["--pose-est", "--pose-gt"])
 def test_loss_rejects_pose_file_not_of_one_pose(tmp_path, bad, count, capsys):

@@ -238,11 +238,10 @@ def test_model_diameter_coplanar_falls_back_to_brute_force():
 
 
 def test_object_model_diameter_cached():
-    m = ObjectModel(class_id=1, name="t",
-                    points=np.array([[0, 0, 0], [1.0, 0, 0]]))
+    m = ObjectModel(name="t", points=np.array([[0, 0, 0], [1.0, 0, 0]]))
     assert m.diameter == pytest.approx(1.0)
     with pytest.raises(TypeError):  # always computed, never passed in
-        ObjectModel(class_id=1, name="t", points=m.points, diameter=5.0)
+        ObjectModel(name="t", points=m.points, diameter=5.0)
 
 
 def test_object_model_rejects_non_finite_points():
@@ -250,26 +249,20 @@ def test_object_model_rejects_non_finite_points():
     pts = np.random.default_rng(13).standard_normal((300, 3))
     pts[17, 1] = math.nan
     with pytest.raises(GeometryError):
-        ObjectModel(class_id=1, name="t", points=pts)
-
-
-@pytest.mark.parametrize("class_id", [1.5, True, "1"])
-def test_object_model_rejects_class_id_not_a_positive_integer(class_id):
-    with pytest.raises(GeometryError, match="class_id must be a positive integer"):
-        ObjectModel(class_id=class_id, name="t", points=np.eye(3))
+        ObjectModel(name="t", points=pts)
 
 
 def test_object_model_without_faces_holds_an_empty_face_array():
-    m = ObjectModel(class_id=1, name="t", points=np.eye(3), faces=None)
+    m = ObjectModel(name="t", points=np.eye(3), faces=None)
     assert m.faces.shape == (0, 3) and m.faces.dtype == np.int64
 
 
 def test_object_model_rejects_out_of_range_faces():
     pts = np.eye(3)
     with pytest.raises(GeometryError):  # -1 used to wrap to the last vertex
-        ObjectModel(class_id=1, name="t", points=pts, faces=[[0, 1, -1]])
+        ObjectModel(name="t", points=pts, faces=[[0, 1, -1]])
     with pytest.raises(GeometryError):
-        ObjectModel(class_id=1, name="t", points=pts, faces=[[0, 1, 3]])
+        ObjectModel(name="t", points=pts, faces=[[0, 1, 3]])
 
 
 def _reference_nearest_neighbors(query, targets):

@@ -32,7 +32,7 @@ def brute_sloss(q_est, q_gt, pts):
 
 def _random_model(rng, n=60):
     pts = rng.standard_normal((n, 3)) * 0.05
-    return ObjectModel(class_id=1, name="rand", points=pts)
+    return ObjectModel(name="rand", points=pts)
 
 
 def test_ploss_zero_at_gt_and_double_cover():
@@ -50,7 +50,7 @@ def test_ploss_zero_at_gt_and_double_cover():
 def test_ploss_cube_90deg_matches_oracle():
     corners = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1)
                         for z in (-1, 1)], dtype=float) * 0.05
-    m = ObjectModel(class_id=1, name="corners", points=corners)
+    m = ObjectModel(name="corners", points=corners)
     q_gt = np.array([1.0, 0.0, 0.0, 0.0])
     q_est = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]), math.pi / 2)
     assert ploss(q_est, prepare_target(q_gt, m)).value == pytest.approx(
@@ -105,7 +105,7 @@ def test_sloss_zero_under_bar_180():
 def test_sloss_matches_oracle_on_2500_points():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((2500, 3)) * 0.05
-    m = ObjectModel(class_id=1, name="big", points=pts)
+    m = ObjectModel(name="big", points=pts)
     q1, q2 = random_quat(rng), random_quat(rng)
     assert sloss(q1, prepare_target(q2, m)).value == pytest.approx(
         brute_sloss(q1, q2, pts), rel=1e-10)
@@ -373,7 +373,7 @@ def test_point_midway_between_two_targets_is_queried_every_step():
     # q_gt turns the model half a turn about x, so the estimate of the first
     # point, on the z axis, sits exactly midway between the other two
     # targets for every turn about z; the other two points stay cached
-    m = ObjectModel(class_id=1, name="three", points=np.array(
+    m = ObjectModel(name="three", points=np.array(
         [[0.0, 0.0, 0.05], [0.05, 0.0, -0.05], [-0.05, 0.0, -0.05]]))
     q_gt = np.array([0.0, 1.0, 0.0, 0.0])
     with _tree_queries() as queries:

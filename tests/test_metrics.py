@@ -52,8 +52,7 @@ def test_pure_translation_offset():
 def test_add_matches_oracle():
     rng = np.random.default_rng(2)
     small = make_primitive_model("cube", scale=0.1, n_points=96)
-    large = ObjectModel(class_id=1, name="large",
-                        points=rng.standard_normal((2500, 3)) * 0.05)
+    large = ObjectModel(name="large", points=rng.standard_normal((2500, 3)) * 0.05)
     for m, trials in ((small, 50), (large, 3)):
         for _ in range(trials):
             est, gt = _random_pose(rng), _random_pose(rng)

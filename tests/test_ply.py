@@ -67,8 +67,8 @@ def test_load_model(tmp_path):
     pts = np.array([[0, 0, 0], [0.05, 0, 0]])
     p = tmp_path / "m.ply"
     save_ply(p, pts)
-    m = load_model(p, class_id=7)
-    assert m.class_id == 7
+    m = load_model(p)
+    assert m.name == str(p)
     assert m.diameter == pytest.approx(0.05)
 
 
@@ -118,7 +118,7 @@ def test_vertex_properties_after_xyz_are_skipped(tmp_path):
     points, faces = load_ply(p)
     assert points.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
     assert faces.tolist() == [[0, 1, 2]]
-    m = load_model(p, class_id=2)
+    m = load_model(p)
     assert np.array_equal(m.points, points) and np.array_equal(m.faces, faces)
 
 
@@ -149,6 +149,22 @@ def test_rejects_faces_declared_before_vertices(tmp_path):
                  "property float z\nend_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n")
     with pytest.raises(PlyError,
                        match="element face declared before element vertex"):
+        load_ply(p)
+
+
+@pytest.mark.parametrize("extra, row", [
+    ("property uchar red", "3 0 1 2 9"),
+    ("property list uchar float texcoord", "3 0 1 2 6 0 0 1 0 0 1"),
+    ("property list uchar int flags", "3 0 1 2 1 7"),
+], ids=["colour", "texcoord_list", "int_list"])
+def test_rejects_a_second_face_property(tmp_path, extra, row):
+    # a face row is read as exactly "3 i j k"; the header names the cause,
+    # where the rows would only show too many values
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(nv=3, faces=_FACE_HEADER + extra + "\n")
+                 + f"0 0 0\n1 0 0\n0 1 0\n{row}\n")
+    with pytest.raises(PlyError, match="the face element holds only its "
+                       f"vertex-index list, not also: {extra}$"):
         load_ply(p)
 
 

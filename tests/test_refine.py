@@ -282,9 +282,9 @@ def _reference_icp_refine(observed, labels, class_id, model, init, intrinsics,
     def evaluate(pose):
         if pose.translation[2] <= 0:
             return None
-        raster = render_full(Scene(instances=[(model.class_id, pose)],
+        raster = render_full(Scene(instances=[(class_id, pose)],
                                    intrinsics=intrinsics, width=w, height=h),
-                             {model.class_id: model})
+                             {class_id: model})
         hit = raster.depth[ys, xs] > 0
         if not hit.any():
             return None

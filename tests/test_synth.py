@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -149,11 +150,11 @@ def test_render_z_buffer_near_surface_wins():
 
 def test_render_model_without_faces_rejected():
     cube = default_registry()[1]
-    points_only = ObjectModel(class_id=1, name="cloud", points=cube.points)
+    points_only = ObjectModel(name="cloud", points=cube.points)
     pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
     with pytest.raises(SynthError, match="no faces"):
         render_full(_lone_scene(1, pose), {1: points_only})
-    zero_faces = ObjectModel(class_id=1, name="cloud", points=cube.points,
+    zero_faces = ObjectModel(name="cloud", points=cube.points,
                              faces=np.zeros((0, 3), dtype=np.int64))
     with pytest.raises(SynthError, match="no faces"):
         render_full(_lone_scene(1, pose), {1: zero_faces})
@@ -357,9 +358,7 @@ def test_batched_raster_small_budget_matches_loop(monkeypatch):
 
 def test_coincident_instances_keep_the_earlier_one():
     cube = default_registry()[1]
-    twin = ObjectModel(class_id=2, name="cube_twin", points=cube.points,
-                       faces=cube.faces)
-    models = {1: cube, 2: twin}
+    models = {1: cube, 2: cube}
     pose = Pose(random_quat(np.random.default_rng(2)), np.array([0.01, 0.0, 0.8]))
     scene = Scene(instances=[(1, pose), (2, pose)], intrinsics=K,
                   width=320, height=240)
@@ -369,13 +368,19 @@ def test_coincident_instances_keep_the_earlier_one():
     assert np.all(r.instance[covered] == 0)
 
 
-def test_render_rejects_model_keyed_by_another_class_id():
-    # the label map would hold the model's id and the field the key, so
-    # voting would find no detection
-    cube = make_primitive_model("cube", scale=0.1, n_points=600, class_id=1)
-    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
-    with pytest.raises(SynthError, match="class id 1, not its key 2"):
-        render_full(_lone_scene(2, pose), {2: cube})
+def test_one_model_under_two_keys_labels_each_key():
+    # a model holds no class id of its own: its key labels its pixels
+    cube = default_registry()[1]
+    models = {1: cube, 2: cube}
+    left = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([-0.13, 0.0, 0.8]))
+    right = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.13, 0.0, 0.8]))
+    scene = Scene(instances=[(1, left), (2, right)], intrinsics=K,
+                  width=320, height=240)
+    r = _check_scene(scene, models)
+    _, labels, truths = ground_truth_fields(scene, r)
+    assert labels.class_ids() == [1, 2]
+    assert [np.count_nonzero(labels.labels == c) for c in (1, 2)] == r.coverage
+    assert [t.class_id for t in truths] == [1, 2]
 
 
 def test_render_rejects_non_finite_pose():
@@ -596,6 +601,28 @@ def test_ground_truth_fields_need_the_whole_frame():
     assert np.array_equal(labels.labels, want_labels.labels)
     assert ([t.center_occluded for t in truths]
             == [t.center_occluded for t in want])
+
+
+@pytest.mark.parametrize("class_id", [0, -1, 65536, 70000, 1.5, True, "1"],
+                         ids=["0", "-1", "65536", "70000", "1.5", "True", "str"])
+def test_ground_truth_fields_reject_class_id_outside_the_label_map(class_id):
+    # 0 would label the object as background; 65536 and above do not fit
+    # the uint16 label map
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
+    scene = _lone_scene(class_id, pose)
+    raster = render_full(scene, {class_id: default_registry()[1]})
+    with pytest.raises(SynthError, match=re.escape(
+            f"class id {class_id!r} is not an integer in [1, 65535]")):
+        ground_truth_fields(scene, raster)
+
+
+def test_ground_truth_fields_label_the_largest_class_id():
+    pose = Pose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.9]))
+    scene = _lone_scene(65535, pose)
+    raster = render_full(scene, {65535: default_registry()[1]})
+    _, labels, truths = ground_truth_fields(scene, raster)
+    assert labels.class_ids() == [65535] and truths[0].class_id == 65535
+    assert np.count_nonzero(labels.labels == 65535) == raster.coverage[0] > 0
 
 
 def test_fully_occluded_instance_flagged():
