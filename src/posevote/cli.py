@@ -275,7 +275,7 @@ def cmd_synth(args) -> int:
         frame = pipeline_mod.synth_frame(scene, i, noise, models)
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
         np.save(prefix + "_labels.npy", frame.labels.labels)
-        np.save(prefix + "_depth.npy", frame.raster.depth.astype(np.float32))
+        np.save(prefix + "_depth.npy", frame.depth.depth)
         np.save(prefix + "_field.npy", frame.fld.to_tensor(frame.labels, max(models)))
         gt = {"seed": args.seed, "scene": i,
               "intrinsics": dataclasses.asdict(scene.intrinsics),

@@ -1,12 +1,13 @@
 """End-to-end synthetic pipeline: render -> perturb -> detect -> refine -> eval.
 
-The renderer plays the role of the dense predictor; detection recovers each
-instance's translation from center voting, the rotation estimate is the
-ground-truth rotation plus simulated regression error (rotation regression
-is an external component), and optional ICP refinement corrects the full
-6-dof pose against the rendered depth. Instances below the visibility cutoff
-are excluded from scoring; missed detections count as failures at every
-threshold.
+The renderer plays the dense predictor and the sensor, and synth_frame makes
+all the estimator is given: labels, the noisy center field, the observed
+depth and each rotation estimate, the ground-truth rotation plus simulated
+regression error (rotation regression is an external component). Detection
+recovers each instance's translation from center voting, and optional ICP
+refinement corrects the full 6-dof pose against the observed depth.
+Instances below the visibility cutoff are excluded from scoring; missed
+detections count as failures at every threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .geometry import ObjectModel, Pose, is_int_at_least, rotation_angle_between
 from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
 from .refine import IcpError, IcpParams, multi_hypothesis_refine
-from .synth import (InstanceTruth, NoiseSpec, RangeImage, Scene,
-                    ground_truth_fields, perturb, perturbed_pose, random_scene,
-                    render_full, scene_seed)
+from .synth import (InstanceTruth, NoiseSpec, Scene, ground_truth_fields,
+                    perturb, perturbed_pose, random_scene, render_full,
+                    scene_seed)
 from .voting import detect
 
 _MATCH_RADIUS_PX = 25.0
@@ -103,25 +104,35 @@ def _match_detections(truths, detections):
 
 @dataclass
 class Frame:
-    """One rendered scene with the label map and noisy center field that
-    stand in for the network's output."""
+    """What the estimator is given for one scene: the observed depth, and the
+    labels, noisy field and rotations standing in for the network's output."""
 
-    raster: RangeImage
+    depth: DepthMap
     truths: list[InstanceTruth]
     fld: CenterField  # perturbed
     labels: LabelMap  # the rendered labels, from ground_truth_fields
-    noise: NoiseSpec  # the run's noise, seeded for this scene
+    rotations: list[np.ndarray]  # simulated quaternion of each truth, by index
 
 
 def synth_frame(scene: Scene, scene_index: int, noise: NoiseSpec,
                 models: dict[int, ObjectModel]) -> Frame:
-    """Render `scene`, derive its ground-truth fields and perturb them with
-    `noise` reseeded by scene_seed for the scene_index-th scene of a run."""
+    """Render `scene` and perturb its ground-truth fields and rotations with
+    `noise`, reseeded by scene_seed for the scene_index-th scene of a run."""
     raster = render_full(scene, models)
     fld, labels, truths = ground_truth_fields(scene, raster)
     noise = replace(noise, rng_seed=scene_seed(noise.rng_seed, scene_index))
     fld = perturb(fld, labels, noise)
-    return Frame(raster, truths, fld, labels, noise)
+    rotations = []
+    for t in truths:
+        # stand-in for the network's rotation branch, which is out of scope
+        q = t.pose.quaternion.copy()
+        if noise.rotation_sigma_deg > 0:
+            rot_rng = np.random.default_rng(noise.rng_seed * 9973 + t.index)
+            ang = abs(rot_rng.normal(0.0, noise.rotation_sigma_deg))
+            q = perturbed_pose(Pose(q, t.pose.translation),
+                               ang, 0.0, rot_rng).quaternion
+        rotations.append(q)
+    return Frame(DepthMap(depth=raster.depth), truths, fld, labels, rotations)
 
 
 def evaluate_scene(scene_index: int, cfg: PipelineConfig,
@@ -129,8 +140,6 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
     """Run the full pipeline on one seeded random scene."""
     scene = random_scene(scene_seed(cfg.seed, scene_index), models)
     frame = synth_frame(scene, scene_index, cfg.noise, models)
-    observed = DepthMap(depth=frame.raster.depth)
-    noise = frame.noise
     detections = detect(frame.labels, frame.fld, scene.intrinsics)
     matched = _match_detections(frame.truths, detections)
 
@@ -145,24 +154,15 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
             err, det = matched[t.index]
             rec.detected = True
             rec.center_error_px = err
-            # the rotation branch of the network is out of scope; stand in
-            # with the ground-truth rotation plus simulated regression error
-            q_est = t.pose.quaternion.copy()
-            if noise.rotation_sigma_deg > 0:
-                rot_rng = np.random.default_rng(
-                    noise.rng_seed * 9973 + t.index)
-                ang = abs(rot_rng.normal(0.0, noise.rotation_sigma_deg))
-                q_est = perturbed_pose(Pose(q_est, t.pose.translation),
-                                       ang, 0.0, rot_rng).quaternion
-            est = Pose(q_est, det.translation)
+            est = Pose(frame.rotations[t.index], det.translation)
+            model = models[t.class_id]
             if cfg.refine:
                 try:
                     est = multi_hypothesis_refine(
-                        observed, frame.labels, t.class_id, models[t.class_id],
-                        est, scene.intrinsics, cfg.icp).pose
+                        frame.depth, frame.labels, t.class_id, model, est,
+                        scene.intrinsics, cfg.icp).pose
                 except IcpError:
                     pass  # fall back to the voted pose
-            model = models[t.class_id]
             rec.add = add(est, t.pose, model)
             rec.add_s = add_s(est, t.pose, model)
             rec.reproj_px = reprojection_error(est, t.pose, model,

@@ -48,7 +48,7 @@ class Scene:
 class NoiseSpec:
     direction_sigma: float = 0.0  # radians of angular jitter on (nx, ny)
     depth_sigma: float = 0.0  # meters on Tz
-    rotation_sigma_deg: float = 0.0  # simulated rotation-regression error
+    rotation_sigma_deg: float = 0.0  # synth_frame's simulated rotation error
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -451,7 +451,7 @@ def render_full(scene: Scene, models: dict[int, ObjectModel]) -> RangeImage:
         model = models[cid]
         if not model.faces.size:
             raise SynthError(f"model {model.name!r} has no faces to render")
-        pts_cam = model.points @ pose.rotation_matrix().T + pose.translation
+        pts_cam = pose.transform(model.points)
         r.coverage.append(_raster_triangles(r, pts_cam, model.faces,
                                             scene.intrinsics, inst))
     return r

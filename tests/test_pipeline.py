@@ -1,15 +1,18 @@
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from posevote import cli, pipeline
+from posevote.fields import DepthMap
+from posevote.geometry import Pose
 from posevote.metrics import AUC_CAP_M
 from posevote.pipeline import PipelineConfig, run_pipeline
 from posevote.refine import IcpError, IcpParams
-from posevote.synth import NoiseSpec, default_registry
+from posevote.synth import (NoiseSpec, default_registry, perturbed_pose,
+                            random_scene)
 from posevote.voting import detect
 
 MODELS = default_registry()
@@ -106,6 +109,42 @@ def test_summary_records_rotation_noise():
     # fixed, and kept for readers of earlier summaries
     assert "label_flip_rate" not in s1["noise"]
     assert s1["max_threshold_m"] == s2["max_threshold_m"] == 0.1
+
+
+def _reference_rotation(truth, scene_noise):
+    """The rotation stand-in as evaluate_scene once drew it inline."""
+    q_est = truth.pose.quaternion.copy()
+    if scene_noise.rotation_sigma_deg > 0:
+        rot_rng = np.random.default_rng(
+            scene_noise.rng_seed * 9973 + truth.index)
+        ang = abs(rot_rng.normal(0.0, scene_noise.rotation_sigma_deg))
+        q_est = perturbed_pose(Pose(q_est, truth.pose.translation),
+                               ang, 0.0, rot_rng).quaternion
+    return q_est
+
+
+def test_synth_frame_pins_the_simulated_rotations():
+    noise = NoiseSpec(rng_seed=0, **cli._NOISE_PRESETS["moderate"])
+    clean = replace(noise, rotation_sigma_deg=0.0)
+    assert [f.name for f in fields(pipeline.Frame)] == [
+        "depth", "truths", "fld", "labels", "rotations"]
+    moved = total = 0
+    for i in range(26):
+        scene = random_scene(pipeline.scene_seed(0, i), MODELS)
+        frame = pipeline.synth_frame(scene, i, noise, MODELS)
+        scene_noise = replace(noise, rng_seed=pipeline.scene_seed(0, i))
+        assert isinstance(frame.depth, DepthMap)
+        assert len(frame.rotations) == len(frame.truths)
+        for t in frame.truths:
+            ref = _reference_rotation(t, scene_noise)
+            assert np.array_equal(frame.rotations[t.index], ref)
+            moved += not np.array_equal(ref, t.pose.quaternion)
+            total += 1
+        unrotated = pipeline.synth_frame(scene, i, clean, MODELS)
+        for t in unrotated.truths:
+            assert np.array_equal(unrotated.rotations[t.index],
+                                  t.pose.quaternion)
+    assert moved == total > 0
 
 
 def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
