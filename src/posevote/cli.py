@@ -21,7 +21,7 @@ import uuid
 import numpy as np
 
 from . import pipeline as pipeline_mod
-from .fields import CenterField, DepthMap, FieldError, LabelMap
+from .fields import DepthMap, FieldError, LabelMap, from_tensor, to_tensor
 from .geometry import (CameraIntrinsics, GeometryError, Pose, is_finite_real,
                        is_int_at_least, rotation_angle_between)
 from .losses import (LossKind, evaluate_loss, loss_gradient_check,
@@ -276,7 +276,7 @@ def cmd_synth(args) -> int:
         prefix = os.path.join(args.out_dir, f"scene_{i:04d}")
         np.save(prefix + "_labels.npy", frame.labels.labels)
         np.save(prefix + "_depth.npy", frame.depth.depth)
-        np.save(prefix + "_field.npy", frame.fld.to_tensor(frame.labels, max(models)))
+        np.save(prefix + "_field.npy", to_tensor(frame.fld, frame.labels, max(models)))
         gt = {"seed": args.seed, "scene": i,
               "intrinsics": dataclasses.asdict(scene.intrinsics),
               "width": scene.width, "height": scene.height,
@@ -294,7 +294,7 @@ def cmd_synth(args) -> int:
 
 def cmd_vote(args) -> int:
     labels = _load_array(args.labels, LabelMap)
-    fld = _load_array(args.field, lambda t: CenterField.from_tensor(t, labels))
+    fld = _load_array(args.field, lambda t: from_tensor(t, labels))
     intr = load_intrinsics(args.intrinsics)
     detections = detect(labels, fld, intr)
     _emit(args.out, {"detections": [_detection_json(d) for d in detections]})

@@ -3,6 +3,8 @@
 Pixel coordinates are integer (x, y) used directly; a pixel of class k with
 center c regresses to the unit direction (c - p) / ||c - p|| plus the object
 depth Tz. The degenerate center pixel stores direction (0, 0) but keeps Tz.
+A center field is a plain (height, width, 3) float32 array holding each
+pixel's (nx, ny, Tz) for its own labeled class, zero on the background.
 """
 
 from __future__ import annotations
@@ -71,40 +73,33 @@ class DepthMap:
             raise FieldError("depths must be non-negative")
 
 
-@dataclass
-class CenterField:
-    """Per-pixel (nx, ny, Tz) of the pixel's own labeled class, zero on the
-    background: one (height, width, 3) float32 array."""
+def to_tensor(fld: np.ndarray, labels: LabelMap, n_classes: int) -> np.ndarray:
+    """A center field's dense (n_classes, 3, height, width) f32 network form:
+    each labeled pixel in plane class_id - 1 (if it has one), zero elsewhere."""
+    out = np.zeros((n_classes, 3, *fld.shape[:2]), dtype=np.float32)
+    k, ys, xs = _planed_pixels(labels, n_classes)
+    out[k, :, ys, xs] = fld[ys, xs]
+    return out
 
-    values: np.ndarray
 
-    def to_tensor(self, labels: LabelMap, n_classes: int) -> np.ndarray:
-        """The network's dense (n_classes, 3, height, width) f32 form: each
-        labeled pixel in plane class_id - 1 (if it has one), zero elsewhere."""
-        out = np.zeros((n_classes, 3, *self.values.shape[:2]), dtype=np.float32)
-        k, ys, xs = _planed_pixels(labels, n_classes)
-        out[k, :, ys, xs] = self.values[ys, xs]
-        return out
-
-    @classmethod
-    def from_tensor(cls, tensor: np.ndarray, labels: LabelMap) -> "CenterField":
-        """Each labeled pixel's values from plane class_id - 1 of a tensor in
-        the label map's frame; a class with no plane reads zero."""
-        if tensor.ndim != 4 or tensor.shape[1] != 3:
-            raise FieldError("field tensor must have shape (classes, 3, h, w)")
-        if tensor.shape[2:] != labels.labels.shape:
-            raise FieldError(f"center field shape {tensor.shape[2:]} differs "
-                             f"from label map shape {labels.labels.shape}")
-        if not np.issubdtype(tensor.dtype, np.floating):
-            raise FieldError(f"field tensor must be floating point, got {tensor.dtype}")
-        with np.errstate(over="ignore"):  # a float64 overflow is caught as inf
-            tensor = tensor.astype(np.float32, copy=False)
-        if not np.isfinite(tensor).all():
-            raise FieldError("field tensor values must be finite")
-        values = np.zeros((*labels.labels.shape, 3), dtype=np.float32)
-        k, ys, xs = _planed_pixels(labels, tensor.shape[0])
-        values[ys, xs] = tensor[k, :, ys, xs]
-        return cls(values)
+def from_tensor(tensor: np.ndarray, labels: LabelMap) -> np.ndarray:
+    """The center field of a tensor in the label map's frame: each labeled
+    pixel's values from plane class_id - 1; a class with no plane reads zero."""
+    if tensor.ndim != 4 or tensor.shape[1] != 3:
+        raise FieldError("field tensor must have shape (classes, 3, h, w)")
+    if tensor.shape[2:] != labels.labels.shape:
+        raise FieldError(f"center field shape {tensor.shape[2:]} differs "
+                         f"from label map shape {labels.labels.shape}")
+    if not np.issubdtype(tensor.dtype, np.floating):
+        raise FieldError(f"field tensor must be floating point, got {tensor.dtype}")
+    with np.errstate(over="ignore"):  # a float64 overflow is caught as inf
+        tensor = tensor.astype(np.float32, copy=False)
+    if not np.isfinite(tensor).all():
+        raise FieldError("field tensor values must be finite")
+    fld = np.zeros((*labels.labels.shape, 3), dtype=np.float32)
+    k, ys, xs = _planed_pixels(labels, tensor.shape[0])
+    fld[ys, xs] = tensor[k, :, ys, xs]
+    return fld
 
 
 def _planed_pixels(labels: LabelMap, n_classes: int):

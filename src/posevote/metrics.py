@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .geometry import (CameraIntrinsics, ObjectModel, Pose, is_finite_real,
-                       project)
+from .geometry import (CameraIntrinsics, NeighborIndex, ObjectModel, Pose,
+                       is_finite_real, project)
 
 _CORRECT_FRACTION = 0.1  # of the model diameter
 AUC_CAP_M = 0.10  # meters, the largest ADD / ADD-S threshold in the AUC
@@ -34,7 +33,7 @@ def add_s(pose_est: Pose, pose_gt: Pose, model: ObjectModel) -> float:
     """Mean closest-point distance between the transformed model points."""
     est = pose_est.transform(model.points)
     gt = pose_gt.transform(model.points)
-    return float(np.mean(cKDTree(gt).query(est)[0]))
+    return float(np.mean(NeighborIndex(gt).query(est)[0]))
 
 
 def reprojection_error(pose_est: Pose, pose_gt: Pose, model: ObjectModel,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import CenterField, DepthMap, LabelMap
+from .fields import DepthMap, LabelMap
 from .geometry import ObjectModel, Pose, is_int_at_least, rotation_angle_between
 from .metrics import (AUC_CAP_M, add, add_s, is_correct, pose_scores,
                       reprojection_error)
@@ -109,7 +109,7 @@ class Frame:
 
     depth: DepthMap
     truths: list[InstanceTruth]
-    fld: CenterField  # perturbed
+    fld: np.ndarray  # (height, width, 3) float32 (nx, ny, Tz), perturbed
     labels: LabelMap  # the rendered labels, from ground_truth_fields
     rotations: list[np.ndarray]  # simulated quaternion of each truth, by index
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .fields import CenterField, LabelMap, directions_to_center
+from .fields import LabelMap, directions_to_center
 from .geometry import (CameraIntrinsics, ObjectModel, Pose, backproject_center,
                        cross_rows, is_finite_real, is_int_at_least, project,
                        quat_from_axis_angle, quat_multiply, random_quat,
@@ -465,7 +465,7 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
     Each instance's visible pixels encode the unit direction toward its own
     projected center (which may be occluded or outside the image) and its
     ground-truth Tz, and are labeled with its class id. Returns
-    (CenterField, LabelMap, [InstanceTruth]). The raster must cover the
+    (center field, LabelMap, [InstanceTruth]). The raster must cover the
     whole frame (SynthError): the field and the occlusion test are in frame
     coordinates. Each class id must be an integer in [1, 65535] (SynthError):
     the uint16 label map holds it, and 0 is the background.
@@ -478,7 +478,7 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
     for cid, _ in scene.instances:
         if not (is_int_at_least(cid, 1) and cid <= 65535):
             raise SynthError(f"class id {cid!r} is not an integer in [1, 65535]")
-    fld = CenterField(np.zeros((h, w, 3), dtype=np.float32))
+    fld = np.zeros((h, w, 3), dtype=np.float32)
     classes = np.array([0] + [c for c, _ in scene.instances], dtype=np.uint16)
     labels = LabelMap(classes[raster.instance + 1])  # instance -1 reads 0
     truths = []
@@ -490,8 +490,8 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
         mine = owner == inst
         ys, xs = vys[mine], vxs[mine]
         dirs = directions_to_center(xs, ys, center)
-        fld.values[ys, xs, :2] = dirs
-        fld.values[ys, xs, 2] = tz
+        fld[ys, xs, :2] = dirs
+        fld[ys, xs, 2] = tz
         ci, cj = int(math.floor(center[0] + 0.5)), int(math.floor(center[1] + 0.5))
         occ = True
         if 0 <= cj < h and 0 <= ci < w:
@@ -507,31 +507,30 @@ def ground_truth_fields(scene: Scene, raster: RangeImage):
 # noise
 
 
-def perturb(fld: CenterField, labels: LabelMap, spec: NoiseSpec):
+def perturb(fld: np.ndarray, labels: LabelMap, spec: NoiseSpec):
     """A noise-injected copy of a field, seeded and deterministic. Directions
     get angular jitter and Tz Gaussian noise, class by class in ascending
     order of the label map. Zero-direction (center) pixels stay zero; unit
     norms are preserved. Frames must match (SynthError).
     """
-    if fld.values.shape[:2] != labels.labels.shape:
-        raise SynthError(f"center field shape {fld.values.shape[:2]} "
+    if fld.shape[:2] != labels.labels.shape:
+        raise SynthError(f"center field shape {fld.shape[:2]} "
                          f"differs from label map shape {labels.labels.shape}")
-    out = CenterField(fld.values.copy())
+    out = fld.copy()
     if spec.direction_sigma > 0 or spec.depth_sigma > 0:  # else no pixel moves
         rng = np.random.default_rng(spec.rng_seed)
-        v = out.values
         for cid in labels.class_ids():
             ys, xs = np.nonzero(labels.labels == cid)
             if spec.direction_sigma > 0:
                 ang = rng.normal(0.0, spec.direction_sigma, xs.size)
                 ca, sa = np.cos(ang), np.sin(ang)
-                nx = v[ys, xs, 0].astype(float)
-                ny = v[ys, xs, 1].astype(float)
-                v[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
-                v[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
+                nx = out[ys, xs, 0].astype(float)
+                ny = out[ys, xs, 1].astype(float)
+                out[ys, xs, 0] = (ca * nx - sa * ny).astype(np.float32)
+                out[ys, xs, 1] = (sa * nx + ca * ny).astype(np.float32)
             if spec.depth_sigma > 0:
-                v[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
-                                           xs.size).astype(np.float32)
+                out[ys, xs, 2] += rng.normal(0.0, spec.depth_sigma,
+                                             xs.size).astype(np.float32)
     return out
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CenterField, LabelMap
+from .fields import LabelMap
 from .geometry import CameraIntrinsics, backproject_center, is_int_at_least
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
@@ -45,18 +45,18 @@ class Detection:
     translation: np.ndarray  # (3,) meters
 
 
-def _class_rays(labels: LabelMap, fld: CenterField, class_id: int):
+def _class_rays(labels: LabelMap, fld: np.ndarray, class_id: int):
     """Pixels of a class with a nonzero predicted direction (xs, ys, nx, ny).
 
     Raises VotingError if the field's frame is not the label map's, or if a
     labeled pixel's direction is NaN or infinite.
     """
-    if fld.values.shape[:2] != labels.labels.shape:
-        raise VotingError(f"center field shape {fld.values.shape[:2]} "
+    if fld.shape[:2] != labels.labels.shape:
+        raise VotingError(f"center field shape {fld.shape[:2]} "
                           f"differs from label map shape {labels.labels.shape}")
     ys, xs = np.nonzero(labels.labels == class_id)
-    nx = fld.values[ys, xs, 0].astype(float)
-    ny = fld.values[ys, xs, 1].astype(float)
+    nx = fld[ys, xs, 0].astype(float)
+    ny = fld[ys, xs, 1].astype(float)
     if not (np.isfinite(nx).all() and np.isfinite(ny).all()):
         raise VotingError(f"class {class_id} has a non-finite predicted direction")
     norm = np.hypot(nx, ny)
@@ -186,7 +186,7 @@ def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
     return np.cumsum(diff.reshape(rows + 4, width), axis=1)[2:rows + 2, 2:size + 2]
 
 
-def cast_votes(labels: LabelMap, fld: CenterField, class_id: int,
+def cast_votes(labels: LabelMap, fld: np.ndarray, class_id: int,
                max_ray_length: int | None = None) -> VoteGrid:
     """Accumulate center votes for one class along every pixel's ray.
 
@@ -288,7 +288,7 @@ def estimate_translation(center, tz: np.ndarray,
     return backproject_center(np.asarray(center, dtype=float), mean_tz, intrinsics)
 
 
-def detect(labels: LabelMap, fld: CenterField,
+def detect(labels: LabelMap, fld: np.ndarray,
            intrinsics: CameraIntrinsics) -> list[Detection]:
     """Full voting pipeline: votes -> centers -> inliers -> translation/bbox.
 
@@ -300,7 +300,7 @@ def detect(labels: LabelMap, fld: CenterField,
     for cid in labels.class_ids():
         grid = cast_votes(labels, fld, cid)
         xs, ys, nx, ny = grid.rays
-        tz = fld.values[ys, xs, 2].astype(float)
+        tz = fld[ys, xs, 2].astype(float)
         n_px = int(np.count_nonzero(labels.labels == cid))
         for center, score in find_centers(grid, class_pixel_count=n_px):
             keep = collect_inliers(center, grid)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from posevote.geometry import (CameraIntrinsics, GeometryError, ObjectModel,
                                Pose, project, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat)
 from posevote.metrics import (accuracy_curve, add, add_s, auc, is_correct,
                               reprojection_error)
-from posevote.synth import make_primitive_model
+from posevote.synth import default_registry, make_primitive_model
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, px=320.0, py=240.0)
 
@@ -60,6 +61,26 @@ def test_add_matches_oracle():
                 brute_add(est, gt, m.points), rel=1e-12)
             assert add_s(est, gt, m) == pytest.approx(
                 brute_add_s(est, gt, m.points), rel=1e-12)
+
+
+def test_add_s_matches_a_fresh_kd_tree_bit_for_bit():
+    # the oracle's tree holds every target, while a NeighborIndex holds each
+    # distinct target once; the cube has exact duplicate points, and no
+    # closest-point distance may move by a bit
+    models = [*default_registry().values(),
+              make_primitive_model("bar_2fold", scale=0.1, n_points=320)]
+    rng = np.random.default_rng(34)
+    for m in models:
+        for _ in range(20):
+            gt = _random_pose(rng)
+            dq = quat_from_axis_angle(np.array([0.0, 0.0, 1.0]),
+                                      rng.uniform(-0.3, 0.3))
+            near = Pose(quat_multiply(gt.quaternion, dq),
+                        gt.translation + rng.uniform(-0.01, 0.01, 3))
+            for est in (_random_pose(rng), near):
+                want = float(np.mean(cKDTree(gt.transform(m.points))
+                                     .query(est.transform(m.points))[0]))
+                assert add_s(est, gt, m) == want
 
 
 def test_add_s_le_add():

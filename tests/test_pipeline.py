@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from posevote import cli, pipeline
-from posevote.fields import DepthMap
+from posevote.fields import DepthMap, to_tensor
 from posevote.geometry import Pose
 from posevote.metrics import AUC_CAP_M
 from posevote.pipeline import PipelineConfig, run_pipeline
@@ -153,7 +153,7 @@ def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
     voted, observed = [], []
 
     def spy_detect(labels, fld, intrinsics):
-        voted.append((labels.labels.copy(), fld.to_tensor(labels, max(MODELS))))
+        voted.append((labels.labels.copy(), to_tensor(fld, labels, max(MODELS))))
         return detect(labels, fld, intrinsics)
 
     def spy_refine(depth, *args):

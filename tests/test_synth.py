@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posevote import synth
-from posevote.fields import CenterField, LabelMap
+from posevote.fields import LabelMap
 from posevote.geometry import (CameraIntrinsics, ObjectModel, Pose, project,
                                quat_to_rotation, random_quat)
 from posevote.losses import prepare_target, sloss
@@ -569,16 +569,15 @@ def test_fields_point_at_projected_center():
     raster = render_full(scene, models)
     fld, labels, truths = ground_truth_fields(scene, raster)
     t = truths[0]
-    pl = fld.values
     ys, xs = np.nonzero(labels.labels == 1)
     for x, y in zip(xs[:200], ys[:200]):
         v = t.center - np.array([x, y], dtype=float)
         n = np.linalg.norm(v)
         if n == 0:
             continue
-        assert np.allclose(pl[y, x, :2], v / n, atol=1e-6)
-        assert pl[y, x, 2] == pytest.approx(pose.translation[2], abs=1e-6)
-    assert not np.any(pl[labels.labels != 1])  # background stays zero
+        assert np.allclose(fld[y, x, :2], v / n, atol=1e-6)
+        assert fld[y, x, 2] == pytest.approx(pose.translation[2], abs=1e-6)
+    assert not np.any(fld[labels.labels != 1])  # background stays zero
 
 
 def test_ground_truth_fields_need_the_whole_frame():
@@ -597,7 +596,7 @@ def test_ground_truth_fields_need_the_whole_frame():
             ground_truth_fields(scene, render_full(scene, models))
     scene.window = (0, 0, 320, 240)  # a window that is the whole frame
     fld, labels, truths = ground_truth_fields(scene, render_full(scene, models))
-    assert np.array_equal(fld.values, want_fld.values)
+    assert np.array_equal(fld, want_fld)
     assert np.array_equal(labels.labels, want_labels.labels)
     assert ([t.center_occluded for t in truths]
             == [t.center_occluded for t in want])
@@ -634,7 +633,7 @@ def test_fully_occluded_instance_flagged():
     raster = render_full(scene, models)
     fld, labels, truths = ground_truth_fields(scene, raster)
     assert truths[0].visible_pixels == 0
-    assert not np.any(fld.values[labels.labels != 5])
+    assert not np.any(fld[labels.labels != 5])
     assert truths[1].visible_pixels > 0
 
 
@@ -656,16 +655,27 @@ def test_perturb_zero_spec_identity():
     fld, labels = _noisy_setup()
     out_fld = perturb(fld, labels, NoiseSpec())
     assert labels.class_ids() == [1, 3]
-    assert np.array_equal(out_fld.values, fld.values)
-    assert not np.shares_memory(out_fld.values, fld.values)
+    assert np.array_equal(out_fld, fld)
+    assert not np.shares_memory(out_fld, fld)
+
+
+def test_perturb_with_noise_leaves_its_input_alone():
+    # a field is a plain array, so an in-place edit would reach the caller's
+    fld, labels = _noisy_setup()
+    before = fld.copy()
+    spec = NoiseSpec(direction_sigma=0.05, depth_sigma=0.005, rng_seed=3)
+    out_fld = perturb(fld, labels, spec)
+    assert fld.tobytes() == before.tobytes()
+    assert not np.shares_memory(out_fld, fld)
+    assert not np.array_equal(out_fld, fld)  # the noise moved pixels
 
 
 def test_perturb_direction_sigma_statistics():
     fld, labels = _noisy_setup()
     out_fld = perturb(fld, labels, NoiseSpec(direction_sigma=0.1, rng_seed=0))
     mask = labels.labels == 1
-    a = fld.values[mask][:, :2]
-    b = out_fld.values[mask][:, :2]
+    a = fld[mask][:, :2]
+    b = out_fld[mask][:, :2]
     nonzero = np.hypot(a[:, 0], a[:, 1]) > 0  # center pixel stays (0, 0)
     a, b = a[nonzero], b[nonzero]
     # unit norm preserved
@@ -682,8 +692,8 @@ def test_perturb_deterministic():
     before = labels.labels.copy()
     f1 = perturb(fld, labels, spec)
     f2 = perturb(fld, labels, spec)
-    assert np.array_equal(f1.values, f2.values)
-    assert not f1.values[labels.labels == 0].any()  # the background stays zero
+    assert np.array_equal(f1, f2)
+    assert not f1[labels.labels == 0].any()  # the background stays zero
     assert np.array_equal(labels.labels, before)  # noise never touches labels
 
 
@@ -692,7 +702,7 @@ def test_perturb_deterministic():
 def test_perturb_field_of_another_frame_rejected(field_wh, labels_wh):
     # the larger frame's pixels would index past the smaller one's field,
     # or perturb only its top-left corner
-    fld = CenterField(np.ones((field_wh[1], field_wh[0], 3), dtype=np.float32))
+    fld = np.ones((field_wh[1], field_wh[0], 3), dtype=np.float32)
     labels = np.zeros(labels_wh[::-1], dtype=np.uint16)
     labels[5:10, 5:10] = 1
     match = (rf"center field shape \({field_wh[1]}, {field_wh[0]}\) differs "

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from posevote import pipeline, voting
-from posevote.fields import CenterField, LabelMap, directions_to_center
+from posevote.fields import LabelMap, directions_to_center
 from posevote.geometry import CameraIntrinsics, backproject_center
 from posevote.synth import NoiseSpec, default_registry, random_scene
 from posevote.voting import (VotingError, cast_votes, collect_inliers, detect,
@@ -18,21 +18,20 @@ K = CameraIntrinsics(fx=400.0, fy=400.0, px=160.0, py=120.0)
 
 
 def _zero_field(w, h):
-    return CenterField(np.zeros((h, w, 3), dtype=np.float32))
+    return np.zeros((h, w, 3), dtype=np.float32)
 
 
 def _field_with_pixels(w, h, class_id, pixels, center, tz=1.0):
     """Labels + field where the given (x, y) pixels point at center."""
     labels = np.zeros((h, w), dtype=np.uint16)
     fld = _zero_field(w, h)
-    pl = fld.values
     xs = np.array([p[0] for p in pixels])
     ys = np.array([p[1] for p in pixels])
     labels[ys, xs] = class_id
     dirs = directions_to_center(xs, ys, np.asarray(center, dtype=float))
-    pl[ys, xs, 0] = dirs[:, 0]
-    pl[ys, xs, 1] = dirs[:, 1]
-    pl[ys, xs, 2] = tz
+    fld[ys, xs, 0] = dirs[:, 0]
+    fld[ys, xs, 1] = dirs[:, 1]
+    fld[ys, xs, 2] = tz
     return LabelMap(labels), fld
 
 
@@ -140,10 +139,9 @@ def _ray_field(w, h, rays):
     """Class-1 labels + field holding the given (x, y, nx, ny) rays."""
     labels = np.zeros((h, w), dtype=np.uint16)
     fld = _zero_field(w, h)
-    pl = fld.values
     for x, y, nx, ny in rays:
         labels[y, x] = 1
-        pl[y, x, :2] = (nx, ny)
+        fld[y, x, :2] = (nx, ny)
     return LabelMap(labels), fld
 
 
@@ -223,7 +221,7 @@ def test_cast_votes_matches_reference_random_fields(data):
     w = data.draw(st.integers(1, 12), label="w")
     labels = data.draw(arrays(np.uint16, (h, w), elements=st.integers(0, 2)))
     fld = _zero_field(w, h)
-    fld.values[:, :, :2] = data.draw(arrays(
+    fld[:, :, :2] = data.draw(arrays(
         np.float32, (h, w, 2),
         elements=st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-7])
         | st.floats(-1, 1, width=32)))
@@ -387,7 +385,7 @@ def test_cast_votes_on_axis_rays_raises_no_warning():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_direction_raises(axis, value):
     labels, fld = _field_with_pixels(20, 20, 1, [(3, 4), (15, 12), (8, 17)], (10, 10))
-    fld.values[12, 15, axis] = value
+    fld[12, 15, axis] = value
     with pytest.raises(VotingError, match="class 1"):
         cast_votes(labels, fld, 1)
     with pytest.raises(VotingError, match="class 1"):
@@ -446,15 +444,14 @@ def test_two_objects_same_class():
                                              rng.integers(30, 90, 200))]
     labels = np.zeros((120, 280), dtype=np.uint16)
     fld = _zero_field(280, 120)
-    pl = fld.values
     for pix, c in ((pix1, c1), (pix2, c2)):
         xs = np.array([p[0] for p in pix])
         ys = np.array([p[1] for p in pix])
         labels[ys, xs] = 1
         d = directions_to_center(xs, ys, np.asarray(c, dtype=float))
-        pl[ys, xs, 0] = d[:, 0]
-        pl[ys, xs, 1] = d[:, 1]
-        pl[ys, xs, 2] = 1.0
+        fld[ys, xs, 0] = d[:, 0]
+        fld[ys, xs, 1] = d[:, 1]
+        fld[ys, xs, 2] = 1.0
     grid = cast_votes(LabelMap(labels), fld, 1)
     found = find_centers(grid, class_pixel_count=int((labels == 1).sum()))
     assert len(found) == 2
@@ -472,13 +469,13 @@ def _inlier_rays(center, labels, fld):
 
 def _inlier_depths(center, labels, fld):
     xs, ys, _, _ = _inlier_rays(center, labels, fld)
-    return fld.values[ys, xs, 2].astype(float)
+    return fld[ys, xs, 2].astype(float)
 
 
 def test_collect_inliers_direction_sign():
     labels, fld = _field_with_pixels(60, 60, 1, [(10, 30), (50, 30)], (30, 30))
     # reverse the second pixel's direction so it points away from the center
-    fld.values[30, 50, :2] *= -1
+    fld[30, 50, :2] *= -1
     xs, ys, _, _ = _inlier_rays([30.0, 30.0], labels, fld)
     assert list(zip(xs.tolist(), ys.tolist())) == [(10, 30)]
 
@@ -516,8 +513,8 @@ def test_estimate_translation_principal_point():
 def test_estimate_translation_depth_mean():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
-    fld.values[120, 100, 2] = 0.9
-    fld.values[40, 160, 2] = 1.1
+    fld[120, 100, 2] = 0.9
+    fld[40, 160, 2] = 1.1
     tz = _inlier_depths([160.0, 120.0], labels, fld)
     t = estimate_translation(np.array([160.0, 120.0]), tz, K)
     assert t[2] == pytest.approx(1.0)
@@ -526,7 +523,7 @@ def test_estimate_translation_depth_mean():
 def test_nan_depth_raises_instead_of_nan_translation():
     labels, fld = _field_with_pixels(320, 240, 1,
                                      [(100, 120), (160, 40)], (160, 120))
-    fld.values[40, 160, 2] = np.nan
+    fld[40, 160, 2] = np.nan
     tz = _inlier_depths([160.0, 120.0], labels, fld)
     with pytest.raises(VotingError):
         estimate_translation(np.array([160.0, 120.0]), tz, K)
@@ -632,7 +629,6 @@ def _reference_detect(labels, fld, intrinsics):
     for cid in labels.class_ids():
         grid = cast_votes(labels, fld, cid)
         n_px = int(np.count_nonzero(labels.labels == cid))
-        pl = fld.values
         for center, score in find_centers(grid, class_pixel_count=n_px):
             xs, ys, nx, ny = voting._class_rays(labels, fld, cid)
             vx, vy = float(center[0]) - xs, float(center[1]) - ys
@@ -642,11 +638,11 @@ def _reference_detect(labels, fld, intrinsics):
             if inliers.shape[0] == 0:
                 continue
             ix, iy = inliers[:, 0], inliers[:, 1]
-            inx = pl[iy, ix, 0].astype(float)
-            iny = pl[iy, ix, 1].astype(float)
+            inx = fld[iy, ix, 0].astype(float)
+            iny = fld[iy, ix, 1].astype(float)
             norm = np.hypot(inx, iny)
             center = refine_center(center, ix, iy, inx / norm, iny / norm)
-            tz = float(np.mean(pl[iy, ix, 2].astype(float)))
+            tz = float(np.mean(fld[iy, ix, 2].astype(float)))
             assert tz > 0
             translation = backproject_center(center, tz, intrinsics)
             bbox = (int(ix.min()), int(iy.min()), int(ix.max()), int(iy.max()))
