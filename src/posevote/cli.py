@@ -296,7 +296,7 @@ def cmd_vote(args) -> int:
     labels = _load_array(args.labels, LabelMap)
     fld = _load_array(args.field, lambda t: from_tensor(t, labels))
     intr = load_intrinsics(args.intrinsics)
-    detections = detect(labels, fld, intr)
+    detections = detect(labels, fld, intr, default_registry())
     _emit(args.out, {"detections": [_detection_json(d) for d in detections]})
     return 0
 

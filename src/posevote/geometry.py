@@ -312,13 +312,14 @@ def model_diameter(points) -> float:
 
 @dataclass
 class ObjectModel:
-    """A 3D point set, its (n, 3) int64 triangle faces ((0, 3) for faces=None)
-    and its points' diameter. Its class id is its key in a registry."""
+    """A 3D point set, its (n, 3) int64 triangle faces ((0, 3) for faces=None),
+    its points' diameter and radius (largest norm). Its class id is its registry key."""
 
     name: str
     points: np.ndarray
     faces: np.ndarray | None = None
     diameter: float = field(init=False)
+    radius: float = field(init=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -332,3 +333,4 @@ class ObjectModel:
                                 or self.faces.max() >= self.points.shape[0]):
             raise GeometryError("face index out of range")
         self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0
+        self.radius = float(np.linalg.norm(self.points, axis=1).max())

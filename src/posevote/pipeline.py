@@ -140,7 +140,7 @@ def evaluate_scene(scene_index: int, cfg: PipelineConfig,
     """Run the full pipeline on one seeded random scene."""
     scene = random_scene(scene_seed(cfg.seed, scene_index), models)
     frame = synth_frame(scene, scene_index, cfg.noise, models)
-    detections = detect(frame.labels, frame.fld, scene.intrinsics)
+    detections = detect(frame.labels, frame.fld, scene.intrinsics, models)
     matched = _match_detections(frame.truths, detections)
 
     records = []

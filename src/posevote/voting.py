@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import LabelMap
-from .geometry import CameraIntrinsics, backproject_center, is_int_at_least
+from .geometry import CameraIntrinsics, ObjectModel, backproject_center, is_int_at_least
 
 _RAY_STEP = 0.5  # px; fine enough to touch every crossed cell
 # Run boundaries accumulated at once; a ray with more is its own chunk.
@@ -132,16 +132,16 @@ def _run_starts(p, n, j, row) -> np.ndarray:
     return k
 
 
-def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
-    """Votes as a (minor cells, major cells) grid of the given shape, from
-    rays with minor and major coordinates p, q, directions n, m and cells
-    pe, qe at their last step. Each run adds +1 at the low end of its
-    major-axis segment and -1 just past its high end to a difference array.
-    A ray stops at most 2 steps (1 px) past where it leaves
-    [-0.5, size - 0.5), so its cells lie in [-2, size + 1] (-2 only through
-    rounding) and its segment ends in [-2, size + 2]. Padding the minor axis
-    by 2 cells on each side, and the major one by 2 on the left and 3 on the
-    right, keeps every add inside the array, unclipped.
+def _run_votes(p, n, pe, q, m, qe, origin, shape) -> np.ndarray:
+    """Votes as a (minor cells, major cells) grid of the given shape at
+    origin, from rays with minor and major coordinates p, q, directions n, m
+    and cells pe, qe at their last step. Each run adds +1 at the low end of
+    its major-axis segment and -1 just past its high end to a difference
+    array. The grid spans the rays' first and last cells clipped to the
+    frame, which a ray leaves by at most 2 steps (1 px), so in the grid its
+    cells lie in [-2, size + 1] (-2 only through rounding) and its segment
+    ends in [-2, size + 2]. Padding the minor axis by 2 cells a side and the
+    major one by 2 on the left and 3 on the right keeps every add inside.
     """
     rows, size = shape
     width = size + 5
@@ -149,11 +149,12 @@ def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
 
     # A run starts at step 0 or at a boundary k, and ends at step k - 1 or
     # last. A start adds sign at its cell (past it if sign < 0), an end adds
-    # -sign at its cell (past it if sign > 0); cell c of row r is at flat
-    # index (r + 2) * width + c + 2.
+    # -sign at its cell (past it if sign > 0); frame cell c of frame row r,
+    # floored in frame coordinates, is at flat index r * width + c + offset.
+    offset = (2 - origin[0]) * width + 2 - origin[1]
     sign = np.where(m < 0, -1, 1)
-    np.add.at(diff, (p + 2) * width + q + 2 + (m < 0), sign)
-    np.add.at(diff, (pe + 2) * width + qe + 2 + (m >= 0), -sign)
+    np.add.at(diff, p * width + q + offset + (m < 0), sign)
+    np.add.at(diff, pe * width + qe + offset + (m >= 0), -sign)
     moves = pe - p
     bounds = np.abs(moves)  # a ray's run boundaries
     ends = np.cumsum(bounds)
@@ -161,8 +162,8 @@ def _run_votes(p, n, pe, q, m, qe, shape) -> np.ndarray:
     # minor cell change per run, and start and end offsets from row * width
     first = (ends - bounds).astype(float)
     step = np.sign(moves).astype(float)
-    at_start = 2.0 * width + 2 + (m < 0)
-    at_end = (2 - step) * width + 2 + (m >= 0)
+    at_start = float(offset) + (m < 0)
+    at_end = offset - step * width + (m >= 0)
     rays = (p.astype(float), n, q.astype(float), m, step, sign)
     start = 0
     while start < p.size:
@@ -197,7 +198,8 @@ def cast_votes(labels: LabelMap, fld: np.ndarray, class_id: int,
     falls into runs of one cell, each covering every major-axis cell between
     its first and last step once. Votes are added one cell run at a time
     into a difference array, until each ray leaves the image, in chunks of
-    whole rays with at most _VOTE_STEP_BUDGET run boundaries. Accumulation
+    whole rays with at most _VOTE_STEP_BUDGET run boundaries, over only the
+    box of the rays' first and last cells clipped to the frame. Accumulation
     is pure addition, so the result is independent of pixel order.
 
     max_ray_length is None (the frame diagonal) or an integer of at least 1;
@@ -208,14 +210,21 @@ def cast_votes(labels: LabelMap, fld: np.ndarray, class_id: int,
                           f"least 1, got {max_ray_length!r}")
     h, w = labels.height, labels.width
     xs, ys, nx, ny = _class_rays(labels, fld, class_id)
+    grid = np.zeros((h, w), dtype=np.int64)
+    if xs.size == 0:
+        return VoteGrid(grid, (xs, ys, nx, ny))
     max_len = max_ray_length or int(math.ceil(math.hypot(w, h)))
     n_steps = int(max_len / _RAY_STEP) + 1
     last = _exit_steps(xs, ys, nx, ny, w, h, n_steps) - 1
     ex = _round_cells(xs, nx, last)
     ey = _round_cells(ys, ny, last)
     along_x = np.abs(ey - ys) <= np.abs(ex - xs)  # y is the minor axis
-    grid = (_run_votes(*(a[along_x] for a in (ys, ny, ey, xs, nx, ex)), (h, w))
-            + _run_votes(*(a[~along_x] for a in (xs, nx, ex, ys, ny, ey)), (w, h)).T)
+    x0, x1 = np.clip([min(xs.min(), ex.min()), max(xs.max(), ex.max()) + 1], 0, w).tolist()
+    y0, y1 = np.clip([min(ys.min(), ey.min()), max(ys.max(), ey.max()) + 1], 0, h).tolist()
+    box = (y1 - y0, x1 - x0)
+    grid[y0:y1, x0:x1] = (
+        _run_votes(*(a[along_x] for a in (ys, ny, ey, xs, nx, ex)), (y0, x0), box)
+        + _run_votes(*(a[~along_x] for a in (xs, nx, ex, ys, ny, ey)), (x0, y0), box[::-1]).T)
     return VoteGrid(grid, (xs, ys, nx, ny))
 
 
@@ -288,20 +297,39 @@ def estimate_translation(center, tz: np.ndarray,
     return backproject_center(np.asarray(center, dtype=float), mean_tz, intrinsics)
 
 
-def detect(labels: LabelMap, fld: np.ndarray,
-           intrinsics: CameraIntrinsics) -> list[Detection]:
+def _reach(tz_min, model: ObjectModel | None, i: CameraIntrinsics, w, h) -> int | None:
+    """Ray length in px from any pixel of an instance of model, whose predicted
+    Tz are at least tz_min, to its center C; None (walk to the border) with no
+    model, tz_min not above R = model.radius (NaN too) or a reach not below the
+    frame diagonal. A pixel shows C + d with |d| <= R and |d x C| <= R |C|, so
+    it lies at most f R |C| / (Tz (Tz - R)) px from C's image, f = max(fx, fy),
+    and |C| / Tz <= k if C projects into the frame. A center outside it has no
+    grid cell, so it loses nothing; 3 px cover Tz noise; w + h keeps it finite.
+    """
+    if model is None or not tz_min > (r := model.radius):
+        return None
+    k = math.hypot(1.0, max(i.px + 0.5, w - 0.5 - i.px) / i.fx,
+                   max(i.py + 0.5, h - 0.5 - i.py) / i.fy)
+    reach = math.ceil(min(max(i.fx, i.fy) * r * k / (tz_min - r), w + h)) + 3
+    return reach if reach < math.hypot(w, h) else None
+
+
+def detect(labels: LabelMap, fld: np.ndarray, intrinsics: CameraIntrinsics,
+           models: dict[int, ObjectModel]) -> list[Detection]:
     """Full voting pipeline: votes -> centers -> inliers -> translation/bbox.
 
-    Each class's rays and depths are read once. The thresholds are
-    fixed: find_centers' score cut and _NMS_RADIUS, and collect_inliers'
-    _INLIER_RAY_DISTANCE.
+    Each class's rays and depths are read once, and reach as far as _reach
+    gives for its model in models. The thresholds are fixed: find_centers'
+    score cut and _NMS_RADIUS, and collect_inliers' _INLIER_RAY_DISTANCE.
     """
     detections: list[Detection] = []
     for cid in labels.class_ids():
-        grid = cast_votes(labels, fld, cid)
+        mask = labels.labels == cid
+        grid = cast_votes(labels, fld, cid, _reach(float(fld[mask, 2].min()), models.get(cid),
+                                                   intrinsics, labels.width, labels.height))
         xs, ys, nx, ny = grid.rays
         tz = fld[ys, xs, 2].astype(float)
-        n_px = int(np.count_nonzero(labels.labels == cid))
+        n_px = int(np.count_nonzero(mask))
         for center, score in find_centers(grid, class_pixel_count=n_px):
             keep = collect_inliers(center, grid)
             if not keep.any():

@@ -153,7 +153,7 @@ def test_criterion_5_voting_robustness():
                              NoiseSpec(direction_sigma=0.05, rng_seed=seed))
             else:
                 f2 = fld
-            dets = detect(labels, f2, scene.intrinsics)
+            dets = detect(labels, f2, scene.intrinsics, MODELS)
             by_class = {}
             for d in dets:
                 by_class.setdefault(d.class_id, []).append(d)

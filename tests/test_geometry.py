@@ -244,6 +244,13 @@ def test_object_model_diameter_cached():
         ObjectModel(name="t", points=m.points, diameter=5.0)
 
 
+def test_object_model_radius_is_its_largest_point_norm():
+    m = ObjectModel(name="t", points=np.array([[0, 0, 0], [3.0, -4, 0], [0, 2, 2]]))
+    assert m.radius == 5.0
+    with pytest.raises(TypeError):  # always computed, never passed in
+        ObjectModel(name="t", points=m.points, radius=1.0)
+
+
 def test_object_model_rejects_non_finite_points():
     # one NaN among 300 points used to give diameter 0.0
     pts = np.random.default_rng(13).standard_normal((300, 3))

@@ -152,9 +152,9 @@ def test_synth_files_match_what_evaluate_scene_votes_on(tmp_path, monkeypatch):
                     "--seed", "4", "--noise", "moderate"]) == 0
     voted, observed = [], []
 
-    def spy_detect(labels, fld, intrinsics):
+    def spy_detect(labels, fld, intrinsics, models):
         voted.append((labels.labels.copy(), to_tensor(fld, labels, max(MODELS))))
-        return detect(labels, fld, intrinsics)
+        return detect(labels, fld, intrinsics, models)
 
     def spy_refine(depth, *args):
         observed.append(depth.depth.copy())

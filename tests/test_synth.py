@@ -31,6 +31,15 @@ def test_cube_diameter():
     assert m.diameter == pytest.approx(0.1 * math.sqrt(3), rel=1e-9)
 
 
+def test_registry_radius_is_the_largest_point_norm():
+    want = {"cube": 0.0866, "bar_2fold": 0.0997, "cylinder": 0.0732,
+            "asymmetric_blob": 0.0638, "cube_large": 0.1212}
+    for m in default_registry().values():
+        assert m.radius == np.linalg.norm(m.points, axis=1).max()
+        assert m.radius == pytest.approx(want.pop(m.name), abs=5e-5)
+    assert want == {}
+
+
 def test_bar_exact_z_symmetry():
     m = make_primitive_model("bar_2fold", scale=0.1, n_points=320)
     flipped = m.points.copy()

@@ -56,6 +56,10 @@ def test_no_pixels_zero_grid():
     labels2 = LabelMap(np.zeros((50, 50), dtype=np.uint16))
     grid = cast_votes(labels2, fld, 1)
     assert not np.any(grid.scores)
+    # class 1 labels pixels whose directions are zero, so it casts no ray
+    grid = cast_votes(*_ray_field(30, 20, [(4, 5, 0.0, 0.0), (20, 11, 1e-7, 0.0)]), 1, 5)
+    assert grid.scores.shape == (20, 30) and grid.scores.dtype == np.int64
+    assert not grid.scores.any() and all(a.size == 0 for a in grid.rays)
 
 
 def test_single_pixel_ray():
@@ -194,6 +198,47 @@ def test_cast_votes_matches_reference_on_corner_exits():
             rays.append((x, y, *(d / np.linalg.norm(d))))
     for ray in rays:
         _assert_matches_reference(*_ray_field(w, h, [ray]), 1)
+
+
+def _voted_span(scores, axis):
+    """Indices of the columns (axis 0) or rows (axis 1) holding a vote."""
+    return np.flatnonzero(scores.any(axis=axis)).tolist()
+
+
+@pytest.mark.parametrize("max_ray_length", [None, 4])
+def test_cast_votes_box_one_cell_wide_or_tall(max_ray_length):
+    # votes are accumulated over the box the rays span, here one column or
+    # one row of a 30 x 20 frame
+    w, h = 30, 20
+    column = _ray_field(w, h, [(5, 3, 0, 1), (5, 15, 0, -1), (5, 9, 0, 1)])
+    row = _ray_field(w, h, [(4, 9, 1, 0), (25, 9, -1, 0), (12, 9, -1, 0)])
+    for (labels, fld), axis, line in ((column, 0, [5]), (row, 1, [9])):
+        _assert_matches_reference(labels, fld, 1, max_ray_length)
+        assert _voted_span(cast_votes(labels, fld, 1, max_ray_length).scores, axis) == line
+    # a corner pixel pointing out of the frame votes only for itself
+    corner = _ray_field(w, h, [(0, 0, -0.6, -0.8)])
+    _assert_matches_reference(*corner, 1, max_ray_length)
+    assert np.flatnonzero(cast_votes(*corner, 1, max_ray_length).scores).tolist() == [0]
+
+
+@pytest.mark.parametrize("max_ray_length", [None, 6])
+@pytest.mark.parametrize("ray, side", [
+    ((3, 10, -1, 0.1), "left"), ((26, 10, 1, -0.1), "right"),
+    ((15, 2, 0.1, -1), "top"), ((15, 17, -0.1, 1), "bottom")])
+def test_cast_votes_box_at_each_border(ray, side, max_ray_length):
+    # the ray leaves the frame through one border, so the box is clipped
+    # there; a ray in the middle widens the box, and within 6 px of their
+    # pixels both rays touch no other border
+    w, h = 30, 20
+    labels, fld = _ray_field(w, h, [ray, (15, 10, 0.6, 0.8)])
+    _assert_matches_reference(labels, fld, 1, max_ray_length)
+    scores = cast_votes(labels, fld, 1, max_ray_length).scores
+    cols, rows = _voted_span(scores, 0), _voted_span(scores, 1)
+    touched = {"left": cols[0] == 0, "right": cols[-1] == w - 1,
+               "top": rows[0] == 0, "bottom": rows[-1] == h - 1}
+    assert touched[side]
+    if max_ray_length:
+        assert [border for border, hit in touched.items() if hit] == [side]
 
 
 @pytest.mark.parametrize("max_ray_length", [1, 3, 5, 12, 40, 100, 1000])
@@ -389,7 +434,7 @@ def test_non_finite_direction_raises(axis, value):
     with pytest.raises(VotingError, match="class 1"):
         cast_votes(labels, fld, 1)
     with pytest.raises(VotingError, match="class 1"):
-        detect(labels, fld, K)
+        detect(labels, fld, K, {})
 
 
 def test_find_centers_empty_grid():
@@ -602,7 +647,7 @@ def test_refine_center_keeps_the_voted_cell_for_under_two_rays(dx, dy, back,
 
 def test_detect_background_only():
     labels = LabelMap(np.zeros((40, 40), dtype=np.uint16))
-    assert detect(labels, _zero_field(40, 40), K) == []
+    assert detect(labels, _zero_field(40, 40), K, {}) == []
 
 
 def test_detect_bbox_contains_inliers():
@@ -611,7 +656,7 @@ def test_detect_bbox_contains_inliers():
                      for x, y in zip(rng.integers(60, 140, 250),
                                      rng.integers(60, 110, 250))})
     labels, fld = _field_with_pixels(320, 240, 1, pixels, (100, 85))
-    dets = detect(labels, fld, K)
+    dets = detect(labels, fld, K, {})
     assert len(dets) == 1
     d = dets[0]
     xmin, ymin, xmax, ymax = d.bbox
@@ -619,15 +664,33 @@ def test_detect_bbox_contains_inliers():
     assert np.all(d.inliers[:, 1] >= ymin) and np.all(d.inliers[:, 1] <= ymax)
 
 
-def _reference_detect(labels, fld, intrinsics):
+def _reference_ray_length(tz, model, intrinsics, w, h):
+    """The ray length a class with least predicted depth tz votes with: 3 px
+    past the image of the model's bounding sphere at depth tz, scaled by the
+    length per unit depth of the camera ray through the farthest frame
+    corner; None (the frame diagonal) without a model, with tz not above the
+    radius or with no shorter walk."""
+    if model is None or not tz > model.radius:
+        return None
+    off = [max(abs(-0.5 - c), abs(size - 0.5 - c)) / f
+           for c, size, f in ((intrinsics.px, w, intrinsics.fx), (intrinsics.py, h, intrinsics.fy))]
+    sphere = max(intrinsics.fx, intrinsics.fy) * model.radius / (tz - model.radius)
+    length = math.ceil(sphere * math.hypot(1.0, *off)) + 3
+    return length if length < math.hypot(w, h) else None
+
+
+def _reference_detect(labels, fld, intrinsics, models):
     """detect as it was before each class's rays were read once: every
     center derives the class's rays again, refine_center reads and
     re-normalizes the inliers' directions from the field, and the depths
-    are read from the field again. Kept as the reference detect must match
+    are read from the field again; each class votes as far as
+    _reference_ray_length gives. Kept as the reference detect must match
     bit for bit."""
     detections = []
     for cid in labels.class_ids():
-        grid = cast_votes(labels, fld, cid)
+        tz_min = float(np.min(fld[..., 2][labels.labels == cid]))
+        grid = cast_votes(labels, fld, cid, _reference_ray_length(
+            tz_min, models.get(cid), intrinsics, labels.width, labels.height))
         n_px = int(np.count_nonzero(labels.labels == cid))
         for center, score in find_centers(grid, class_pixel_count=n_px):
             xs, ys, nx, ny = voting._class_rays(labels, fld, cid)
@@ -650,11 +713,11 @@ def _reference_detect(labels, fld, intrinsics):
     return detections
 
 
-def test_detect_matches_reference_on_synth_frames(synth_frames):
+def _assert_detect_matches_reference(frames, models):
     n = 0
-    for f in synth_frames:
-        got = detect(f.labels, f.fld, K)  # K is every random scene's camera
-        want = _reference_detect(f.labels, f.fld, K)
+    for f in frames:
+        got = detect(f.labels, f.fld, K, models)  # K is every random scene's camera
+        want = _reference_detect(f.labels, f.fld, K, models)
         assert len(got) == len(want)
         for d, (cid, center, score, inliers, bbox, translation) in zip(got, want):
             assert d.class_id == cid and d.score == score and d.bbox == bbox
@@ -664,6 +727,94 @@ def test_detect_matches_reference_on_synth_frames(synth_frames):
             assert np.array_equal(d.translation, translation)
         n += len(got)
     assert n > 14
+
+
+def test_detect_matches_reference_on_synth_frames(synth_frames):
+    _assert_detect_matches_reference(synth_frames, default_registry())
+
+
+def test_detect_without_models_matches_the_uncapped_reference(synth_frames):
+    # no class has a radius, so every ray walks to the border
+    _assert_detect_matches_reference(synth_frames, {})
+
+
+def _ring_field(tz, radius=130, center=(160, 120)):
+    """Class-1 pixels on a ring around center, each pointing at it."""
+    ang = np.linspace(0.0, 2 * np.pi, 60, endpoint=False)
+    pixels = sorted({(int(round(center[0] + radius * np.cos(a))),
+                      int(round(center[1] + 0.8 * radius * np.sin(a)))) for a in ang})
+    return _field_with_pixels(320, 240, 1, pixels, center, tz=tz)
+
+
+def _below_or_at(value):
+    """The largest float32 not above value."""
+    v = np.float32(value)
+    return v if v <= value else np.nextafter(v, np.float32(0))
+
+
+@pytest.mark.parametrize("tz", [0.05, _below_or_at(default_registry()[1].radius)],
+                         ids=["below", "at"])
+def test_detect_walks_to_the_border_when_tz_is_not_above_the_radius(tz):
+    models = default_registry()
+    labels, fld = _ring_field(tz)
+    assert fld[..., 2].max() <= models[1].radius
+    got, want = detect(labels, fld, K, models), detect(labels, fld, K, {})
+    assert [(d.score, d.center.tolist(), d.inliers.tolist()) for d in got] == \
+        [(d.score, d.center.tolist(), d.inliers.tolist()) for d in want]
+    assert len(got) == 1 and np.allclose(got[0].center, [160.0, 120.0])
+    # at 2 m the same rays stop after 24 px, far short of the center
+    far_labels, far_fld = _ring_field(2.0)
+    assert detect(far_labels, far_fld, K, models) == []
+    assert len(detect(far_labels, far_fld, K, {})) == 1
+
+
+def test_reach_is_none_where_rays_walk_to_the_border():
+    cube = default_registry()[1]
+    assert voting._reach(2.0, cube, K, 320, 240) == 24
+    assert voting._reach(2.0, None, K, 320, 240) is None
+    for tz in (math.nan, 0.05, cube.radius):
+        assert voting._reach(tz, cube, K, 320, 240) is None
+    # just above the radius, or 97.5 mm above it, the reach is not below the
+    # 400 px diagonal; 98 mm above it the rays stop a px short of it
+    for tz in (cube.radius * (1 + 1e-12), cube.radius + 0.0975):
+        assert voting._reach(tz, cube, K, 320, 240) is None
+    assert voting._reach(cube.radius + 0.098, cube, K, 320, 240) == 399
+
+
+def test_nan_depth_raises_the_same_error_with_or_without_models():
+    labels, fld = _ring_field(1.0, radius=30)
+    ys, xs = np.nonzero(labels.labels)
+    fld[ys[0], xs[0], 2] = np.nan
+    for models in (default_registry(), {}):
+        with pytest.raises(VotingError, match="mean predicted depth is not positive"):
+            detect(labels, fld, K, models)
+
+
+def test_reach_keeps_every_vote_at_each_true_center():
+    # seed 0's 26 clean scenes: the capped grid scores each visible
+    # instance's center cell as the uncapped one does, and no pixel of the
+    # instance lies beyond the reach (the farthest lies at 0.78 of it)
+    models = default_registry()
+    checked = 0
+    for i in range(26):
+        scene = random_scene(pipeline.scene_seed(0, i), models)
+        f = pipeline.synth_frame(scene, i, NoiseSpec(), models)
+        w, h = f.labels.width, f.labels.height
+        for t in f.truths:
+            if t.visible_pixels == 0:
+                continue
+            mask = f.labels.labels == t.class_id
+            reach = voting._reach(float(f.fld[mask, 2].min()), models[t.class_id],
+                                  scene.intrinsics, w, h)
+            assert reach is not None
+            ys, xs = np.nonzero(mask)
+            assert np.hypot(xs - t.center[0], ys - t.center[1]).max() <= reach
+            cx, cy = np.floor(np.asarray(t.center) + 0.5).astype(int)
+            assert 0 <= cx < w and 0 <= cy < h
+            capped = cast_votes(f.labels, f.fld, t.class_id, reach).scores[cy, cx]
+            assert capped == cast_votes(f.labels, f.fld, t.class_id).scores[cy, cx] > 0
+            checked += 1
+    assert checked == 109
 
 
 def test_detect_translation_equivariance():
@@ -677,8 +828,8 @@ def test_detect_translation_equivariance():
     shifted = [(x + dx, y + dy) for x, y in pixels]
     labels2, fld2 = _field_with_pixels(320, 240, 1, shifted,
                                        (center[0] + dx, center[1] + dy))
-    d1 = detect(labels1, fld1, K)[0]
-    d2 = detect(labels2, fld2, K)[0]
+    d1 = detect(labels1, fld1, K, {})[0]
+    d2 = detect(labels2, fld2, K, {})[0]
     assert d2.center[0] - d1.center[0] == pytest.approx(dx, abs=1e-6)
     assert d2.center[1] - d1.center[1] == pytest.approx(dy, abs=1e-6)
     assert d2.translation[2] == pytest.approx(d1.translation[2], abs=1e-9)
