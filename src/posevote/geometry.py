@@ -214,20 +214,15 @@ class NeighborIndex:
 
     The targets are checked once, when the tree is built, and the points of
     every call when it is made; a non-finite point raises GeometryError.
-    The tree holds each distinct target once (compared bit for bit, so -0.0
-    and 0.0 differ), and an index names its first occurrence: among exact
-    duplicates it is the lowest. Among distinct targets at equal distance
-    the index is the tree's choice, which is deterministic but not always
-    the lowest. ``query`` is stateless; ``nearest`` remembers the
-    correspondences of its last call, so an index is not for concurrent use.
+    Among targets at equal distance the index is the tree's choice, which
+    is deterministic but not always the lowest. ``query`` is stateless;
+    ``nearest`` remembers the correspondences of its last call, so an index
+    is not for concurrent use.
     """
 
     def __init__(self, targets: np.ndarray):
         _require_finite_points(targets)
-        rows = np.ascontiguousarray(targets, dtype=float)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-        self._first = np.sort(np.unique(keys.ravel(), return_index=True)[1])
-        self._tree = cKDTree(rows[self._first])
+        self._tree = cKDTree(targets)
         self._at = None  # (m, 3) where each point was last searched for
         self._nearest = None  # (m,) the closest target found there
         self._reach2 = None  # (m,) squared reach, -inf for none
@@ -235,8 +230,7 @@ class NeighborIndex:
     def query(self, points: np.ndarray):
         """(distances, indices) of the closest target to each point."""
         _require_finite_points(points)
-        dist, idx = self._tree.query(points, k=1)
-        return dist, self._first[idx]
+        return self._tree.query(points, k=1)
 
     def nearest(self, points: np.ndarray) -> np.ndarray:
         """Indices of the closest target to each point, by a cached k-d
@@ -280,7 +274,7 @@ class NeighborIndex:
         if tied.any():
             # queried on every call, so they take a fresh query's choice
             nearest[tied] = self._tree.query(points[tied], k=1)[1]
-        return self._first[nearest], np.where(tied, -np.inf, reach * reach)
+        return nearest, np.where(tied, -np.inf, reach * reach)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,9 @@ def model_diameter(points) -> float:
 @dataclass
 class ObjectModel:
     """A 3D point set, its (n, 3) int64 triangle faces ((0, 3) for faces=None),
-    its points' diameter and radius (largest norm). Its class id is its registry key."""
+    its points' diameter and radius (largest norm). Its class id is its registry key.
+    Equal points (-0.0 is 0.0) merge into the first, in order of first appearance,
+    and faces keep their coordinates, so a mesh with split-vertex seams loads."""
 
     name: str
     points: np.ndarray
@@ -332,5 +328,9 @@ class ObjectModel:
         if self.faces.size and (self.faces.min() < 0
                                 or self.faces.max() >= self.points.shape[0]):
             raise GeometryError("face index out of range")
+        _, first, inverse = np.unique(self.points, axis=0, return_index=True,
+                                      return_inverse=True)
+        self.points = self.points[np.sort(first)]
+        self.faces = np.argsort(np.argsort(first))[inverse][self.faces]
         self.diameter = model_diameter(self.points) if self.points.shape[0] >= 2 else 0.0
         self.radius = float(np.linalg.norm(self.points, axis=1).max())

@@ -26,7 +26,8 @@ def load_ply(path):
     vertex properties must start with x y z; any after those (normals, colours)
     are skipped, but each vertex row must hold a value for every one. The face
     element must follow the vertex element and hold only its vertex-index
-    list; only triangle faces whose indices name a vertex are accepted.
+    list; only triangle faces whose indices name a vertex are accepted, and a
+    non-empty row past the declared counts is an error.
     """
     try:
         with open(path, "r", encoding="ascii") as f:
@@ -91,8 +92,12 @@ def load_ply(path):
     n_cols = len(vertex_props)
 
     body = [ln for ln in lines[i:] if ln]
-    if len(body) < n_vertices + n_faces:
+    extra = len(body) - n_vertices - n_faces
+    if extra < 0:
         raise PlyError("truncated PLY body")
+    if extra > 0:
+        raise PlyError(f"{extra} extra rows past the declared {n_vertices} "
+                       f"vertices and {n_faces} faces")
 
     rows = []
     for line in body[:n_vertices]:

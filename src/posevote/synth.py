@@ -193,7 +193,9 @@ def _fibonacci_dirs(n: int):
 def make_primitive_model(kind: str, scale: float, n_points: int) -> ObjectModel:
     """Deterministic primitive point sets/meshes with known symmetry groups.
 
-    cube: grid-sampled cube surface, full octahedral symmetry.
+    cube: grid-sampled cube surface, full octahedral symmetry. Adjacent
+      faces' grids share their edge samples, which the model holds once, so
+      n_points sets the density: 600 gives 488 distinct points.
     bar_2fold: elongated ellipsoid, exact 180-degree symmetry about Z by
       mirrored construction; no smaller-angle symmetry.
     asymmetric_blob: deformed ellipsoid point cloud, trivial symmetry group.

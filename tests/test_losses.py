@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
-from posevote import geometry, losses
+from posevote import geometry, losses, synth
 from posevote.geometry import (GeometryError, NeighborIndex, ObjectModel,
                                normalize_quat, quat_from_axis_angle,
                                quat_multiply, quat_to_rotation, random_quat,
@@ -14,7 +14,7 @@ from posevote.geometry import (GeometryError, NeighborIndex, ObjectModel,
 from posevote.losses import (LossKind, _rotation_jacobian, _tangent_project,
                              evaluate_loss, loss_gradient_check,
                              optimize_rotation, ploss, prepare_target, sloss)
-from posevote.synth import PRIMITIVE_KINDS, make_primitive_model
+from posevote.synth import PRIMITIVE_KINDS, default_registry, make_primitive_model
 
 
 def brute_ploss(q_est, q_gt, pts):
@@ -350,12 +350,40 @@ def test_tiny_steps_keep_correspondences_cached(seed):
     assert angle == ref_angle
 
 
-def test_cube_duplicates_need_no_wider_query():
-    # the cube's edge samples repeat, but the tree holds each distinct
-    # target once, so a point's two closest targets never share coordinates
-    # and no query asks for more than two
+def _built_models(monkeypatch):
+    """(model, raw points, raw faces) of every registry model and of each
+    primitive kind at 24, 96, 320 and 600 points: the raw mesh is what
+    `make_primitive_model` passes to ObjectModel."""
+    built = []
+
+    def keeping(name, points, faces):
+        built.append((ObjectModel(name=name, points=points, faces=faces),
+                      points, faces))
+        return built[-1][0]
+
+    monkeypatch.setattr(synth, "ObjectModel", keeping)
+    default_registry()
+    for kind in PRIMITIVE_KINDS:
+        for n in (24, 96, 320, 600):
+            make_primitive_model(kind, scale=0.1, n_points=n)
+    assert len(built) == 5 + 4 * len(PRIMITIVE_KINDS)
+    return built
+
+
+def test_primitive_models_hold_distinct_points(monkeypatch):
+    for m, _, _ in _built_models(monkeypatch):
+        assert len(np.unique(m.points, axis=0)) == len(m.points), m.name
+
+
+def test_primitive_model_faces_name_the_raw_mesh_coordinates(monkeypatch):
+    for m, points, faces in _built_models(monkeypatch):
+        assert np.array_equal(m.points[m.faces], points[faces]), m.name
+
+
+def test_cube_descent_needs_no_wider_query():
+    # a point's two closest targets never share coordinates, since the
+    # model's points are distinct, so no query asks for more than two
     m = make_primitive_model("cube", scale=0.1, n_points=320)
-    assert len(np.unique(m.points, axis=0)) < len(m.points)
     rng = np.random.default_rng(24)
     q_gt = random_quat(rng)
     inits = [random_quat(rng) for _ in range(3)]

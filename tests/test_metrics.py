@@ -64,9 +64,8 @@ def test_add_matches_oracle():
 
 
 def test_add_s_matches_a_fresh_kd_tree_bit_for_bit():
-    # the oracle's tree holds every target, while a NeighborIndex holds each
-    # distinct target once; the cube has exact duplicate points, and no
-    # closest-point distance may move by a bit
+    # add_s asks the one k-d tree home, NeighborIndex, and no closest-point
+    # distance may differ by a bit from a bare tree's
     models = [*default_registry().values(),
               make_primitive_model("bar_2fold", scale=0.1, n_points=320)]
     rng = np.random.default_rng(34)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from posevote.geometry import CameraIntrinsics, ObjectModel, Pose
 from posevote.ply import PlyError, load_model, load_ply, save_ply
+from posevote.synth import Scene, render_full
 
 
 def test_round_trip_points_only(tmp_path):
@@ -185,6 +187,50 @@ def test_rejects_face_index_out_of_range(tmp_path, index):
                  + f"0 0 0\n1 0 0\n0 1 0\n3 0 1 {index}\n")
     with pytest.raises(PlyError, match="face index out of range"):
         load_ply(p)
+
+
+def test_rejects_rows_past_the_declared_counts(tmp_path):
+    # the second face row and the garbage line used to be ignored
+    p = tmp_path / "m.ply"
+    p.write_text(_XYZ_HEADER.format(nv=3, faces=_FACE_HEADER)
+                 + "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n3 2 1 0\ngarbage here\n\n")
+    with pytest.raises(PlyError, match="^2 extra rows past the declared 3 "
+                       "vertices and 1 faces$"):
+        load_ply(p)
+
+
+def test_box_written_face_by_face_loads_its_eight_corners(tmp_path):
+    # split-vertex seams: each face writes its own four corners, and corner
+    # 0 is written once as -0 and twice as 0; the model welds them
+    corners = 0.1 * np.array([[c >> 2, c >> 1 & 1, c & 1] for c in range(8)],
+                             dtype=float)
+    quads = np.array([(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1),
+                      (2, 3, 7, 6), (0, 2, 6, 4), (1, 5, 7, 3)])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    rows = ["%.9g %.9g %.9g" % tuple(q) for q in corners[quads].reshape(-1, 3)]
+    rows[8] = "-0 0 0"  # the -y face's first corner
+    faces = (4 * np.arange(6)[:, None, None] + tris).reshape(-1, 3)
+    p = tmp_path / "box.ply"
+    p.write_text(_XYZ_HEADER.format(nv=24, faces=_FACE_HEADER.replace("face 1",
+                                                                       "face 12"))
+                 + "".join(r + "\n" for r in rows)
+                 + "".join("3 %d %d %d\n" % tuple(f) for f in faces))
+    raw_points, raw_faces = load_ply(p)
+    assert raw_points.shape == (24, 3) and np.signbit(raw_points[8, 0])
+    m = load_model(p)
+    assert m.points.shape == (8, 3)
+    assert len(np.unique(m.points, axis=0)) == 8
+    assert np.array_equal(m.points[m.faces], raw_points[raw_faces])
+    welded = ObjectModel(name="welded", points=corners,
+                         faces=quads[:, tris].reshape(-1, 3))
+    scene = Scene(instances=[(1, Pose(np.array([0.9, 0.2, -0.3, 0.1]),
+                                      np.array([-0.05, 0.02, 0.6])))],
+                  intrinsics=CameraIntrinsics(400.0, 400.0, 160.0, 120.0),
+                  width=320, height=240)
+    got, want = render_full(scene, {1: m}), render_full(scene, {1: welded})
+    assert want.coverage[0] > 0 and got.coverage == want.coverage
+    for name in ("depth", "instance", "face", "face_normals"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
